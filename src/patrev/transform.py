@@ -2,10 +2,20 @@
 
 Fields live on uniform, origin-centered periodic grids of 2^m samples per
 axis (d = 1, 2 or 3).  All propagation and imaging operators are diagonal in
-k, so everything reduces to FFT round trips with radial multipliers; a real,
-radial multiplier applied to a real field returns a real field up to
-round-off, which is checked by the tests (Parseval and imaginary-residue
-contracts).
+k and radial, so everything reduces to FFT round trips with radial
+multipliers; a real, radial multiplier applied to a real field returns a real
+field up to round-off, which is checked by the tests (Parseval and
+imaginary-residue contracts).
+
+Imaging multipliers are therefore evaluated once per distinct |k|, not once
+per grid point.  ``GridSpec.radial_table`` lists the distinct |k| of the
+real-FFT half spectrum (layout of ``np.fft.rfftn``: shape
+(n,)*(d-1) + (n//2+1,), FFT order on every axis, non-negative frequencies
+only on the last) together with an integer index per half-spectrum point;
+``apply_multiplier`` and ``time_reversal_image`` evaluate on that 1-D table,
+gather with the index and run one rfftn/irfftn round trip.  A multiplier
+callable hence receives the 1-D table of distinct |k|, not a grid-shaped
+array, and must be elementwise in k.
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -55,6 +65,12 @@ class GridAliasingWarning(UserWarning):
     """Outgoing shells wrap around the periodic grid back into the region."""
 
 
+def _outer_sum(vectors: list[np.ndarray]) -> np.ndarray:
+    """sum_i v_i broadcast with v_i along axis i, added in axis order."""
+    d = len(vectors)
+    return sum(v.reshape((-1,) + (1,) * (d - 1 - i)) for i, v in enumerate(vectors))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid, origin-centered, extent metres per axis."""
@@ -86,21 +102,46 @@ class GridSpec:
         n = self.n_per_axis
         return (np.arange(n) - n // 2) * self.spacing
 
+    def _magnitude(self, ax: np.ndarray) -> np.ndarray:
+        """sqrt(sum_i ax_i^2) on the full grid, with ax along every axis."""
+        if self.dim == 1:
+            return np.abs(ax)
+        total = _outer_sum([ax * ax] * self.dim)
+        return np.sqrt(total, out=total)
+
     def radius(self) -> np.ndarray:
         """|x| on the full grid."""
-        x = self.axis_coords()
-        if self.dim == 1:
-            return np.abs(x)
-        axes = np.meshgrid(*([x] * self.dim), indexing="ij")
-        return np.sqrt(sum(a * a for a in axes))
+        return self._magnitude(self.axis_coords())
+
+    def _k_axis(self) -> np.ndarray:
+        return 2.0 * math.pi * np.fft.fftfreq(self.n_per_axis, d=self.spacing)
 
     def k_magnitude(self) -> np.ndarray:
         """|k| on the full grid in FFT layout [1/m]."""
-        kax = 2.0 * math.pi * np.fft.fftfreq(self.n_per_axis, d=self.spacing)
-        if self.dim == 1:
-            return np.abs(kax)
-        axes = np.meshgrid(*([kax] * self.dim), indexing="ij")
-        return np.sqrt(sum(a * a for a in axes))
+        return self._magnitude(self._k_axis())
+
+    def radial_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct |k| of the real-FFT half spectrum and an index into them.
+
+        Returns ``(k_table, index)``: ``k_table`` is the strictly increasing
+        1-D array of distinct |k| [1/m] and ``index`` has the half-spectrum
+        shape (n,)*(d-1) + (n//2+1,) of ``np.fft.rfftn``, with
+        ``k_table[index]`` equal to ``k_magnitude()[..., :n//2+1]`` (exactly
+        in 1-D, to round-off otherwise).  On the periodic lattice
+        |k|^2 = (2 pi / extent)^2 q with integer q = sum_i m_i^2 <= d (n/2)^2,
+        so the distinct values are found by marking the occupied q.
+        """
+        n, d = self.n_per_axis, self.dim
+        half = n // 2 + 1
+        kax = self._k_axis()
+        if d == 1:
+            return np.abs(kax[:half]), np.arange(half)
+        m = (np.arange(n) + n // 2) % n - n // 2
+        q = _outer_sum([m * m] * (d - 1) + [np.arange(half) ** 2])
+        occupied = np.zeros(d * (n // 2) ** 2 + 1, dtype=bool)
+        occupied[q] = True
+        rank = np.cumsum(occupied) - 1
+        return kax[1] * np.sqrt(np.flatnonzero(occupied)), rank[q]
 
     def shape(self) -> tuple[int, ...]:
         return (self.n_per_axis,) * self.dim
@@ -167,27 +208,32 @@ def gaussian_phantom(grid: GridSpec, D: float) -> Field:
     return Field(grid, samples, label=f"gaussian D={D:.6g}")
 
 
-def _fftn(a: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(a)
+def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray, label: str) -> Field:
+    """F^{-1}{mult[index] F{fld}} by one real-FFT round trip.
 
-
-def _ifftn(a: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(a)
+    ``mult`` holds real multiplier values on ``fld.grid.radial_table()`` and
+    ``index`` is that table's half-spectrum index.
+    """
+    spec = np.fft.rfftn(fld.samples)
+    spec *= mult[index]
+    out = np.fft.irfftn(spec, s=fld.grid.shape(), axes=tuple(range(fld.grid.dim)))
+    return Field(fld.grid, out, label=label)
 
 
 def apply_multiplier(field: Field, multiplier: Callable[[np.ndarray], np.ndarray]) -> Field:
     """Apply a radial spectral multiplier: F^{-1}{ multiplier(|k|) F{field} }.
 
-    The multiplier callable receives the |k| array (FFT layout) and must
-    return finite real values on it.  The imaginary residue of the output is
-    round-off level for a real multiplier on a real field and is discarded.
+    The multiplier callable receives the 1-D array of distinct |k| of the
+    grid (``GridSpec.radial_table``), not a grid-shaped array, so it must be
+    elementwise in k; it must return finite real values on it.  The result
+    is gathered onto the real-FFT half spectrum, so the output is real by
+    construction.
     """
-    kmag = field.grid.k_magnitude()
-    mvals = np.asarray(multiplier(kmag), dtype=float)
+    k_table, index = field.grid.radial_table()
+    mvals = np.broadcast_to(np.asarray(multiplier(k_table), dtype=float), k_table.shape)
     if not np.all(np.isfinite(mvals)):
         raise ValueError("multiplier produced non-finite values on the grid")
-    out = _ifftn(mvals * _fftn(field.samples))
-    return Field(field.grid, out.real.copy(), label=field.label)
+    return _apply_radial(field, mvals, index, field.label)
 
 
 def propdelta_check(field: Field, medium: Medium, T: float,
@@ -223,8 +269,8 @@ def propdelta_check(field: Field, medium: Medium, T: float,
     return float(np.max(np.abs(half.samples[mask] - target[mask])) / denom)
 
 
-def _checked_products(medium: Medium, grid: GridSpec) -> kernels.ModeProducts:
-    mp = kernels.mode_products(medium, grid.k_magnitude())
+def _checked_products(medium: Medium, k: np.ndarray) -> kernels.ModeProducts:
+    mp = kernels.mode_products(medium, k)
     mp.require_real_regime()
     if np.min(mp.lambda0.real) < 0 or np.min(mp.lambda1.real) < -1e-12 / medium.tau0:
         raise ValueError(
@@ -242,13 +288,13 @@ def forward_pressure_hat(medium: Medium, phantom: Field, t: float) -> np.ndarray
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    mp = _checked_products(medium, phantom.grid)
+    mp = _checked_products(medium, phantom.grid.k_magnitude())
     decay = (
         mp.p0 * np.exp(-mp.lambda0 * t)
         + mp.p1 * np.exp(-mp.lambda1 * t)
         + mp.p2 * np.exp(-mp.lambda2 * t)
     )
-    return -_fftn(phantom.samples) * decay
+    return -np.fft.fftn(phantom.samples) * decay
 
 
 def time_reversal_image(medium: Medium, phantom: Field, T: float,
@@ -268,12 +314,15 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
         I_hat = 2 [p0^2 + 2 Re(p1^2) + 2 |p1|^2 cos(2 theta T)] phi_hat,
 
     which is finite at any scale and equals the zeta3-excluded multiplier of
-    the kernels module.
+    the kernels module.  Both are evaluated on the grid's radial table.  With
+    the flag only the real part of the product is applied: for a radial
+    multiplier on a real field its imaginary part only adds an imaginary
+    residue to the image.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    mp = _checked_products(medium, phantom.grid)
-    phat = _fftn(phantom.samples)
+    k_table, index = phantom.grid.radial_table()
+    mp = _checked_products(medium, k_table)
     if include_zeta3:
         max_rate = max(
             float(np.max(mp.lambda0.real)),
@@ -296,7 +345,7 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
             + mp.p1 * np.exp(mp.lambda1 * T)
             + mp.p2 * np.exp(mp.lambda2 * T)
         )
-        ihat = 2.0 * s_minus * s_plus * phat
+        mult = (2.0 * s_minus * s_plus).real
     else:
         p0sq = mp.p0.real**2
         p1 = mp.p1
@@ -305,9 +354,7 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
             + 2.0 * (p1 * p1).real
             + 2.0 * (p1 * np.conj(p1)).real * np.cos(2.0 * mp.theta.real * T)
         )
-        ihat = mult * phat
-    out = _ifftn(ihat)
-    return Field(phantom.grid, out.real.copy(), label="time reversal image")
+    return _apply_radial(phantom, mult, index, "time reversal image")
 
 
 # -- serialization -------------------------------------------------------------

@@ -113,6 +113,69 @@ def test_multiplier_must_be_finite():
         apply_multiplier(phi, lambda k: np.where(k == 0, np.inf, 1.0))
 
 
+@pytest.mark.parametrize("grid, size", [
+    (GridSpec(dim=1, n_per_axis=4096, extent=64.0), 4096 // 2 + 1),
+    (GridSpec(dim=2, n_per_axis=64, extent=32.0), None),
+    (GridSpec(dim=3, n_per_axis=128, extent=8.0), 8041),
+])
+def test_radial_table_matches_grid(grid, size):
+    n = grid.n_per_axis
+    k_table, index = grid.radial_table()
+    assert np.all(np.diff(k_table) > 0)
+    assert index.shape == (n,) * (grid.dim - 1) + (n // 2 + 1,)
+    full = grid.k_magnitude()[..., : n // 2 + 1]
+    if grid.dim == 1:
+        assert np.array_equal(k_table[index], full)
+    else:
+        np.testing.assert_allclose(k_table[index], full, rtol=1e-15, atol=0.0)
+    assert np.unique(index).size == k_table.size
+    if size is not None:
+        assert k_table.size == size
+
+
+def _full_grid_route(phi, mult):
+    """Reference: complex FFT round trip with the multiplier on every point."""
+    spec = mult(phi.grid.k_magnitude()) * np.fft.fftn(phi.samples)
+    return np.fft.ifftn(spec).real
+
+
+def _full_grid_image(medium, T, include_zeta3):
+    def mult(k):
+        mp = kernels.mode_products(medium, k)
+        if include_zeta3:
+            s_minus = -(mp.p0 * np.exp(-mp.lambda0 * T) + mp.p1 * np.exp(-mp.lambda1 * T)
+                        + mp.p2 * np.exp(-mp.lambda2 * T))
+            s_plus = -(mp.p0 * np.exp(mp.lambda0 * T) + mp.p1 * np.exp(mp.lambda1 * T)
+                       + mp.p2 * np.exp(mp.lambda2 * T))
+            return 2.0 * s_minus * s_plus
+        p1 = mp.p1
+        return 2.0 * (mp.p0.real ** 2 + 2.0 * (p1 * p1).real
+                      + 2.0 * (p1 * np.conj(p1)).real * np.cos(2.0 * mp.theta.real * T))
+    return mult
+
+
+@pytest.mark.parametrize("grid, D", [
+    (GridSpec(dim=2, n_per_axis=64, extent=32.0), 0.5),
+    (GridSpec(dim=3, n_per_axis=32, extent=16.0), 0.25),
+])
+def test_radial_route_equals_full_grid_route(grid, D):
+    phi = gaussian_phantom(grid, D)
+    T = 2.0
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    def eta_like(k):
+        return kernels.multiplier_grid(NONDIM, k, T, include_zeta3=False)
+
+    out = apply_multiplier(phi, eta_like)
+    assert rel(out.samples, _full_grid_route(phi, eta_like)) <= 1e-12
+    for flag in (False, True):
+        img = time_reversal_image(NONDIM, phi, T, include_zeta3=flag)
+        ref = _full_grid_route(phi, _full_grid_image(NONDIM, T, flag))
+        assert rel(img.samples, ref) <= 1e-12
+
+
 # -- propdelta -----------------------------------------------------------------
 
 
