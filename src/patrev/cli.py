@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _assemble_config(args) -> ExperimentConfig:
     if args.config is not None:
-        try:
-            mapping = experiments.read_key_value_file(args.config)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        mapping = experiments.read_config_mapping(args.config)
     else:
         mapping = _water_mapping()
     for item in args.overrides:
@@ -79,8 +75,7 @@ def _assemble_config(args) -> ExperimentConfig:
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
     if getattr(args, "k_max", None):
-        kmax = args.k_max if args.k_max.endswith("kc") else args.k_max
-        mapping["k_max"] = kmax
+        mapping["k_max"] = args.k_max
     if getattr(args, "k_num", None):
         mapping["k_num"] = str(args.k_num)
     return experiments.config_from_mapping(mapping, args.out)
@@ -123,19 +118,18 @@ def _cmd_roots(cfg: ExperimentConfig) -> Report:
 
 def _cmd_coeffs(cfg: ExperimentConfig) -> Report:
     medium = cfg.medium()
-    ks = cfg.k_grid(medium)
-    ks = ks[~spectral.degenerate_mask(*_roots_of(medium, ks))]
-    grid = spectral.roots_grid(medium, ks)
-    a0, a1, a2, _ = spectral.amplitudes_grid(medium, grid)
+    grid = spectral.roots_grid(medium, cfg.k_grid(medium))
+    a0, a1, a2, degen = spectral.amplitudes_grid(medium, grid)
+    keep = ~degen
+    ks = grid.k[keep]
+    lams = [lam[keep] for lam in (grid.lambda0, grid.lambda1, grid.lambda2)]
+    a0, a1, a2 = a0[keep], a1[keep], a2[keep]
     targets = spectral.moment_targets(medium)
     worst = np.zeros_like(ks)
     for m in range(3):
-        lhs = (a0 * grid.lambda0**m + a1 * grid.lambda1**m + a2 * grid.lambda2**m)
-        scale = np.maximum.reduce([
-            np.abs(a0 * grid.lambda0**m),
-            np.abs(a1 * grid.lambda1**m),
-            np.abs(a2 * grid.lambda2**m),
-        ]) + abs(targets[m])
+        terms = [a * lam**m for a, lam in zip((a0, a1, a2), lams)]
+        lhs = terms[0] + terms[1] + terms[2]
+        scale = np.maximum.reduce([np.abs(t) for t in terms]) + abs(targets[m])
         worst = np.maximum(worst, np.abs(lhs - targets[m]) / scale)
     rep = Report("coeffs")
     out = Path(cfg.out_dir)
@@ -150,11 +144,6 @@ def _cmd_coeffs(cfg: ExperimentConfig) -> Report:
     rep.check_below("max_moment_residual_scaled", float(np.max(worst)), 1e-9,
                     provenance="definition")
     return rep
-
-
-def _roots_of(medium, ks):
-    g = spectral.roots_grid(medium, ks)
-    return g.lambda0, g.lambda1, g.lambda2
 
 
 def _cmd_kernels(cfg: ExperimentConfig) -> Report:
@@ -193,15 +182,9 @@ def main(argv=None) -> int:
         combined = Report("combined")
         for rep in reports:
             rep.write(out / f"report_{rep.title}.txt")
-            for e in rep.entries:
-                combined.entries.append(
-                    experiments.ReportEntry(
-                        name=f"{rep.title}.{e.name}", value=e.value,
-                        provenance=e.provenance, target=e.target,
-                        tolerance=e.tolerance, deviation=e.deviation,
-                        passed=e.passed,
-                    )
-                )
+            combined.entries.extend(
+                replace(e, name=f"{rep.title}.{e.name}") for e in rep.entries
+            )
             combined.csv_paths.extend(rep.csv_paths)
         combined.write(out / "report.txt")
         _print_summary(combined)

@@ -167,8 +167,8 @@ class KernelSample:
     """All kernel values at one wavenumber (normalization (2 pi)^{d/2}).
 
     ``multiplier`` is the zeta3-excluded real multiplier
-    (2 pi)^{d/2} (zeta1_hat - zeta2_hat); the full multiplier adds the scaled
-    zeta3 term through ``image_multiplier``.
+    (2 pi)^{d/2} (zeta1_hat - zeta2_hat) = ``ModeProducts.multiplier``; the
+    full multiplier adds the scaled zeta3 term through ``image_multiplier``.
     """
 
     k: float
@@ -187,7 +187,8 @@ class ModeProducts:
 
     p_j = A_j lambda_j; below the degeneracy threshold the products carry
     their analytic limits and lambda/theta their leading-order forms, so every
-    array is usable down to k = 0.
+    array is usable down to k = 0.  The methods below are the one home of the
+    real-regime p_j algebra of the imaging multipliers.
     """
 
     k: np.ndarray
@@ -201,7 +202,7 @@ class ModeProducts:
     real_c_regime: np.ndarray
     limit_patched: np.ndarray
 
-    def require_real_regime(self):
+    def require_real_regime(self) -> "ModeProducts":
         if not bool(np.all(self.real_c_regime)):
             bad = self.k[~self.real_c_regime]
             raise ComplexRegimeError(
@@ -209,6 +210,21 @@ class ModeProducts:
                 f"k = {bad.flat[0]:.6g}; the real-valued kernel decomposition "
                 "is undefined for this medium"
             )
+        return self
+
+    def eta0_multiplier(self) -> np.ndarray:
+        """(2 pi)^{d/2} eta0_hat = 2 sum_j p_j^2 = 2 (p0^2 + 2 Re p1^2)."""
+        return 2.0 * (self.p0.real**2 + 2.0 * (self.p1 * self.p1).real)
+
+    def abs_p1_sq(self) -> np.ndarray:
+        """|p1|^2 = |p2|^2."""
+        return (self.p1 * np.conj(self.p1)).real
+
+    def multiplier(self, T: float) -> np.ndarray:
+        """zeta3-excluded image multiplier 2 sum_j p_j^2 + 4 |p1|^2 cos(2 theta T)."""
+        return self.eta0_multiplier() + 4.0 * self.abs_p1_sq() * np.cos(
+            2.0 * self.theta.real * T
+        )
 
 
 def mode_products(medium: Medium, k) -> ModeProducts:
@@ -222,20 +238,16 @@ def mode_products(medium: Medium, k) -> ModeProducts:
     p1 = a1 * lam1
     p2 = a2 * lam2
     if np.any(degen):
-        r = medium.tau_ratio
-        c0, t0, t1 = medium.c0, medium.tau0, medium.tau1
-        # analytic limits: A0 l0 -> 1 - r, A1 l1 = A2 l2 -> -1/2; roots keep
-        # their leading k dependence so oscillatory factors stay correct
-        lam0_lim = 1.0 / t0 - c0 * c0 * t1 * k * k + 0j
-        mu_lim = 0.5 * c0 * c0 * (t1 - t0) * k * k
-        th_lim = c0 * k
-        p0 = np.where(degen, (1.0 - r) + 0j, p0)
-        p1 = np.where(degen, -0.5 + 0j, p1)
-        p2 = np.where(degen, -0.5 + 0j, p2)
-        lam0 = np.where(degen, lam0_lim, lam0)
-        lam1 = np.where(degen, mu_lim + 1j * th_lim, lam1)
-        lam2 = np.where(degen, mu_lim - 1j * th_lim, lam2)
-        theta = np.where(degen, th_lim + 0j, theta)
+        # analytic limits: A0 l0 -> 1 - tau1/tau0, A1 l1 = A2 l2 -> -1/2; roots
+        # keep their leading k dependence so oscillatory factors stay correct
+        lam0_lim, mu_lim, th_lim = spectral.small_k_limits(medium, k[degen])
+        p0[degen] = 1.0 - medium.tau_ratio
+        p1[degen] = -0.5
+        p2[degen] = -0.5
+        lam0[degen] = lam0_lim
+        lam1[degen] = mu_lim + 1j * th_lim
+        lam2[degen] = mu_lim - 1j * th_lim
+        theta[degen] = th_lim
     return ModeProducts(
         k=k,
         lambda0=lam0,
@@ -256,26 +268,22 @@ def _norm(d: int) -> float:
     return (2.0 * math.pi) ** (d / 2.0)
 
 
-def zeta_arrays(medium: Medium, k, T: float, d: int = 3):
-    """(zeta1_hat, zeta2_hat, zeta3_mantissa, zeta3_log_scale) over a k grid.
-
-    zeta3 value = mantissa * exp(log_scale) with log_scale =
-    |Re(lambda0 - lambda1)| * T (equal to Re(lambda0 - lambda1) T for media
-    where the relaxation root dominates).  Requires the real-C regime and
-    T > 0.
-    """
+def _real_products(medium: Medium, k, T: float) -> ModeProducts:
+    """Real-regime mode products for an image at time T > 0."""
     if T <= 0:
         raise ValueError("T must be positive")
+    return mode_products(medium, k).require_real_regime()
+
+
+def _zeta_pieces(mp: ModeProducts, T: float, d: int):
+    """(zeta1_hat, zeta2_hat, zeta3_mantissa, zeta3_log_scale) of real-regime
+    mode products; see ``zeta_arrays``."""
     norm = _norm(d)
-    mp = mode_products(medium, k)
-    mp.require_real_regime()
     p0 = mp.p0.real
     p1 = mp.p1
-    th = mp.theta.real
-    sum_sq = p0 * p0 + 2.0 * (p1 * p1).real  # sum_j (A_j l_j)^2, real
-    abs_p1_sq = (p1 * np.conj(p1)).real
-    z1 = (2.0 * sum_sq + 4.0 * abs_p1_sq) / norm
-    z2 = 8.0 * abs_p1_sq * np.sin(th * T) ** 2 / norm
+    abs_p1_sq = mp.abs_p1_sq()
+    z1 = (mp.eta0_multiplier() + 4.0 * abs_p1_sq) / norm
+    z2 = 8.0 * abs_p1_sq * np.sin(mp.theta.real * T) ** 2 / norm
     dlam = mp.lambda0 - mp.lambda1
     x = dlam.real * T
     y = dlam.imag * T
@@ -292,31 +300,40 @@ def zeta_arrays(medium: Medium, k, T: float, d: int = 3):
     return z1, z2, z3_m, ax
 
 
+def zeta_arrays(medium: Medium, k, T: float, d: int = 3):
+    """(zeta1_hat, zeta2_hat, zeta3_mantissa, zeta3_log_scale) over a k grid.
+
+    zeta3 value = mantissa * exp(log_scale) with log_scale =
+    |Re(lambda0 - lambda1)| * T (equal to Re(lambda0 - lambda1) T for media
+    where the relaxation root dominates).  Requires the real-C regime and
+    T > 0.
+    """
+    return _zeta_pieces(_real_products(medium, k, T), T, d)
+
+
 def zeta_hats(medium: Medium, k: float, T: float, d: int = 3) -> KernelSample:
-    """All kernel values at one wavenumber (real-C regime only)."""
-    karr = np.asarray([float(k)])
-    z1, z2, z3_m, z3_ls = zeta_arrays(medium, karr, T, d)
-    e0 = eta0_grid(medium, karr, d)
-    e1, e2 = eta12_hats(medium, k, T, d)
+    """All kernel values at one wavenumber (real-C regime only); see
+    ``eta12_hats`` for eta1_hat and eta2_hat."""
+    mp = _real_products(medium, np.asarray([float(k)]), T)
+    z1, z2, z3_m, z3_ls = _zeta_pieces(mp, T, d)
     norm = _norm(d)
+    pref = 4.0 * mp.p0.real[0] / norm
+    x = float((mp.lambda0 - mp.lambda1).real[0] * T)
     return KernelSample(
         k=float(k),
         zeta1_hat=float(z1[0]),
         zeta2_hat=float(z2[0]),
         zeta3_hat=ScaledComplex(complex(z3_m[0]), float(z3_ls[0])),
-        eta0_hat=float(e0[0]),
-        eta1_hat=e1,
-        eta2_hat=e2,
-        multiplier=float(norm * (z1[0] - z2[0])),
+        eta0_hat=float(mp.eta0_multiplier()[0] / norm),
+        eta1_hat=ScaledComplex(complex(pref * mp.p1.imag[0]), x),
+        eta2_hat=ScaledComplex(complex(pref * mp.p1.real[0]), x),
+        multiplier=float(mp.multiplier(T)[0]),
     )
 
 
 def eta0_grid(medium: Medium, k, d: int = 3) -> np.ndarray:
     """Small-wavenumber kernel eta0_hat = 2 sum_j (A_j l_j)^2 / (2 pi)^{d/2}."""
-    mp = mode_products(medium, k)
-    mp.require_real_regime()
-    sum_sq = mp.p0.real ** 2 + 2.0 * (mp.p1 * mp.p1).real
-    return 2.0 * sum_sq / _norm(d)
+    return mode_products(medium, k).require_real_regime().eta0_multiplier() / _norm(d)
 
 
 def eta0_hat(medium: Medium, k: float, d: int = 3) -> float:
@@ -345,23 +362,15 @@ def eta12_hats(medium: Medium, k: float, T: float, d: int = 3):
     zeta3_hat ~ eta1_hat sin(c0 k T) + eta2_hat cos(c0 k T) for k << k_c
     (sign as follows from the lambda1 = mu + i theta labelling).
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    mp = mode_products(medium, np.asarray([float(k)]))
-    mp.require_real_regime()
-    pref = 4.0 * mp.p0.real[0] / _norm(d)
-    x = float((mp.lambda0 - mp.lambda1).real[0] * T)
-    e1 = ScaledComplex(complex(pref * mp.p1.imag[0]), x)
-    e2 = ScaledComplex(complex(pref * mp.p1.real[0]), x)
-    return e1, e2
+    sample = zeta_hats(medium, k, T, d)
+    return sample.eta1_hat, sample.eta2_hat
 
 
 def small_k_multiplier(medium: Medium, k: float) -> float:
     """Multiplier of the small-wavenumber image I0 = eta0 * phi:
     (2 pi)^{d/2} eta0_hat(k), dimension independent."""
-    mp = mode_products(medium, np.asarray([float(k)]))
-    mp.require_real_regime()
-    return float(2.0 * (mp.p0.real[0] ** 2 + 2.0 * (mp.p1[0] ** 2).real))
+    mp = mode_products(medium, np.asarray([float(k)])).require_real_regime()
+    return float(mp.eta0_multiplier()[0])
 
 
 def multiplier_grid(medium: Medium, k, T: float, include_zeta3: bool = False) -> np.ndarray:
@@ -371,10 +380,10 @@ def multiplier_grid(medium: Medium, k, T: float, include_zeta3: bool = False) ->
     raising ScaleOverflowError where exp(log_scale) does not fit (physical
     tissue scale); the zeta3-excluded multiplier is always finite and real.
     """
-    z1, z2, z3_m, z3_ls = zeta_arrays(medium, k, T, d=3)
-    norm = _norm(3)
-    m = norm * (z1 - z2)
+    mp = _real_products(medium, k, T)
+    m = mp.multiplier(T)
     if include_zeta3:
+        _, _, z3_m, z3_ls = _zeta_pieces(mp, T, d=3)
         nonzero = z3_m != 0
         logmag = np.where(
             nonzero, z3_ls + np.log(np.abs(np.where(nonzero, z3_m, 1.0))), -np.inf
@@ -388,7 +397,7 @@ def multiplier_grid(medium: Medium, k, T: float, include_zeta3: bool = False) ->
         # reassemble as sign * exp(log magnitude): exp(z3_ls) alone may
         # overflow even when the product is representable
         z3 = np.where(nonzero, np.sign(z3_m) * np.exp(logmag), 0.0)
-        m = m + norm * z3
+        m = m + _norm(3) * z3
     return m
 
 
@@ -399,16 +408,14 @@ def image_multiplier(medium: Medium, k: float, T: float, include_zeta3: bool = F
 
 def kernel_table(medium: Medium, k, T: float, d: int = 3):
     """Column dict for CSV export of the kernel curves over a k grid."""
-    k = np.asarray(k, dtype=float)
-    z1, z2, z3_m, z3_ls = zeta_arrays(medium, k, T, d)
-    e0 = eta0_grid(medium, k, d)
-    m = multiplier_grid(medium, k, T, include_zeta3=False)
+    mp = _real_products(medium, k, T)
+    z1, z2, z3_m, z3_ls = _zeta_pieces(mp, T, d)
     return {
-        "k": k,
+        "k": mp.k,
         "zeta1": z1,
         "zeta2": z2,
         "zeta3_mantissa": z3_m,
         "zeta3_logscale": z3_ls,
-        "eta0": e0,
-        "multiplier_no_zeta3": m,
+        "eta0": mp.eta0_multiplier() / _norm(d),
+        "multiplier_no_zeta3": mp.multiplier(T),
     }

@@ -11,8 +11,11 @@ low-frequency (equilibrium) speed ``c0`` or the high-frequency limit
                                 dispersed wavenumbers)
 
 ``tau0 in (0, tau1]`` is required for a finite wavefront speed; equality
-holds only in the dissipation-free case ``kappa1 = 0``.  All quantities are
-SI.  ``Medium`` is immutable and safe to share across threads.
+holds in the dissipation-free case ``kappa1 = 0`` and also whenever
+``c0^2 rho kappa1`` is below double resolution (e.g. ``kappa1 = 1e-30`` at
+unit scale), so dissipation-free code paths key on ``tau0 == tau1``, not on
+``kappa1 == 0``.  All quantities are SI.  ``Medium`` is immutable and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ class Medium:
     """Validated medium with all derived constants.
 
     Invariants (checked on construction):
-      * 0 < tau0 <= tau1, equality only for kappa1 = 0
+      * 0 < tau0 <= tau1, equality for kappa1 = 0 and for kappa1 so small
+        that c0^2 rho kappa1 rounds away against 1
       * c_inf = sqrt(tau1/tau0) c0        (to 1e-12 relative)
       * tau0 = (1 - c0^2 rho kappa1) tau1 (to 1e-12 relative)
       * k_c = 2/(c0 tau1) exactly as computed from the stored fields

@@ -49,6 +49,7 @@ __all__ = [
     "cardano_roots",
     "roots_grid",
     "dissipation_free_roots",
+    "small_k_limits",
     "small_k_roots",
     "moment_targets",
     "amplitudes",
@@ -233,28 +234,34 @@ def dissipation_free_roots(c0: float, tau1: float, k: float) -> SpectralRoots:
     )
 
 
+def small_k_limits(medium: Medium, k):
+    """Leading-order k -> 0 forms (lambda0, mu, theta) of the roots.
+
+    lambda0 ~ 1/tau0 - c0^2 tau1 k^2, mu ~ c0^2 (tau1 - tau0) k^2 / 2 and
+    theta ~ c0 k, elementwise over k; accurate to O((k/k_c)^2) relative.
+    """
+    k = np.asarray(k, dtype=float)
+    c0, t0, t1 = medium.c0, medium.tau0, medium.tau1
+    lam0 = 1.0 / t0 - c0 * c0 * t1 * k * k
+    mu = 0.5 * c0 * c0 * (t1 - t0) * k * k
+    return lam0, mu, c0 * k
+
+
 def small_k_roots(medium: Medium, k: float) -> SpectralRoots:
     """Small-wavenumber approximate triple (no residual contract).
 
-    Returns lambda0 ~ 1/tau0 - c0^2 tau1 k^2, mu ~ c0 k^2/k_c, theta ~ c0 k.
-    Meaningful for k << k_c; note that the mu formula carries the wrong
-    constant factor relative to the true leading order mu ~
-    (1 - tau0/tau1) c0 k^2 / k_c, so it overestimates the damping of
-    water-like media by a factor ~1.9 (theta and lambda0 are accurate to
-    O((k/k_c)^2) relative).
+    The ``small_k_limits`` forms at one wavenumber, meaningful for k << k_c,
+    with the exact Cardano diagnostics.
     """
     if k < 0:
         raise ValueError("wavenumbers must be non-negative")
-    exact = cardano_roots(medium, k)
-    lam0 = 1.0 / medium.tau0 - medium.c0**2 * medium.tau1 * k * k
-    mu = medium.c0 * k * k / medium.k_c
-    theta = medium.c0 * k
+    lam0, mu, theta = small_k_limits(medium, k)
     return SpectralRoots(
         k=float(k),
         lambda0=complex(lam0),
         mu=complex(mu),
         theta=complex(theta),
-        diagnostics=exact.diagnostics,
+        diagnostics=cardano_roots(medium, k).diagnostics,
     )
 
 
@@ -290,10 +297,12 @@ def amplitudes_grid(medium: Medium, grid: RootsGrid):
     _, m1, m2 = moment_targets(medium)
     l0, l1, l2 = grid.lambda0, grid.lambda1, grid.lambda2
     degen = degenerate_mask(l0, l1, l2)
-    if medium.kappa1 == 0.0:
-        # the cubic factors exactly: A0 = 0 and A1 = -1/(2 lambda1) = -A2;
-        # evaluating the generic closed forms would leave round-off dust in
-        # A0 that the exponentially large relaxation cross terms then amplify
+    if medium.tau0 == medium.tau1:
+        # dissipation-free (kappa1 = 0, or c0^2 rho kappa1 below double
+        # resolution): the cubic factors exactly, A0 = 0 and
+        # A1 = -1/(2 lambda1) = -A2; evaluating the generic closed forms
+        # would leave round-off dust in A0 that the exponentially large
+        # relaxation cross terms then amplify
         with np.errstate(divide="ignore", invalid="ignore"):
             a1 = -0.5 / l1
         a0 = np.zeros_like(a1)

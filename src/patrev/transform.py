@@ -212,11 +212,15 @@ def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray, label: str) -
     """F^{-1}{mult[index] F{fld}} by one real-FFT round trip.
 
     ``mult`` holds real multiplier values on ``fld.grid.radial_table()`` and
-    ``index`` is that table's half-spectrum index.
+    ``index`` is that table's half-spectrum index.  The inverse is
+    ``np.fft.irfftn`` written out so that each complex-axis pass frees its
+    input: two half spectra are alive at a time instead of three.
     """
     spec = np.fft.rfftn(fld.samples)
     spec *= mult[index]
-    out = np.fft.irfftn(spec, s=fld.grid.shape(), axes=tuple(range(fld.grid.dim)))
+    for axis in range(fld.grid.dim - 1):
+        spec = np.fft.ifft(spec, axis=axis)
+    out = np.fft.irfft(spec, n=fld.grid.n_per_axis, axis=-1)
     return Field(fld.grid, out, label=label)
 
 
@@ -270,13 +274,21 @@ def propdelta_check(field: Field, medium: Medium, T: float,
 
 
 def _checked_products(medium: Medium, k: np.ndarray) -> kernels.ModeProducts:
-    mp = kernels.mode_products(medium, k)
-    mp.require_real_regime()
+    mp = kernels.mode_products(medium, k).require_real_regime()
     if np.min(mp.lambda0.real) < 0 or np.min(mp.lambda1.real) < -1e-12 / medium.tau0:
         raise ValueError(
             "negative decay rate on the grid: forward evolution would grow"
         )
     return mp
+
+
+def _mode_sum(mp: kernels.ModeProducts, t: float) -> np.ndarray:
+    """sum_j A_j lambda_j e^{-lambda_j t}."""
+    return (
+        mp.p0 * np.exp(-mp.lambda0 * t)
+        + mp.p1 * np.exp(-mp.lambda1 * t)
+        + mp.p2 * np.exp(-mp.lambda2 * t)
+    )
 
 
 def forward_pressure_hat(medium: Medium, phantom: Field, t: float) -> np.ndarray:
@@ -289,12 +301,24 @@ def forward_pressure_hat(medium: Medium, phantom: Field, t: float) -> np.ndarray
     if t <= 0:
         raise ValueError("t must be positive")
     mp = _checked_products(medium, phantom.grid.k_magnitude())
-    decay = (
-        mp.p0 * np.exp(-mp.lambda0 * t)
-        + mp.p1 * np.exp(-mp.lambda1 * t)
-        + mp.p2 * np.exp(-mp.lambda2 * t)
-    )
-    return -np.fft.fftn(phantom.samples) * decay
+    return -np.fft.fftn(phantom.samples) * _mode_sum(mp, t)
+
+
+def _time_reversal_table(medium: Medium, k_table: np.ndarray, T: float,
+                         include_zeta3: bool) -> np.ndarray:
+    """Real time-reversal multiplier on a table of |k|; see time_reversal_image."""
+    mp = _checked_products(medium, k_table)
+    if not include_zeta3:
+        return mp.multiplier(T)
+    max_rate = max(float(np.max(lam.real))
+                   for lam in (mp.lambda0, mp.lambda1, mp.lambda2))
+    if max_rate * T > kernels.EXP_REAL_LIMIT:
+        raise kernels.ScaleOverflowError(
+            f"exp(Re lambda T) with Re lambda T = {max_rate * T:.3g} is not "
+            "representable; the exact reversed pipeline is only computable "
+            "at nondimensional scale (use include_zeta3=False)"
+        )
+    return (2.0 * _mode_sum(mp, T) * _mode_sum(mp, -T)).real
 
 
 def time_reversal_image(medium: Medium, phantom: Field, T: float,
@@ -309,51 +333,19 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     tissue scale it is not (Re lambda0 T ~ 1e6) and a ScaleOverflowError is
     raised, directing callers to the small-wavenumber kernel path.  Without
     the flag the relaxation-oscillation cross terms are dropped and the
-    remaining product is reduced analytically,
+    remaining product reduces to ``kernels.ModeProducts.multiplier``,
 
         I_hat = 2 [p0^2 + 2 Re(p1^2) + 2 |p1|^2 cos(2 theta T)] phi_hat,
 
-    which is finite at any scale and equals the zeta3-excluded multiplier of
-    the kernels module.  Both are evaluated on the grid's radial table.  With
-    the flag only the real part of the product is applied: for a radial
-    multiplier on a real field its imaginary part only adds an imaginary
-    residue to the image.
+    which is finite at any scale and equals ``kernels.multiplier_grid``.
+    Both are evaluated on the grid's radial table.  With the flag only the
+    real part of the product is applied: for a radial multiplier on a real
+    field its imaginary part only adds an imaginary residue to the image.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     k_table, index = phantom.grid.radial_table()
-    mp = _checked_products(medium, k_table)
-    if include_zeta3:
-        max_rate = max(
-            float(np.max(mp.lambda0.real)),
-            float(np.max(mp.lambda1.real)),
-            float(np.max(mp.lambda2.real)),
-        )
-        if max_rate * T > kernels.EXP_REAL_LIMIT:
-            raise kernels.ScaleOverflowError(
-                f"exp(Re lambda T) with Re lambda T = {max_rate * T:.3g} is not "
-                "representable; the exact reversed pipeline is only computable "
-                "at nondimensional scale (use include_zeta3=False)"
-            )
-        s_minus = -(
-            mp.p0 * np.exp(-mp.lambda0 * T)
-            + mp.p1 * np.exp(-mp.lambda1 * T)
-            + mp.p2 * np.exp(-mp.lambda2 * T)
-        )
-        s_plus = -(
-            mp.p0 * np.exp(mp.lambda0 * T)
-            + mp.p1 * np.exp(mp.lambda1 * T)
-            + mp.p2 * np.exp(mp.lambda2 * T)
-        )
-        mult = (2.0 * s_minus * s_plus).real
-    else:
-        p0sq = mp.p0.real**2
-        p1 = mp.p1
-        mult = 2.0 * (
-            p0sq
-            + 2.0 * (p1 * p1).real
-            + 2.0 * (p1 * np.conj(p1)).real * np.cos(2.0 * mp.theta.real * T)
-        )
+    mult = _time_reversal_table(medium, k_table, T, include_zeta3)
     return _apply_radial(phantom, mult, index, "time reversal image")
 
 

@@ -134,6 +134,14 @@ def test_reconstruction_lossless_identity(tmp_path):
     assert rep.entry("err_linf_vs_phi").value <= 1e-3
 
 
+def test_reconstruction_identity_checked_when_kappa1_rounds_away(tmp_path):
+    # c_inf^2 rho kappa1 = 2.25e-21 rounds away against 1, so tau0 == tau1
+    raw = RawParams(tau1=1e-9, kappa1=1e-30, rho=1e3, speed=1500.0)
+    rep = run_reconstruction(water_cfg(tmp_path, raw=raw))
+    assert rep.passed
+    assert rep.entry("err_linf_identity").value <= 1e-3
+
+
 def test_reconstruction_smoother_phantom_is_better(tmp_path):
     cfg1 = water_cfg(tmp_path / "d0")
     d0 = (500.0 / cfg1.medium().k_c) ** 2

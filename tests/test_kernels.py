@@ -299,3 +299,6 @@ def test_kernel_table_columns():
                                   "multiplier_no_zeta3"]
     assert all(len(v) == 50 for v in table.values())
     assert np.all(np.isfinite(table["multiplier_no_zeta3"]))
+    assert np.array_equal(table["multiplier_no_zeta3"],
+                          kernels.multiplier_grid(WATER, ks, T_WATER))
+    assert np.array_equal(table["eta0"], kernels.eta0_grid(WATER, ks, d=3))

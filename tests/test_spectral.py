@@ -259,11 +259,9 @@ def test_small_k_roots_quality():
     exact = cardano_roots(WATER, kq)
     assert abs(approx.theta - exact.theta) / abs(exact.theta) <= 0.05
     assert abs(approx.lambda0 - exact.lambda0) / abs(exact.lambda0) <= 0.05
-    # the damping formula c0 k^2/k_c overestimates mu by tau1/(tau1 - tau0);
-    # the true leading order carries the extra factor (1 - tau0/tau1)
+    # leading-order damping mu ~ c0^2 (tau1 - tau0) k^2 / 2
     ratio = (approx.mu / exact.mu).real
-    expected = 1.0 / (1.0 - WATER.tau0 / WATER.tau1)
-    assert ratio == pytest.approx(expected, rel=1e-3)
+    assert ratio == pytest.approx(1.0, rel=1e-3)
     # ordering: both pair rates are far below the relaxation rate
     assert 0 < approx.mu.real
     assert 0 < approx.theta.real

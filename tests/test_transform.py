@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from patrev.medium import derive_medium, nondimensional_medium, water_params
+from patrev.medium import RawParams, derive_medium, nondimensional_medium, water_params
 from patrev import kernels
 from patrev.transform import (
     Field,
@@ -285,6 +285,32 @@ def test_flag_off_equals_zeta3_excluded_multiplier():
     )
     rel = np.linalg.norm(img.samples - direct.samples) / np.linalg.norm(direct.samples)
     assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("grid, D", [
+    (GridSpec(dim=1, n_per_axis=1 << 14, extent=8.0), (500.0 / WATER.k_c) ** 2),
+    (GridSpec(dim=3, n_per_axis=32, extent=8.0), 0.125),
+], ids=["1d", "3d"])
+def test_image_and_multiplier_grid_share_one_formula(grid, D):
+    phi = gaussian_phantom(grid, D)
+    img = time_reversal_image(WATER, phi, T_WATER)
+    direct = apply_multiplier(phi, lambda kk: kernels.multiplier_grid(WATER, kk, T_WATER))
+    assert np.array_equal(img.samples, direct.samples)
+
+
+def test_identity_when_kappa1_rounds_away():
+    # c0^2 rho kappa1 = 1e-30 vanishes against 1: tau0 == tau1 with kappa1 > 0,
+    # and any A0 dust would be amplified by exp(lambda0 T) = e^40
+    medium = derive_medium(RawParams(tau1=1.0, kappa1=1e-30, rho=1.0, speed=1.0,
+                                     speed_kind="c_zero"))
+    assert medium.kappa1 > 0 and medium.tau0 == medium.tau1
+    grid = GridSpec(dim=1, n_per_axis=1 << 14, extent=176.0)
+    phi = gaussian_phantom(grid, D_DESK)
+    img = time_reversal_image(medium, phi, 40.0, include_zeta3=True)
+    mask = REGION.mask(grid)
+    err = np.max(np.abs(img.samples[mask] - phi.samples[mask]))
+    err /= np.max(np.abs(phi.samples[mask]))
+    assert err <= 1e-12
 
 
 def test_water_scale_zeta3_pipeline_overflows():
