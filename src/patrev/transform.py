@@ -24,7 +24,7 @@ shells re-enter unless the extent exceeds about 4 c0 T.  A GridAliasingWarning
 is emitted when that margin is violated.
 
 Serialization: raw little-endian float64 samples plus a sidecar text header
-(dim, n_per_axis, extent, label); 1-D profiles export to CSV.
+(dim, n_per_axis, extent, label).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "time_reversal_image",
     "save_field",
     "load_field",
-    "field_profile_csv",
 ]
 
 
@@ -382,18 +381,3 @@ def load_field(basepath) -> Field:
     )
     samples = np.fromfile(base.with_suffix(".f64"), dtype="<f8").reshape(grid.shape())
     return Field(grid, samples, label=hdr.get("label", ""))
-
-
-def field_profile_csv(fld: Field, path) -> Path:
-    """CSV export (x, value) of a 1-D field."""
-    if fld.grid.dim != 1:
-        raise ValueError("profile export is 1-D only")
-    path = Path(path)
-    x = fld.grid.axis_coords()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# 1-D field profile\n")
-        fh.write(f"# label: {fld.label}\n")
-        fh.write("x_m,value\n")
-        for xi, vi in zip(x, fld.samples):
-            fh.write(f"{xi:.17g},{vi:.17g}\n")
-    return path

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from patrev import kernels, transform
 from patrev.medium import RawParams, water_params
 from patrev.experiments import (
+    _CSV_BLOCK_ROWS,
     ConfigError,
     ExperimentConfig,
     Report,
@@ -61,6 +63,43 @@ def test_write_csv_format_and_determinism(tmp_path):
     # 17 significant digits round-trip doubles exactly
     assert lines[2] == "1,0.10000000000000001"
     assert float(lines[2].split(",")[1]) == 0.1
+
+
+def _per_cell_csv(comments, names, columns) -> str:
+    """The per-cell writer that write_csv replaced, kept as the reference."""
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        return f"{float(v):.17g}"
+
+    lines = [f"# {c}" for c in comments] + [",".join(names)]
+    lines += [",".join(cell(c[i]) for c in columns) for i in range(len(columns[0]))]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(20131)
+    # random bit patterns: every binade, subnormals, infinities and NaN payloads
+    bits = rng.integers(0, 2**64, size=2**18, dtype=np.uint64)
+    doubles = bits.view(np.float64)
+    cols = [doubles[: 2**17], doubles[2**17:]]
+    path = write_csv(tmp_path / "bits.csv", ["bits"], ["a", "b"], cols)
+    assert path.read_text() == _per_cell_csv(["bits"], ["a", "b"], cols)
+
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                        1.7976931348623157e308, 1e16, 1e17, 1e-4, 1e-5])
+    big = np.array([2**60 + 1, -(2**63), 2**53 + 1, 7], dtype=np.int64)
+    for n in (0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1):
+        cols = [doubles[:n], np.resize(special, n), np.resize(big, n),
+                np.arange(n) % 3 == 0]
+        names = ["x", "special", "int64", "flag"]
+        path = write_csv(tmp_path / f"mixed_{n}.csv", ["mixed", "rows"], names, cols)
+        text = path.read_text()
+        assert text == _per_cell_csv(["mixed", "rows"], names, cols)
+        assert len(text.splitlines()) == 3 + n
+
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", [], ["a", "b"], [np.zeros(3), np.zeros(4)])
 
 
 def test_water_constants_pass(tmp_path):
@@ -140,6 +179,51 @@ def test_reconstruction_identity_checked_when_kappa1_rounds_away(tmp_path):
     rep = run_reconstruction(water_cfg(tmp_path, raw=raw))
     assert rep.passed
     assert rep.entry("err_linf_identity").value <= 1e-3
+
+
+def _full_grid_reconstruction_entries(cfg) -> dict[str, float]:
+    """Report values of run_reconstruction from whole-grid arrays."""
+    medium = cfg.medium()
+    T = cfg.resolve_T(medium)
+    phantom = transform.gaussian_phantom(cfg.grid, cfg.phantom_D(medium))
+    image = transform.time_reversal_image(medium, phantom, T, include_zeta3=False)
+    image_eta0 = transform.apply_multiplier(
+        phantom,
+        lambda kk: kernels.mode_products(medium, kk).require_real_regime().eta0_multiplier(),
+    )
+    oracle = kernels.dc_constant(medium) * phantom.samples
+    mask = phantom.samples >= 0.01 * float(np.max(phantom.samples))
+
+    def linf(a, b):
+        return float(np.max(np.abs(a[mask] - b[mask])) / np.max(np.abs(b[mask])))
+
+    entries = {
+        "err_linf_vs_gain_phi": linf(image.samples, oracle),
+        "err_l2_vs_gain_phi": float(np.linalg.norm(image.samples[mask] - oracle[mask])
+                                    / np.linalg.norm(oracle[mask])),
+        "err_linf_eta0_vs_gain_phi": linf(image_eta0.samples, oracle),
+        "err_linf_vs_phi": linf(image.samples, phantom.samples),
+    }
+    if medium.tau0 == medium.tau1:
+        entries["err_linf_identity"] = entries["err_linf_vs_phi"]
+    return entries
+
+
+@pytest.mark.parametrize("raw", [
+    water_params(),
+    RawParams(tau1=1e-9, kappa1=0.0, rho=1e3, speed=1500.0),
+], ids=["water", "dissipation_free"])
+def test_reconstruction_3d_matches_full_grid_formulas(tmp_path, raw):
+    grid = transform.GridSpec(dim=3, n_per_axis=32, extent=8.0)
+    cfg = water_cfg(tmp_path / "out", raw=raw, grid=grid, phantom_D_m2=0.125)
+    rep = run_reconstruction(cfg)
+    expected = _full_grid_reconstruction_entries(cfg)
+    assert ("err_linf_identity" in expected) == (raw.kappa1 == 0.0)
+    for name, value in expected.items():
+        assert rep.entry(name).value == value, name
+    assert rep.passed
+    assert rep.csv_paths == []
+    assert not (tmp_path / "out" / "reconstruction_profile.csv").exists()
 
 
 def test_reconstruction_smoother_phantom_is_better(tmp_path):

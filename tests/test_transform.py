@@ -12,7 +12,6 @@ from patrev.transform import (
     InteriorRegion,
     PhantomSupportError,
     apply_multiplier,
-    field_profile_csv,
     forward_pressure_hat,
     gaussian_phantom,
     load_field,
@@ -422,16 +421,3 @@ def test_field_round_trip_2d(tmp_path):
     save_field(phi, tmp_path / "phantom2d")
     back = load_field(tmp_path / "phantom2d")
     assert np.array_equal(back.samples, phi.samples)
-
-
-def test_profile_csv(tmp_path):
-    phi = gaussian_phantom(DESK, D_DESK)
-    path = field_profile_csv(phi, tmp_path / "profile.csv")
-    lines = path.read_text().splitlines()
-    assert lines[2] == "x_m,value"
-    assert len(lines) == 3 + DESK.n_per_axis
-    with pytest.raises(ValueError):
-        field_profile_csv(
-            gaussian_phantom(GridSpec(dim=2, n_per_axis=32, extent=16.0), 0.25),
-            tmp_path / "p2.csv",
-        )
