@@ -2,9 +2,9 @@
 relaxing dissipative acoustic media.
 
 The package derives medium constants, solves the dispersion cubic in closed
-form, assembles the exact and small-wavenumber imaging kernels (with
-overflow-safe scaled arithmetic for the relaxation cross terms), and runs
-gridded reconstruction experiments against declared tolerances.
+form, assembles the exact and small-wavenumber imaging kernels (the
+relaxation cross terms stay in overflow-safe mantissa/log-scale arrays), and
+runs gridded reconstruction experiments against declared tolerances.
 """
 
 from .medium import (
@@ -23,28 +23,20 @@ from .spectral import (
     amplitudes,
     asymptotic_limits,
     cardano_roots,
-    dissipation_free_roots,
-    small_k_roots,
     solve_vandermonde,
 )
 from .kernels import (
     ComplexRegimeError,
-    KernelSample,
     ScaleOverflowError,
-    ScaledComplex,
     dc_constant,
     eta0_hat,
-    eta12_hats,
-    image_multiplier,
-    small_k_multiplier,
-    zeta_hats,
 )
 from .transform import (
     Field,
     GridSpec,
     InteriorRegion,
     apply_multiplier,
-    forward_pressure_hat,
+    forward_pressure,
     gaussian_phantom,
     propdelta_check,
     time_reversal_image,
@@ -56,12 +48,9 @@ __all__ = [
     "Medium", "RawParams", "UnphysicalMediumError", "derive_medium",
     "nondimensional_medium", "water_params",
     "Amplitudes", "CardanoDiagnostics", "DegenerateRootsError", "SpectralRoots",
-    "amplitudes", "asymptotic_limits", "cardano_roots",
-    "dissipation_free_roots", "small_k_roots", "solve_vandermonde",
-    "ComplexRegimeError", "KernelSample", "ScaleOverflowError", "ScaledComplex",
-    "dc_constant", "eta0_hat", "eta12_hats", "image_multiplier",
-    "small_k_multiplier", "zeta_hats",
+    "amplitudes", "asymptotic_limits", "cardano_roots", "solve_vandermonde",
+    "ComplexRegimeError", "ScaleOverflowError", "dc_constant", "eta0_hat",
     "Field", "GridSpec", "InteriorRegion", "apply_multiplier",
-    "forward_pressure_hat", "gaussian_phantom", "propdelta_check",
+    "forward_pressure", "gaussian_phantom", "propdelta_check",
     "time_reversal_image",
 ]

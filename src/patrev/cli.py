@@ -74,9 +74,9 @@ def _assemble_config(args) -> ExperimentConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    if getattr(args, "k_max", None):
+    if getattr(args, "k_max", None) is not None:
         mapping["k_max"] = args.k_max
-    if getattr(args, "k_num", None):
+    if getattr(args, "k_num", None) is not None:
         mapping["k_num"] = str(args.k_num)
     return experiments.config_from_mapping(mapping, args.out)
 
@@ -121,6 +121,11 @@ def _cmd_coeffs(cfg: ExperimentConfig) -> Report:
     grid = spectral.roots_grid(medium, cfg.k_grid(medium))
     a0, a1, a2, degen = spectral.amplitudes_grid(medium, grid)
     keep = ~degen
+    if not np.any(keep):
+        raise ConfigError(
+            "every wavenumber of the k grid is below the root-degeneracy "
+            "threshold, where the amplitudes are undefined; raise --k-max"
+        )
     ks = grid.k[keep]
     lams = [lam[keep] for lam in (grid.lambda0, grid.lambda1, grid.lambda2)]
     a0, a1, a2 = a0[keep], a1[keep], a2[keep]
@@ -171,29 +176,31 @@ def main(argv=None) -> int:
 
     try:
         cfg = _assemble_config(args)
+        rep = _run(args.subcommand, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.subcommand == "report":
-        reports = experiments.run_all(cfg)
-        combined = Report("combined")
-        for rep in reports:
-            rep.write(out / f"report_{rep.title}.txt")
-            combined.entries.extend(
-                replace(e, name=f"{rep.title}.{e.name}") for e in rep.entries
-            )
-            combined.csv_paths.extend(rep.csv_paths)
-        combined.write(out / "report.txt")
-        _print_summary(combined)
-        return EXIT_OK if combined.passed else EXIT_CHECK_FAILED
-
-    rep = _DISPATCH[args.subcommand](cfg)
-    rep.write(out / f"report_{rep.title}.txt")
     _print_summary(rep)
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+
+
+def _run(subcommand: str, cfg: ExperimentConfig) -> Report:
+    """Run one subcommand and write its report files; returns the report."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if subcommand != "report":
+        rep = _DISPATCH[subcommand](cfg)
+        rep.write(out / f"report_{rep.title}.txt")
+        return rep
+    combined = Report("combined")
+    for rep in experiments.run_all(cfg):
+        rep.write(out / f"report_{rep.title}.txt")
+        combined.entries.extend(
+            replace(e, name=f"{rep.title}.{e.name}") for e in rep.entries
+        )
+        combined.csv_paths.extend(rep.csv_paths)
+    combined.write(out / "report.txt")
+    return combined
 
 
 def _print_summary(rep: Report):

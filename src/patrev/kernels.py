@@ -15,9 +15,10 @@ stored here with the d-dimensional convolution normalization (2 pi)^{d/2}:
                 cosh(Re(lambda0 - lambda1) T)
 
 Re(lambda0 - lambda1) T reaches ~1e6 at physical tissue scale, far beyond
-double range, so zeta3 is computed exclusively in a mantissa/log-scale
-representation (ScaledComplex) and converting it to a plain float is an
-explicit, fallible step.  The default imaging path excludes zeta3; the
+double range, so zeta3 is computed exclusively as a mantissa array and a
+log-scale array (``zeta_arrays``, ``kernel_table``), and converting it to
+plain doubles (``multiplier_grid`` with ``include_zeta3``) is an explicit,
+fallible step.  The default imaging path excludes zeta3; the
 small-wavenumber kernel eta0_hat = 2 sum_j (A_j l_j)^2 / (2 pi)^{d/2} with DC
 gain (2 pi)^{d/2} eta0_hat(0) = 2 (1 - tau1/tau0)^2 + 1 describes the image on
 the reconstruction region.
@@ -40,21 +41,15 @@ from . import spectral
 
 __all__ = [
     "EXP_REAL_LIMIT",
-    "ScaledComplex",
-    "KernelSample",
     "ModeProducts",
     "ComplexRegimeError",
     "ScaleOverflowError",
     "mode_products",
-    "zeta_hats",
     "zeta_arrays",
-    "image_multiplier",
     "multiplier_grid",
     "eta0_hat",
     "eta0_grid",
     "dc_constant",
-    "eta12_hats",
-    "small_k_multiplier",
     "kernel_table",
 ]
 
@@ -71,114 +66,12 @@ class ComplexRegimeError(ValueError):
 
 
 class ScaleOverflowError(OverflowError):
-    """A ScaledComplex value does not fit a plain double.
+    """An exponentially large term does not fit a plain double.
 
     For the imaging multiplier this signals that the zeta3 term is not
     representable at the requested physical scale and the small-wavenumber
     kernel path must be used instead.
     """
-
-
-@dataclass(frozen=True)
-class ScaledComplex:
-    """A complex number stored as mantissa * exp(log_scale).
-
-    Arithmetic results and ``normalized()`` keep ``0.5 <= |mantissa| <= 2``
-    (zero is stored as mantissa 0, log_scale 0).  Kernel constructors return
-    raw values whose log_scale carries exactly Re(lambda0 - lambda1) * T with
-    the bounded prefactor as mantissa; normalize explicitly when the
-    magnitude contract matters.
-    """
-
-    mantissa: complex
-    log_scale: float
-
-    @classmethod
-    def zero(cls) -> "ScaledComplex":
-        return cls(0j, 0.0)
-
-    @classmethod
-    def from_complex(cls, value: complex) -> "ScaledComplex":
-        return cls(complex(value), 0.0).normalized()
-
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
-    def normalized(self) -> "ScaledComplex":
-        if self.mantissa == 0:
-            return ScaledComplex(0j, 0.0)
-        mag = abs(self.mantissa)
-        return ScaledComplex(self.mantissa / mag, self.log_scale + math.log(mag))
-
-    def log_magnitude(self) -> float:
-        """log|value|; -inf for zero."""
-        if self.mantissa == 0:
-            return -math.inf
-        return self.log_scale + math.log(abs(self.mantissa))
-
-    def to_complex(self) -> complex:
-        """Plain complex value; raises ScaleOverflowError if unrepresentable."""
-        if self.mantissa == 0:
-            return 0j
-        lm = self.log_magnitude()
-        if lm > EXP_REAL_LIMIT:
-            raise ScaleOverflowError(
-                f"log magnitude {lm:.3g} exceeds double range; keep the value "
-                "in scaled form or switch to the small-wavenumber kernel path"
-            )
-        phase = self.mantissa / abs(self.mantissa)
-        return phase * math.exp(lm)
-
-    def to_real(self, imag_tol: float = 1e-9) -> float:
-        z = self.to_complex()
-        if abs(z.imag) > imag_tol * max(abs(z), 1e-300):
-            raise ValueError(f"value {z!r} is not real to {imag_tol:g} relative")
-        return z.real
-
-    def __mul__(self, other) -> "ScaledComplex":
-        if isinstance(other, ScaledComplex):
-            return ScaledComplex(
-                self.mantissa * other.mantissa, self.log_scale + other.log_scale
-            ).normalized()
-        return ScaledComplex(self.mantissa * complex(other), self.log_scale).normalized()
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "ScaledComplex") -> "ScaledComplex":
-        if not isinstance(other, ScaledComplex):
-            other = ScaledComplex.from_complex(other)
-        if self.mantissa == 0:
-            return other.normalized()
-        if other.mantissa == 0:
-            return self.normalized()
-        # align on the larger scale so the shifted mantissa can only underflow
-        base = max(self.log_scale, other.log_scale)
-        m = self.mantissa * math.exp(self.log_scale - base) + other.mantissa * math.exp(
-            other.log_scale - base
-        )
-        return ScaledComplex(m, base).normalized()
-
-    def __neg__(self) -> "ScaledComplex":
-        return ScaledComplex(-self.mantissa, self.log_scale)
-
-
-@dataclass(frozen=True)
-class KernelSample:
-    """All kernel values at one wavenumber (normalization (2 pi)^{d/2}).
-
-    ``multiplier`` is the zeta3-excluded real multiplier
-    (2 pi)^{d/2} (zeta1_hat - zeta2_hat) = ``ModeProducts.multiplier``; the
-    full multiplier adds the scaled zeta3 term through ``image_multiplier``.
-    """
-
-    k: float
-    zeta1_hat: float
-    zeta2_hat: float
-    zeta3_hat: ScaledComplex
-    eta0_hat: float
-    eta1_hat: ScaledComplex
-    eta2_hat: ScaledComplex
-    multiplier: float
 
 
 @dataclass(frozen=True)
@@ -311,26 +204,6 @@ def zeta_arrays(medium: Medium, k, T: float, d: int = 3):
     return _zeta_pieces(_real_products(medium, k, T), T, d)
 
 
-def zeta_hats(medium: Medium, k: float, T: float, d: int = 3) -> KernelSample:
-    """All kernel values at one wavenumber (real-C regime only); see
-    ``eta12_hats`` for eta1_hat and eta2_hat."""
-    mp = _real_products(medium, np.asarray([float(k)]), T)
-    z1, z2, z3_m, z3_ls = _zeta_pieces(mp, T, d)
-    norm = _norm(d)
-    pref = 4.0 * mp.p0.real[0] / norm
-    x = float((mp.lambda0 - mp.lambda1).real[0] * T)
-    return KernelSample(
-        k=float(k),
-        zeta1_hat=float(z1[0]),
-        zeta2_hat=float(z2[0]),
-        zeta3_hat=ScaledComplex(complex(z3_m[0]), float(z3_ls[0])),
-        eta0_hat=float(mp.eta0_multiplier()[0] / norm),
-        eta1_hat=ScaledComplex(complex(pref * mp.p1.imag[0]), x),
-        eta2_hat=ScaledComplex(complex(pref * mp.p1.real[0]), x),
-        multiplier=float(mp.multiplier(T)[0]),
-    )
-
-
 def eta0_grid(medium: Medium, k, d: int = 3) -> np.ndarray:
     """Small-wavenumber kernel eta0_hat = 2 sum_j (A_j l_j)^2 / (2 pi)^{d/2}."""
     return mode_products(medium, k).require_real_regime().eta0_multiplier() / _norm(d)
@@ -351,26 +224,6 @@ def dc_constant(medium: Medium) -> float:
     """
     r = medium.tau_ratio
     return 2.0 * (1.0 - r) ** 2 + 1.0
-
-
-def eta12_hats(medium: Medium, k: float, T: float, d: int = 3):
-    """Auxiliary kernels eta1_hat, eta2_hat as ScaledComplex.
-
-    eta1_hat = (4 A0 l0 / (2 pi)^{d/2}) e^{Re(l0 - l1) T} Im(A1 l1) and
-    eta2_hat the same with Re(A1 l1); both returned with log_scale carrying
-    exactly Re(lambda0 - lambda1) T.  Under cosh ~ sinh ~ e^x/2 they satisfy
-    zeta3_hat ~ eta1_hat sin(c0 k T) + eta2_hat cos(c0 k T) for k << k_c
-    (sign as follows from the lambda1 = mu + i theta labelling).
-    """
-    sample = zeta_hats(medium, k, T, d)
-    return sample.eta1_hat, sample.eta2_hat
-
-
-def small_k_multiplier(medium: Medium, k: float) -> float:
-    """Multiplier of the small-wavenumber image I0 = eta0 * phi:
-    (2 pi)^{d/2} eta0_hat(k), dimension independent."""
-    mp = mode_products(medium, np.asarray([float(k)])).require_real_regime()
-    return float(mp.eta0_multiplier()[0])
 
 
 def multiplier_grid(medium: Medium, k, T: float, include_zeta3: bool = False) -> np.ndarray:
@@ -399,11 +252,6 @@ def multiplier_grid(medium: Medium, k, T: float, include_zeta3: bool = False) ->
         z3 = np.where(nonzero, np.sign(z3_m) * np.exp(logmag), 0.0)
         m = m + _norm(3) * z3
     return m
-
-
-def image_multiplier(medium: Medium, k: float, T: float, include_zeta3: bool = False) -> float:
-    """M(k) at one wavenumber; see multiplier_grid."""
-    return float(multiplier_grid(medium, np.asarray([float(k)]), T, include_zeta3)[0])
 
 
 def kernel_table(medium: Medium, k, T: float, d: int = 3):

@@ -48,15 +48,12 @@ __all__ = [
     "DegenerateRootsError",
     "cardano_roots",
     "roots_grid",
-    "dissipation_free_roots",
     "small_k_limits",
-    "small_k_roots",
     "moment_targets",
     "amplitudes",
     "amplitudes_grid",
     "solve_vandermonde",
     "asymptotic_limits",
-    "cubic_residual",
     "scaled_residuals",
     "degenerate_mask",
 ]
@@ -211,29 +208,6 @@ def cardano_roots(medium: Medium, k: float) -> SpectralRoots:
     )
 
 
-def dissipation_free_roots(c0: float, tau1: float, k: float) -> SpectralRoots:
-    """Analytic roots for kappa1 = 0: lambda0 = 1/tau1, lambda_{1,2} = +-i c0 k.
-
-    Independent of the Cardano path; the diagnostics are evaluated with
-    tau0 = tau1 for consistency.
-    """
-    if k < 0:
-        raise ValueError("wavenumbers must be non-negative")
-    s = c0 * c0 * tau1 * tau1 * k * k
-    d0 = 1.0 - 3.0 * s
-    d1 = 2.0 + 18.0 * s
-    big_c = 1.0 + np.sqrt(3.0 * s)  # root of C^2 - 2C + Delta0 = 0
-    diag = CardanoDiagnostics(delta0=d0, delta1=d1, big_c=complex(big_c),
-                              real_c_regime=True)
-    return SpectralRoots(
-        k=float(k),
-        lambda0=complex(1.0 / tau1),
-        mu=0j,
-        theta=complex(c0 * k),
-        diagnostics=diag,
-    )
-
-
 def small_k_limits(medium: Medium, k):
     """Leading-order k -> 0 forms (lambda0, mu, theta) of the roots.
 
@@ -245,24 +219,6 @@ def small_k_limits(medium: Medium, k):
     lam0 = 1.0 / t0 - c0 * c0 * t1 * k * k
     mu = 0.5 * c0 * c0 * (t1 - t0) * k * k
     return lam0, mu, c0 * k
-
-
-def small_k_roots(medium: Medium, k: float) -> SpectralRoots:
-    """Small-wavenumber approximate triple (no residual contract).
-
-    The ``small_k_limits`` forms at one wavenumber, meaningful for k << k_c,
-    with the exact Cardano diagnostics.
-    """
-    if k < 0:
-        raise ValueError("wavenumbers must be non-negative")
-    lam0, mu, theta = small_k_limits(medium, k)
-    return SpectralRoots(
-        k=float(k),
-        lambda0=complex(lam0),
-        mu=complex(mu),
-        theta=complex(theta),
-        diagnostics=cardano_roots(medium, k).diagnostics,
-    )
 
 
 def moment_targets(medium: Medium) -> tuple[float, float, float]:
@@ -372,21 +328,12 @@ def asymptotic_limits(medium: Medium) -> tuple[float, float]:
     return 1.0 / medium.tau1, 0.5 * (1.0 / medium.tau0 - 1.0 / medium.tau1)
 
 
-def cubic_residual(medium: Medium, k: float, lam: complex) -> tuple[float, float]:
-    """(residual, scale) of one root in the dispersion cubic.
+def scaled_residuals(medium: Medium, grid: RootsGrid) -> np.ndarray:
+    """Worst residual/scale ratio over the three roots, per grid point.
 
     The contract is residual <= 1e-9 * scale with
     scale = max(|tau0 lam^3|, |lam^2|, |c0^2 tau1 k^2 lam|, c0^2 k^2).
     """
-    t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
-    terms = (-t0 * lam**3, lam**2, -c0 * c0 * t1 * k * k * lam, c0 * c0 * k * k + 0j)
-    residual = abs(sum(terms))
-    scale = max(abs(t) for t in terms)
-    return residual, scale
-
-
-def scaled_residuals(medium: Medium, grid: RootsGrid) -> np.ndarray:
-    """Worst residual/scale ratio over the three roots, per grid point."""
     t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
     k2 = grid.k * grid.k
     worst = np.zeros_like(grid.k)

@@ -7,24 +7,21 @@ multipliers; a real, radial multiplier applied to a real field returns a real
 field up to round-off, which is checked by the tests (Parseval and
 imaginary-residue contracts).
 
-Imaging multipliers are therefore evaluated once per distinct |k|, not once
-per grid point.  ``GridSpec.radial_table`` lists the distinct |k| of the
+Multipliers are therefore evaluated once per distinct |k|, not once per
+grid point.  ``GridSpec.radial_table`` lists the distinct |k| of the
 real-FFT half spectrum (layout of ``np.fft.rfftn``: shape
 (n,)*(d-1) + (n//2+1,), FFT order on every axis, non-negative frequencies
 only on the last) together with an integer index per half-spectrum point;
-``apply_multiplier`` and ``time_reversal_image`` evaluate on that 1-D table,
-gather with the index and run one rfftn/irfftn round trip.  A multiplier
-callable hence receives the 1-D table of distinct |k|, not a grid-shaped
-array, and must be elementwise in k.
+``apply_multiplier``, ``forward_pressure`` and ``time_reversal_image``
+evaluate on that 1-D table, gather with the index and run one rfftn/irfftn
+round trip.  A multiplier callable hence receives the 1-D table of distinct
+|k|, not a grid-shaped array, and must be elementwise in k.
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
 because the outgoing shells sit at |x| = 2 c0 T, and on a periodic grid those
 shells re-enter unless the extent exceeds about 4 c0 T.  A GridAliasingWarning
 is emitted when that margin is violated.
-
-Serialization: raw little-endian float64 samples plus a sidecar text header
-(dim, n_per_axis, extent, label).
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -49,10 +45,8 @@ __all__ = [
     "gaussian_phantom",
     "apply_multiplier",
     "propdelta_check",
-    "forward_pressure_hat",
+    "forward_pressure",
     "time_reversal_image",
-    "save_field",
-    "load_field",
 ]
 
 
@@ -116,7 +110,12 @@ class GridSpec:
         return 2.0 * math.pi * np.fft.fftfreq(self.n_per_axis, d=self.spacing)
 
     def k_magnitude(self) -> np.ndarray:
-        """|k| on the full grid in FFT layout [1/m]."""
+        """|k| on the full grid in FFT layout [1/m].
+
+        No operator uses it; it is the reference that the tests check
+        ``radial_table`` and the radial route against, and a benchmark
+        tracer target.
+        """
         return self._magnitude(self._k_axis())
 
     def radial_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -162,12 +161,6 @@ class Field:
             )
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("field samples must be finite")
-
-    def l2_norm(self) -> float:
-        """Discrete L2 norm including the volume element."""
-        return float(
-            np.sqrt(np.sum(self.samples**2)) * self.grid.spacing ** (self.grid.dim / 2.0)
-        )
 
     def integral(self) -> float:
         return float(np.sum(self.samples) * self.grid.spacing**self.grid.dim)
@@ -290,17 +283,21 @@ def _mode_sum(mp: kernels.ModeProducts, t: float) -> np.ndarray:
     )
 
 
-def forward_pressure_hat(medium: Medium, phantom: Field, t: float) -> np.ndarray:
-    """Spectral pressure p_hat(k, t) = -phi_hat(k) sum_j A_j lambda_j e^{-lambda_j t}.
+def forward_pressure(medium: Medium, phantom: Field, t: float) -> Field:
+    """Pressure p = F^{-1}{-phi_hat(k) sum_j A_j lambda_j e^{-lambda_j t}} at time t.
 
-    Reduces to phi_hat cos(c0 k t) for kappa1 = 0 and to (tau1/tau0) phi_hat
-    as t -> 0+.  Requires Re(lambda_j) >= 0 on the whole grid (true for
-    water-like media), so the forward factors never overflow.
+    Reduces to F^{-1}{phi_hat cos(c0 k t)} for kappa1 = 0 and to
+    (tau1/tau0) phi as t -> 0+.  Requires Re(lambda_j) >= 0 on the whole
+    grid (true for water-like media), so the forward factors never overflow.
+    In the real-C regime p2 e^{-lambda2 t} is the conjugate of
+    p1 e^{-lambda1 t}, so the mode sum is a real radial multiplier and is
+    applied on the grid's radial table like the image.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    mp = _checked_products(medium, phantom.grid.k_magnitude())
-    return -np.fft.fftn(phantom.samples) * _mode_sum(mp, t)
+    k_table, index = phantom.grid.radial_table()
+    mult = -_mode_sum(_checked_products(medium, k_table), t).real
+    return _apply_radial(phantom, mult, index, "forward pressure")
 
 
 def _time_reversal_table(medium: Medium, k_table: np.ndarray, T: float,
@@ -347,37 +344,3 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     mult = _time_reversal_table(medium, k_table, T, include_zeta3)
     return _apply_radial(phantom, mult, index, "time reversal image")
 
-
-# -- serialization -------------------------------------------------------------
-
-
-def save_field(fld: Field, basepath) -> tuple[Path, Path]:
-    """Write <base>.f64 (raw little-endian float64, C order) and <base>.hdr."""
-    base = Path(basepath)
-    data_path = base.with_suffix(".f64")
-    hdr_path = base.with_suffix(".hdr")
-    fld.samples.astype("<f8").tofile(data_path)
-    hdr_path.write_text(
-        f"dim = {fld.grid.dim}\n"
-        f"n_per_axis = {fld.grid.n_per_axis}\n"
-        f"extent_m = {fld.grid.extent!r}\n"
-        f"label = {fld.label}\n",
-        encoding="utf-8",
-    )
-    return data_path, hdr_path
-
-
-def load_field(basepath) -> Field:
-    base = Path(basepath)
-    hdr: dict[str, str] = {}
-    for line in base.with_suffix(".hdr").read_text(encoding="utf-8").splitlines():
-        if "=" in line:
-            key, value = line.split("=", 1)
-            hdr[key.strip()] = value.strip()
-    grid = GridSpec(
-        dim=int(hdr["dim"]),
-        n_per_axis=int(hdr["n_per_axis"]),
-        extent=float(hdr["extent_m"]),
-    )
-    samples = np.fromfile(base.with_suffix(".f64"), dtype="<f8").reshape(grid.shape())
-    return Field(grid, samples, label=hdr.get("label", ""))

@@ -39,6 +39,22 @@ def test_bad_override_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_k_num_zero_flag_reaches_validation(tmp_path, capsys):
+    code = main(["roots", "--k-num", "0", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "k_num must be at least 2" in capsys.readouterr().err
+
+
+def test_coeffs_all_degenerate_grid_exits_2(tmp_path, water_cfg_file, capsys):
+    # every k below the root-degeneracy threshold leaves no amplitude to report
+    code = main(["coeffs", "--config", str(water_cfg_file), "--k-max", "0kc",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "raise --k-max" in err
+    assert "Traceback" not in err
+
+
 def test_roots_subcommand(tmp_path, water_cfg_file, capsys):
     out = tmp_path / "out"
     code = main(["roots", "--config", str(water_cfg_file),

@@ -8,16 +8,11 @@ from patrev import kernels, spectral
 from patrev.kernels import (
     ComplexRegimeError,
     ScaleOverflowError,
-    ScaledComplex,
     dc_constant,
     eta0_hat,
-    eta12_hats,
-    image_multiplier,
     mode_products,
     multiplier_grid,
-    small_k_multiplier,
     zeta_arrays,
-    zeta_hats,
 )
 
 WATER = derive_medium(water_params())
@@ -30,65 +25,14 @@ NONDIM = nondimensional_medium(WATER.tau0 / WATER.tau1)
 T_NONDIM = 6.0
 
 
-# -- ScaledComplex -------------------------------------------------------------
-
-
-def test_scaled_zero():
-    z = ScaledComplex.zero()
-    assert z.is_zero()
-    assert z.to_complex() == 0
-    assert z.normalized() == ScaledComplex(0j, 0.0)
-    assert z.log_magnitude() == -math.inf
-
-
-def test_scaled_normalization_contract():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        m = complex(rng.normal(), rng.normal()) * 10.0 ** rng.integers(-12, 12)
-        if m == 0:
-            continue
-        s = ScaledComplex(m, float(rng.normal() * 50)).normalized()
-        assert 0.5 <= abs(s.mantissa) <= 2.0
-
-
-def test_scaled_round_trip_and_arithmetic():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        a = complex(rng.normal(), rng.normal())
-        b = complex(rng.normal(), rng.normal())
-        if a == 0 or b == 0:
-            continue
-        sa = ScaledComplex.from_complex(a)
-        sb = ScaledComplex.from_complex(b)
-        assert sa.to_complex() == pytest.approx(a, rel=1e-12)
-        assert (sa * sb).to_complex() == pytest.approx(a * b, rel=1e-12)
-        assert (sa + sb).to_complex() == pytest.approx(a + b, rel=1e-9, abs=1e-12)
-        assert (sa * 3.0).to_complex() == pytest.approx(3.0 * a, rel=1e-12)
-        assert (-sa).to_complex() == pytest.approx(-a, rel=1e-12)
-
-
-def test_scaled_add_across_scales():
-    big = ScaledComplex(1.0 + 0j, 2000.0)
-    small = ScaledComplex(1.0 + 0j, -2000.0)
-    total = big + small
-    assert total.log_magnitude() == pytest.approx(2000.0, rel=1e-12)
-    # magnitudes representable only in scaled form still combine exactly
-    assert (big * small).log_magnitude() == pytest.approx(0.0, abs=1e-12)
-
-
-def test_scaled_overflow_is_explicit():
-    huge = ScaledComplex(1.5 + 0j, 1e6)
-    with pytest.raises(ScaleOverflowError):
-        huge.to_complex()
-    assert huge.normalized().log_magnitude() == pytest.approx(
-        1e6 + math.log(1.5), rel=1e-12)
-
-
-def test_scaled_to_real_checks_imag():
-    assert ScaledComplex(2.0 + 0j, 1.0).to_real() == pytest.approx(
-        2.0 * math.e, rel=1e-12)
-    with pytest.raises(ValueError):
-        ScaledComplex(1.0 + 1.0j, 0.0).to_real()
+def eta12(medium, k, T, d=3):
+    """(eta1 mantissa, eta2 mantissa, log scale) at one wavenumber:
+    eta1_hat = (4 A0 l0 / (2 pi)^{d/2}) e^{Re(l0 - l1) T} Im(A1 l1) and
+    eta2_hat the same with Re(A1 l1)."""
+    mp = mode_products(medium, np.asarray([k]))
+    pref = 4.0 * mp.p0.real[0] / (2 * math.pi) ** (d / 2)
+    x = float((mp.lambda0 - mp.lambda1).real[0] * T)
+    return pref * mp.p1.imag[0], pref * mp.p1.real[0], x
 
 
 # -- kernel samples ------------------------------------------------------------
@@ -99,13 +43,14 @@ def test_dissipation_free_kernels(d):
     norm = (2 * math.pi) ** (d / 2)
     k = LOSSLESS.k_c
     T = 1e-6
-    s = zeta_hats(LOSSLESS, k, T, d)
-    assert s.zeta1_hat == pytest.approx(2.0 / norm, rel=1e-12)
+    z1, z2, z3_m, _ = zeta_arrays(LOSSLESS, np.asarray([k]), T, d)
+    assert z1[0] == pytest.approx(2.0 / norm, rel=1e-12)
     expected_z2 = 2.0 * math.sin(LOSSLESS.c0 * k * T) ** 2 / norm
-    assert s.zeta2_hat == pytest.approx(expected_z2, rel=1e-9)
-    assert abs(s.zeta3_hat.mantissa) <= 1e-12
-    assert s.eta1_hat.mantissa == 0
-    assert s.eta2_hat.mantissa == 0
+    assert z2[0] == pytest.approx(expected_z2, rel=1e-9)
+    assert abs(z3_m[0]) <= 1e-12
+    e1, e2, _ = eta12(LOSSLESS, k, T, d)
+    assert e1 == 0
+    assert e2 == 0
     assert (2 * math.pi) ** (d / 2) * eta0_hat(LOSSLESS, k, d) == pytest.approx(
         1.0, rel=1e-12)
 
@@ -127,12 +72,12 @@ def test_eta0_dc_value_and_flatness():
 
 
 def test_small_k_multiplier_matches_dc():
-    assert small_k_multiplier(WATER, 0.0) == pytest.approx(dc_constant(WATER),
-                                                           rel=1e-12)
-    assert small_k_multiplier(WATER, KC / 100.0) == pytest.approx(
-        dc_constant(WATER), rel=0.02)
-    assert small_k_multiplier(LOSSLESS, 5.0 * LOSSLESS.k_c) == pytest.approx(
-        1.0, rel=1e-12)
+    # multiplier of the small-wavenumber image I0 = eta0 * phi
+    m = mode_products(WATER, np.asarray([0.0, KC / 100.0])).eta0_multiplier()
+    assert m[0] == pytest.approx(dc_constant(WATER), rel=1e-12)
+    assert m[1] == pytest.approx(dc_constant(WATER), rel=0.02)
+    lossless = mode_products(LOSSLESS, np.asarray([5.0 * LOSSLESS.k_c]))
+    assert lossless.eta0_multiplier()[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_zeta3_scaled_equals_direct_at_small_exponents():
@@ -153,7 +98,9 @@ def test_zeta3_scaled_equals_direct_at_small_exponents():
 
 def test_multiplier_matches_cosh_sum_oracle():
     # independent oracle: the raw double sum with cosh cross terms
-    for k in [0.1, 0.5, 1.0, 2.0]:
+    ks = [0.1, 0.5, 1.0, 2.0]
+    mult = multiplier_grid(NONDIM, np.asarray(ks), T_NONDIM, include_zeta3=True)
+    for k, m in zip(ks, mult):
         grid = spectral.roots_grid(NONDIM, np.asarray([k]))
         a0, a1, a2, _ = spectral.amplitudes_grid(NONDIM, grid)
         lams = [grid.lambda0[0], grid.lambda1[0], grid.lambda2[0]]
@@ -163,7 +110,6 @@ def test_multiplier_matches_cosh_sum_oracle():
         for j in range(3):
             for l in range(j + 1, 3):
                 m_direct += 4.0 * p[j] * p[l] * np.cosh((lams[j] - lams[l]) * T_NONDIM)
-        m = image_multiplier(NONDIM, k, T_NONDIM, include_zeta3=True)
         assert abs(m_direct.imag) <= 1e-9 * abs(m_direct)
         assert m == pytest.approx(m_direct.real, rel=1e-9)
 
@@ -188,17 +134,17 @@ def test_multiplier_dissipation_free_limit_formula():
 def test_multiplier_k_zero_continuity_value():
     # zeta3-excluded value at k = 0 is the DC gain plus the pair term
     # 4 |A1 l1|^2 (sin^2(0) = 0): 2(1-r)^2 + 2
-    m0 = image_multiplier(WATER, 0.0, T_WATER, include_zeta3=False)
+    m0 = multiplier_grid(WATER, np.asarray([0.0]), T_WATER)[0]
     assert m0 == pytest.approx(dc_constant(WATER) + 1.0, rel=1e-12)
     assert m0 == pytest.approx(4.53125, rel=1e-12)
     # continuity of the smooth part at nondimensional T where the oscillatory
     # phase is negligible near the degeneracy threshold
-    m_eps = image_multiplier(NONDIM, 1e-7, 1e-3, include_zeta3=False)
+    m_eps = multiplier_grid(NONDIM, np.asarray([1e-7]), 1e-3)[0]
     assert m_eps == pytest.approx(dc_constant(NONDIM) + 1.0, rel=1e-9)
 
 
 def test_water_multiplier_positive_and_finite_at_small_k():
-    m = image_multiplier(WATER, KC / 100.0, T_WATER, include_zeta3=False)
+    m = multiplier_grid(WATER, np.asarray([KC / 100.0]), T_WATER)[0]
     assert np.isfinite(m)
     assert m > 0
 
@@ -231,26 +177,26 @@ def test_water_zeta3_not_representable():
 
 def test_eta12_bookkeeping_and_zeta3_approximation():
     k = NONDIM.k_c / 100.0
-    e1, e2 = eta12_hats(NONDIM, k, T_NONDIM, d=3)
+    e1, e2, x = eta12(NONDIM, k, T_NONDIM, d=3)
+    _, _, z3_m, z3_ls = zeta_arrays(NONDIM, np.asarray([k]), T_NONDIM, d=3)
     grid = spectral.roots_grid(NONDIM, np.asarray([k]))
-    x = float((grid.lambda0 - grid.lambda1).real[0] * T_NONDIM)
-    assert e1.log_scale == pytest.approx(x, rel=1e-12)
-    assert e2.log_scale == pytest.approx(x, rel=1e-12)
-    assert np.isfinite(abs(e1.mantissa)) and np.isfinite(abs(e2.mantissa))
+    assert z3_ls[0] == pytest.approx(
+        float((grid.lambda0 - grid.lambda1).real[0] * T_NONDIM), rel=1e-12)
+    assert z3_ls[0] == pytest.approx(x, rel=1e-12)
+    assert np.isfinite(e1) and np.isfinite(e2)
     # with cosh ~ sinh ~ e^x/2 the cross kernel reduces to a plane-wave
     # combination of eta1, eta2 (the sin sign follows the mu + i theta
     # labelling of the pair)
-    s = zeta_hats(NONDIM, k, T_NONDIM, d=3)
-    z3 = s.zeta3_hat.to_real(imag_tol=1e-9)
+    z3 = z3_m[0] * math.exp(z3_ls[0])
     phase = NONDIM.c0 * k * T_NONDIM
-    approx = (e1.to_real() * math.sin(phase) + e2.to_real() * math.cos(phase))
+    approx = math.exp(x) * (e1 * math.sin(phase) + e2 * math.cos(phase))
     assert abs(approx - z3) <= 0.01 * abs(z3)
 
 
 def test_eta2_defined_when_imag_part_vanishes():
     # dissipation-free: A0 = 0 makes both eta kernels zero yet well-defined
-    e1, e2 = eta12_hats(LOSSLESS, LOSSLESS.k_c, 1e-6, d=3)
-    assert e1.mantissa == 0 and e2.mantissa == 0
+    e1, e2, _ = eta12(LOSSLESS, LOSSLESS.k_c, 1e-6, d=3)
+    assert e1 == 0 and e2 == 0
 
 
 def test_complex_regime_rejected_for_kernels():
@@ -259,7 +205,7 @@ def test_complex_regime_rejected_for_kernels():
     roots = spectral.cardano_roots(m, k_bad)
     assert not roots.diagnostics.real_c_regime
     with pytest.raises(ComplexRegimeError):
-        zeta_hats(m, k_bad, 1.0, d=3)
+        zeta_arrays(m, np.asarray([k_bad]), 1.0, d=3)
     with pytest.raises(ComplexRegimeError):
         eta0_hat(m, k_bad, d=3)
 

@@ -1,25 +1,27 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from patrev.medium import RawParams, derive_medium, nondimensional_medium, water_params
 from patrev.spectral import (
     DegenerateRootsError,
+    SpectralRoots,
     amplitudes,
     amplitudes_grid,
     asymptotic_limits,
     cardano_roots,
-    cubic_residual,
-    dissipation_free_roots,
     moment_targets,
     roots_grid,
     scaled_residuals,
-    small_k_roots,
+    small_k_limits,
     solve_vandermonde,
 )
 
 WATER = derive_medium(water_params())
 KC = WATER.k_c
 LOG_GRID = np.logspace(-3, 3, 200) * KC
+LOSSLESS = derive_medium(RawParams(tau1=1e-9, kappa1=0.0, rho=1e3, speed=1500.0))
 
 
 def companion_roots(medium, k):
@@ -138,22 +140,30 @@ def test_asymptotic_limits_dissipation_free():
     assert mu_inf == 0.0
 
 
+def lossless_oracle(k):
+    # kappa1 = 0 factors the cubic: lambda0 = 1/tau1, lambda_{1,2} = +-i c0 k
+    return 1.0 / LOSSLESS.tau1 + 0j, 0j, LOSSLESS.c0 * k + 0j
+
+
 def test_dissipation_free_roots_analytic():
-    r = dissipation_free_roots(1500.0, 1e-9, 1e3)
-    assert r.lambda0 == pytest.approx(1e9, rel=1e-14)
-    assert r.lambda1 == pytest.approx(1j * 1.5e6, rel=1e-14)
-    assert r.lambda2 == pytest.approx(-1j * 1.5e6, rel=1e-14)
-    r0 = dissipation_free_roots(1500.0, 1e-9, 0.0)
+    k = np.asarray([0.0, 1e3])
+    lam0, mu, theta = lossless_oracle(k)
+    assert lam0 == pytest.approx(1e9, rel=1e-14)
+    assert theta[1] == pytest.approx(1.5e6, rel=1e-14)
+    exact = replace(roots_grid(LOSSLESS, k), lambda0=np.full(2, lam0),
+                    mu=np.full(2, mu), theta=theta)
+    assert np.all(scaled_residuals(LOSSLESS, exact) <= 1e-15)
+    r0 = cardano_roots(LOSSLESS, 0.0)
     assert r0.lambda1 == 0 and r0.lambda2 == 0
 
 
 def test_dissipation_free_matches_cardano_path():
-    m = derive_medium(RawParams(tau1=1e-9, kappa1=0.0, rho=1e3, speed=1500.0))
+    m = LOSSLESS
     for k in np.linspace(0.0, 10 * m.k_c, 20):
-        exact = dissipation_free_roots(m.c0, m.tau1, k)
+        lam0, _, theta = lossless_oracle(k)
         card = cardano_roots(m, k)
-        assert card.lambda0 == pytest.approx(exact.lambda0, rel=1e-9)
-        assert card.theta == pytest.approx(exact.theta, rel=1e-9, abs=1e-3)
+        assert card.lambda0 == pytest.approx(lam0, rel=1e-9)
+        assert card.theta == pytest.approx(theta, rel=1e-9, abs=1e-3)
         assert abs(card.mu) <= 1e-9 / m.tau1
 
 
@@ -168,8 +178,10 @@ def test_amplitudes_dissipation_free_closed_form():
 
 
 def test_vandermonde_dissipation_free():
-    m = derive_medium(RawParams(tau1=1e-9, kappa1=0.0, rho=1e3, speed=1500.0))
-    r = dissipation_free_roots(m.c0, m.tau1, m.k_c)
+    m = LOSSLESS
+    lam0, mu, theta = lossless_oracle(m.k_c)
+    r = SpectralRoots(k=m.k_c, lambda0=lam0, mu=mu, theta=theta,
+                      diagnostics=cardano_roots(m, m.k_c).diagnostics)
     v = solve_vandermonde(r, m)
     assert v.a0_coef == pytest.approx(0.0, abs=1e-12 * abs(v.a1_coef))
     assert v.a1_coef == pytest.approx(-1.0 / (2.0 * r.lambda1), rel=1e-10)
@@ -255,25 +267,25 @@ def test_amplitude_limits_for_small_k():
 
 def test_small_k_roots_quality():
     kq = KC / 100.0
-    approx = small_k_roots(WATER, kq)
+    lam0, mu, theta = small_k_limits(WATER, kq)
     exact = cardano_roots(WATER, kq)
-    assert abs(approx.theta - exact.theta) / abs(exact.theta) <= 0.05
-    assert abs(approx.lambda0 - exact.lambda0) / abs(exact.lambda0) <= 0.05
+    assert abs(theta - exact.theta) / abs(exact.theta) <= 0.05
+    assert abs(lam0 - exact.lambda0) / abs(exact.lambda0) <= 0.05
     # leading-order damping mu ~ c0^2 (tau1 - tau0) k^2 / 2
-    ratio = (approx.mu / exact.mu).real
+    ratio = (mu / exact.mu).real
     assert ratio == pytest.approx(1.0, rel=1e-3)
     # ordering: both pair rates are far below the relaxation rate
-    assert 0 < approx.mu.real
-    assert 0 < approx.theta.real
-    assert max(approx.mu.real, approx.theta.real) / approx.lambda0.real <= 0.05
+    assert 0 < mu
+    assert 0 < theta
+    assert max(mu, theta) / lam0 <= 0.05
 
 
 def test_small_k_roots_at_zero_match_cardano():
-    approx = small_k_roots(WATER, 0.0)
+    lam0, mu, theta = small_k_limits(WATER, 0.0)
     exact = cardano_roots(WATER, 0.0)
-    assert approx.lambda0 == pytest.approx(exact.lambda0, rel=1e-12)
-    assert approx.mu == exact.mu == 0.0
-    assert approx.theta == exact.theta == 0.0
+    assert lam0 == pytest.approx(exact.lambda0, rel=1e-12)
+    assert mu == exact.mu == 0.0
+    assert theta == exact.theta == 0.0
 
 
 def test_growth_orders_on_grid():
@@ -299,11 +311,13 @@ def test_complex_c_regime_reported_not_failed():
 
 def test_residual_helper_matches_scale_definition():
     k = float(KC)
-    r = cardano_roots(WATER, k)
-    res, scale = cubic_residual(WATER, k, r.lambda0)
-    assert res <= 1e-9 * scale
+    grid = roots_grid(WATER, np.asarray([k]))
+    assert scaled_residuals(WATER, grid)[0] <= 1e-9
+    # a root off by 1e-6 relative: the ratio is its residual over the
+    # largest of the four cubic terms
+    lam = grid.lambda0[0] * (1.0 + 1e-6)
     t0, t1, c0 = WATER.tau0, WATER.tau1, WATER.c0
-    lam = r.lambda0
-    expected_scale = max(abs(t0 * lam**3), abs(lam**2),
-                         abs(c0**2 * t1 * k**2 * lam), c0**2 * k**2)
-    assert scale == pytest.approx(expected_scale, rel=1e-12)
+    terms = (-t0 * lam**3, lam**2, -c0**2 * t1 * k**2 * lam, c0**2 * k**2)
+    expected = abs(sum(terms)) / max(abs(t) for t in terms)
+    off = replace(grid, lambda0=np.asarray([lam]))
+    assert scaled_residuals(WATER, off)[0] == pytest.approx(expected, rel=1e-6)
