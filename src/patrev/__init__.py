@@ -17,9 +17,7 @@ from .medium import (
 )
 from .spectral import (
     Amplitudes,
-    CardanoDiagnostics,
     DegenerateRootsError,
-    SpectralRoots,
     amplitudes,
     asymptotic_limits,
     cardano_roots,
@@ -47,8 +45,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Medium", "RawParams", "UnphysicalMediumError", "derive_medium",
     "nondimensional_medium", "water_params",
-    "Amplitudes", "CardanoDiagnostics", "DegenerateRootsError", "SpectralRoots",
-    "amplitudes", "asymptotic_limits", "cardano_roots", "solve_vandermonde",
+    "Amplitudes", "DegenerateRootsError", "amplitudes", "asymptotic_limits",
+    "cardano_roots", "solve_vandermonde",
     "ComplexRegimeError", "ScaleOverflowError", "dc_constant", "eta0_hat",
     "Field", "GridSpec", "InteriorRegion", "apply_multiplier",
     "forward_pressure", "gaussian_phantom", "propdelta_check",

@@ -204,6 +204,10 @@ class ExperimentConfig:
             raise ConfigError("k_spacing must be 'linear' or 'log'")
         if self.k_num < 2:
             raise ConfigError("k_num must be at least 2")
+        if not (self.k_min >= 0 and self.k_max_over_kc >= 0):
+            raise ConfigError("k_min and k_max must be non-negative")
+        if self.k_spacing == "log" and not self.k_max_over_kc > 0:
+            raise ConfigError("a log-spaced k grid needs k_max > 0")
 
     def medium(self) -> Medium:
         return derive_medium(self.raw)
@@ -472,7 +476,7 @@ def run_reconstruction(cfg: ExperimentConfig) -> Report:
                                                      include_zeta3=False))
     image_eta0 = on_support(transform.apply_multiplier(
         phantom,
-        lambda kk: kernels.mode_products(medium, kk).require_real_regime().eta0_multiplier(),
+        lambda kk: kernels.mode_products(medium, kk).eta0_multiplier(),
     ))
     gain = kernels.dc_constant(medium)
     oracle = gain * phi

@@ -23,10 +23,19 @@ small-wavenumber kernel eta0_hat = 2 sum_j (A_j l_j)^2 / (2 pi)^{d/2} with DC
 gain (2 pi)^{d/2} eta0_hat(0) = 2 (1 - tau1/tau0)^2 + 1 describes the image on
 the reconstruction region.
 
-At wavenumbers below the root-degeneracy threshold the amplitude products are
-replaced by their analytic limits A0 l0 -> 1 - tau1/tau0 and
-A1 l1, A2 l2 -> -1/2, with theta ~ c0 k kept k-dependent for the oscillatory
-factors.
+The products p_j = A_j lambda_j come from the one real root and the moment
+relations, not from the closed-form A_j: lambda0 is Cardano's real root
+polished by one Newton step, and the pair is deflated by Vieta (Kahan, "To
+solve a real cubic equation", 1986),
+
+    lambda1 lambda2 = mu^2 + theta^2 = c0^2 k^2 / (tau0 lambda0),
+    2 mu = (tau1/tau0 - 1) c0^2 k^2 lambda0 / (lambda0^2 + c0^2 k^2),
+
+the second being the root sum and the pair sum of products combined into a
+form without cancellation.  p0 and p1 then solve
+sum_j p_j lambda_j^{m-1} = a_m.  Every array is accurate to round-off down
+to k = 0, where mu = theta = 0, p0 = 1 - tau1/tau0 and p1 = -1/2 come out
+of the same formulas, with no substituted limit.
 """
 
 from __future__ import annotations
@@ -76,38 +85,24 @@ class ScaleOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class ModeProducts:
-    """Per-k roots and amplitude products with the small-k limit patch applied.
+    """Per-k real root data and mode products of a real-regime medium.
 
-    p_j = A_j lambda_j; below the degeneracy threshold the products carry
-    their analytic limits and lambda/theta their leading-order forms, so every
-    array is usable down to k = 0.  The methods below are the one home of the
-    real-regime p_j algebra of the imaging multipliers.
+    lambda0 is the real root and lambda_{1,2} = mu +- i theta the conjugate
+    pair; p0 = A0 lambda0 is real and p2 = A2 lambda2 = conj(p1), so p1 alone
+    carries the pair.  Every array is usable down to k = 0.  The methods below
+    are the one home of the p_j algebra of the imaging multipliers.
     """
 
     k: np.ndarray
     lambda0: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
+    mu: np.ndarray
     theta: np.ndarray
     p0: np.ndarray
     p1: np.ndarray
-    p2: np.ndarray
-    real_c_regime: np.ndarray
-    limit_patched: np.ndarray
-
-    def require_real_regime(self) -> "ModeProducts":
-        if not bool(np.all(self.real_c_regime)):
-            bad = self.k[~self.real_c_regime]
-            raise ComplexRegimeError(
-                f"complex Cardano C at {bad.size} wavenumber(s), e.g. "
-                f"k = {bad.flat[0]:.6g}; the real-valued kernel decomposition "
-                "is undefined for this medium"
-            )
-        return self
 
     def eta0_multiplier(self) -> np.ndarray:
         """(2 pi)^{d/2} eta0_hat = 2 sum_j p_j^2 = 2 (p0^2 + 2 Re p1^2)."""
-        return 2.0 * (self.p0.real**2 + 2.0 * (self.p1 * self.p1).real)
+        return 2.0 * (self.p0**2 + 2.0 * (self.p1 * self.p1).real)
 
     def abs_p1_sq(self) -> np.ndarray:
         """|p1|^2 = |p2|^2."""
@@ -116,43 +111,56 @@ class ModeProducts:
     def multiplier(self, T: float) -> np.ndarray:
         """zeta3-excluded image multiplier 2 sum_j p_j^2 + 4 |p1|^2 cos(2 theta T)."""
         return self.eta0_multiplier() + 4.0 * self.abs_p1_sq() * np.cos(
-            2.0 * self.theta.real * T
+            2.0 * self.theta * T
         )
 
 
 def mode_products(medium: Medium, k) -> ModeProducts:
-    """Roots and A_j lambda_j products over a k grid, limit-patched near k = 0."""
+    """Real root data and A_j lambda_j products over a k grid (k >= 0).
+
+    Raises ComplexRegimeError where Cardano's C is complex: the real pair
+    decomposition, and with it every imaging multiplier, is undefined there.
+    """
     k = np.asarray(k, dtype=float)
     grid = spectral.roots_grid(medium, k)
-    a0, a1, a2, degen = spectral.amplitudes_grid(medium, grid)
-    lam0, lam1, lam2 = grid.lambda0, grid.lambda1, grid.lambda2
-    theta = grid.theta
-    p0 = a0 * lam0
-    p1 = a1 * lam1
-    p2 = a2 * lam2
-    if np.any(degen):
-        # analytic limits: A0 l0 -> 1 - tau1/tau0, A1 l1 = A2 l2 -> -1/2; roots
-        # keep their leading k dependence so oscillatory factors stay correct
-        lam0_lim, mu_lim, th_lim = spectral.small_k_limits(medium, k[degen])
-        p0[degen] = 1.0 - medium.tau_ratio
-        p1[degen] = -0.5
-        p2[degen] = -0.5
-        lam0[degen] = lam0_lim
-        lam1[degen] = mu_lim + 1j * th_lim
-        lam2[degen] = mu_lim - 1j * th_lim
-        theta[degen] = th_lim
-    return ModeProducts(
-        k=k,
-        lambda0=lam0,
-        lambda1=lam1,
-        lambda2=lam2,
-        theta=theta,
-        p0=p0,
-        p1=p1,
-        p2=p2,
-        real_c_regime=grid.real_c_regime,
-        limit_patched=degen,
-    )
+    if not np.all(grid.real_c_regime):
+        bad = k[~grid.real_c_regime]
+        raise ComplexRegimeError(
+            f"complex Cardano C at {bad.size} wavenumber(s), e.g. "
+            f"k = {bad.flat[0]:.6g}; the real-valued kernel decomposition "
+            "is undefined for this medium"
+        )
+    t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
+    if t0 == t1:
+        # dissipation-free: the cubic factors as (1 - tau1 l)(l^2 + c0^2 k^2)
+        zero = np.zeros_like(k)
+        return ModeProducts(k, np.full_like(k, 1.0 / t1), zero, c0 * k, zero,
+                            np.full(k.shape, -0.5 + 0j))
+    ck2 = c0 * c0 * k * k
+    lam0 = grid.lambda0.real
+    # one Newton step on -t0 l^3 + l^2 - t1 ck2 l + ck2
+    f = ((1.0 - t0 * lam0) * lam0 - t1 * ck2) * lam0 + ck2
+    df = (2.0 - 3.0 * t0 * lam0) * lam0 - t1 * ck2
+    lam0 = lam0 - f / df
+    # deflation by Vieta: lambda1 lambda2 = ck2 / (t0 lambda0), and the root
+    # sum with the pair sum of products give mu in a form free of
+    # cancellation (1/t0 - lambda0 cancels at small k, the pair-sum form at
+    # large k); d = tau1/tau0 - 1 is formed from t1 - t0, which is exact
+    # for t0 >= t1/2
+    d = (t1 - t0) / t0
+    lam0_sq = lam0 * lam0
+    g = lam0_sq + ck2
+    pair = ck2 / (t0 * lam0)
+    mu = 0.5 * d * ck2 * lam0 / g
+    theta = np.sqrt(pair - mu * mu)
+    # moment relations sum_j p_j lambda_j^{m-1} = a_m, m = 0, 1, 2, with
+    # a2 - 2 a1 mu = -d lambda0^3 / g by the cubic; each ratio is exactly 1
+    # at k = 0, so p0 = -d and re_p1 = -1/2 there
+    p0 = -d * (lam0_sq / g) * (lam0_sq / (lam0 * (lam0 - 2.0 * mu) + pair))
+    re_p1 = -0.5 - 0.5 * (d + p0)
+    im_p1 = np.divide(-(p0 * pair / (2.0 * lam0) + mu * re_p1), theta,
+                      out=np.zeros_like(theta), where=theta > 0)
+    return ModeProducts(k, lam0, mu, theta, p0, re_p1 + 1j * im_p1)
 
 
 def _norm(d: int) -> float:
@@ -162,24 +170,23 @@ def _norm(d: int) -> float:
 
 
 def _real_products(medium: Medium, k, T: float) -> ModeProducts:
-    """Real-regime mode products for an image at time T > 0."""
+    """Mode products for an image at time T > 0."""
     if T <= 0:
         raise ValueError("T must be positive")
-    return mode_products(medium, k).require_real_regime()
+    return mode_products(medium, k)
 
 
 def _zeta_pieces(mp: ModeProducts, T: float, d: int):
     """(zeta1_hat, zeta2_hat, zeta3_mantissa, zeta3_log_scale) of real-regime
     mode products; see ``zeta_arrays``."""
     norm = _norm(d)
-    p0 = mp.p0.real
+    p0 = mp.p0
     p1 = mp.p1
     abs_p1_sq = mp.abs_p1_sq()
     z1 = (mp.eta0_multiplier() + 4.0 * abs_p1_sq) / norm
-    z2 = 8.0 * abs_p1_sq * np.sin(mp.theta.real * T) ** 2 / norm
-    dlam = mp.lambda0 - mp.lambda1
-    x = dlam.real * T
-    y = dlam.imag * T
+    z2 = 8.0 * abs_p1_sq * np.sin(mp.theta * T) ** 2 / norm
+    x = (mp.lambda0 - mp.mu) * T        # Re(lambda0 - lambda1) T
+    y = -mp.theta * T                   # Im(lambda0 - lambda1) T
     ax = np.abs(x)
     decay = np.exp(-2.0 * ax)
     cosh_m = 0.5 * (1.0 + decay)                 # cosh(x) = e^{|x|} cosh_m
@@ -206,12 +213,11 @@ def zeta_arrays(medium: Medium, k, T: float, d: int = 3):
 
 def eta0_grid(medium: Medium, k, d: int = 3) -> np.ndarray:
     """Small-wavenumber kernel eta0_hat = 2 sum_j (A_j l_j)^2 / (2 pi)^{d/2}."""
-    return mode_products(medium, k).require_real_regime().eta0_multiplier() / _norm(d)
+    return mode_products(medium, k).eta0_multiplier() / _norm(d)
 
 
 def eta0_hat(medium: Medium, k: float, d: int = 3) -> float:
-    """eta0_hat at one wavenumber; uses the analytic limit below the
-    degeneracy threshold (in particular at k = 0)."""
+    """eta0_hat at one wavenumber, k = 0 included."""
     return float(eta0_grid(medium, np.asarray([float(k)]), d)[0])
 
 

@@ -41,14 +41,11 @@ from .medium import Medium
 __all__ = [
     "REAL_C_IM_TOL",
     "DEGENERATE_REL_TOL",
-    "CardanoDiagnostics",
-    "SpectralRoots",
     "Amplitudes",
     "RootsGrid",
     "DegenerateRootsError",
     "cardano_roots",
     "roots_grid",
-    "small_k_limits",
     "moment_targets",
     "amplitudes",
     "amplitudes_grid",
@@ -62,48 +59,13 @@ __all__ = [
 REAL_C_IM_TOL = 1e-10
 
 #: roots count as degenerate when min pairwise |l_i - l_j| < tol * max |l_j|;
-#: below this the closed-form A_j lose ~8 digits and callers must switch to
-#: the analytic k -> 0 limit (kernels module).
+#: below this the closed-form A_j lose ~8 digits, so ``amplitudes`` and
+#: ``solve_vandermonde`` refuse such roots and ``amplitudes_grid`` flags them.
 DEGENERATE_REL_TOL = 1e-8
 
 
 class DegenerateRootsError(ValueError):
     """Roots too close for the closed-form/linear amplitude solve."""
-
-
-@dataclass(frozen=True)
-class CardanoDiagnostics:
-    delta0: float
-    delta1: float
-    big_c: complex
-    real_c_regime: bool
-
-
-@dataclass(frozen=True)
-class SpectralRoots:
-    """The three cubic roots at one wavenumber.
-
-    lambda1 = mu + i theta and lambda2 = mu - i theta by construction; in the
-    real-C regime mu and theta carry exactly zero imaginary part, making the
-    pair exact conjugates.
-    """
-
-    k: float
-    lambda0: complex
-    mu: complex
-    theta: complex
-    diagnostics: CardanoDiagnostics
-
-    @property
-    def lambda1(self) -> complex:
-        return self.mu + 1j * self.theta
-
-    @property
-    def lambda2(self) -> complex:
-        return self.mu - 1j * self.theta
-
-    def all_roots(self) -> tuple[complex, complex, complex]:
-        return (self.lambda0, self.lambda1, self.lambda2)
 
 
 @dataclass(frozen=True)
@@ -120,7 +82,13 @@ class Amplitudes:
 
 @dataclass(frozen=True)
 class RootsGrid:
-    """Vectorized root data over a k grid (complex arrays, fft-layout agnostic)."""
+    """Vectorized root data over a k grid (complex arrays, fft-layout agnostic).
+
+    lambda1 = mu + i theta and lambda2 = mu - i theta by construction; in the
+    real-C regime mu and theta carry exactly zero imaginary part, making the
+    pair exact conjugates.  A 0-d k gives the roots at one wavenumber
+    (``cardano_roots``).
+    """
 
     k: np.ndarray
     lambda0: np.ndarray
@@ -185,40 +153,14 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
     return RootsGrid(k, lam0, mu, theta, d0, d1, big_c, regime)
 
 
-def cardano_roots(medium: Medium, k: float) -> SpectralRoots:
-    """Solve the dispersion cubic at one wavenumber by Cardano's formula.
+def cardano_roots(medium: Medium, k: float) -> RootsGrid:
+    """``roots_grid`` at one wavenumber, as a 0-d RootsGrid.
 
     Never fails for k >= 0; a complex intermediate C is reported through
-    ``diagnostics.real_c_regime = False`` (downstream imaging refuses such
-    media, the root data itself stays valid).
+    ``real_c_regime = False`` (downstream imaging refuses such media, the
+    root data itself stays valid).
     """
-    g = roots_grid(medium, np.asarray([float(k)]))
-    diag = CardanoDiagnostics(
-        delta0=float(g.delta0[0]),
-        delta1=float(g.delta1[0]),
-        big_c=complex(g.big_c[0]),
-        real_c_regime=bool(g.real_c_regime[0]),
-    )
-    return SpectralRoots(
-        k=float(k),
-        lambda0=complex(g.lambda0[0]),
-        mu=complex(g.mu[0]),
-        theta=complex(g.theta[0]),
-        diagnostics=diag,
-    )
-
-
-def small_k_limits(medium: Medium, k):
-    """Leading-order k -> 0 forms (lambda0, mu, theta) of the roots.
-
-    lambda0 ~ 1/tau0 - c0^2 tau1 k^2, mu ~ c0^2 (tau1 - tau0) k^2 / 2 and
-    theta ~ c0 k, elementwise over k; accurate to O((k/k_c)^2) relative.
-    """
-    k = np.asarray(k, dtype=float)
-    c0, t0, t1 = medium.c0, medium.tau0, medium.tau1
-    lam0 = 1.0 / t0 - c0 * c0 * t1 * k * k
-    mu = 0.5 * c0 * c0 * (t1 - t0) * k * k
-    return lam0, mu, c0 * k
+    return roots_grid(medium, float(k))
 
 
 def moment_targets(medium: Medium) -> tuple[float, float, float]:
@@ -244,11 +186,11 @@ def amplitudes_grid(medium: Medium, grid: RootsGrid):
     """Closed-form A0, A1, A2 over a roots grid.
 
     Returns ``(a0, a1, a2, degenerate)``; entries flagged degenerate contain
-    unusable values (the kernels module substitutes the analytic k -> 0
-    limits there).  In the real-C regime A0 is projected to its exactly real
-    value and A2 is constructed as conj(A1), which the conjugate-pair
-    structure makes exact; outside the regime all three closed forms are
-    evaluated directly.
+    unusable values (the A_j curve tables substitute their k -> 0 limits
+    there; ``kernels.mode_products`` does not use the A_j).  In the real-C
+    regime A0 is projected to its exactly real value and A2 is constructed
+    as conj(A1), which the conjugate-pair structure makes exact; outside the
+    regime all three closed forms are evaluated directly.
     """
     _, m1, m2 = moment_targets(medium)
     l0, l1, l2 = grid.lambda0, grid.lambda1, grid.lambda2
@@ -272,16 +214,16 @@ def amplitudes_grid(medium: Medium, grid: RootsGrid):
     return a0, a1, a2, degen
 
 
-def _check_not_degenerate(roots: SpectralRoots, what: str):
+def _check_not_degenerate(roots: RootsGrid, what: str):
     if bool(degenerate_mask(roots.lambda0, roots.lambda1, roots.lambda2)):
         raise DegenerateRootsError(
             f"{what} at k = {roots.k:.6g}: pairwise root distance below "
-            f"{DEGENERATE_REL_TOL:g} * max|lambda|; use the analytic small-k "
-            "limit (kernels module)"
+            f"{DEGENERATE_REL_TOL:g} * max|lambda|; the products A_j lambda_j "
+            "of kernels.mode_products hold down to k = 0"
         )
 
 
-def amplitudes(roots: SpectralRoots, medium: Medium) -> Amplitudes:
+def amplitudes(roots: RootsGrid, medium: Medium) -> Amplitudes:
     """Closed-form amplitude coefficients at one wavenumber.
 
     Requires pairwise-distinct roots (k > 0); at and near k = 0 the double
@@ -289,28 +231,18 @@ def amplitudes(roots: SpectralRoots, medium: Medium) -> Amplitudes:
     DegenerateRootsError is raised.
     """
     _check_not_degenerate(roots, "closed-form amplitudes degenerate")
-    g = RootsGrid(
-        k=np.asarray([roots.k]),
-        lambda0=np.asarray([roots.lambda0]),
-        mu=np.asarray([roots.mu]),
-        theta=np.asarray([roots.theta]),
-        delta0=np.asarray([roots.diagnostics.delta0]),
-        delta1=np.asarray([roots.diagnostics.delta1]),
-        big_c=np.asarray([roots.diagnostics.big_c]),
-        real_c_regime=np.asarray([roots.diagnostics.real_c_regime]),
-    )
-    a0, a1, a2, _ = amplitudes_grid(medium, g)
-    return Amplitudes(complex(a0[0]), complex(a1[0]), complex(a2[0]))
+    a0, a1, a2, _ = amplitudes_grid(medium, roots)
+    return Amplitudes(complex(a0), complex(a1), complex(a2))
 
 
-def solve_vandermonde(roots: SpectralRoots, medium: Medium) -> Amplitudes:
+def solve_vandermonde(roots: RootsGrid, medium: Medium) -> Amplitudes:
     """Amplitudes by a direct 3x3 linear solve of the moment system.
 
     Independent route kept as a cross-check of ``amplitudes``; agreement is
     1e-8 relative componentwise on the supported k range.
     """
     _check_not_degenerate(roots, "moment system singular")
-    l0, l1, l2 = roots.all_roots()
+    l0, l1, l2 = roots.lambda0, roots.lambda1, roots.lambda2
     mat = np.array(
         [[1.0, 1.0, 1.0], [l0, l1, l2], [l0 * l0, l1 * l1, l2 * l2]],
         dtype=complex,

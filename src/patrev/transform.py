@@ -266,8 +266,8 @@ def propdelta_check(field: Field, medium: Medium, T: float,
 
 
 def _checked_products(medium: Medium, k: np.ndarray) -> kernels.ModeProducts:
-    mp = kernels.mode_products(medium, k).require_real_regime()
-    if np.min(mp.lambda0.real) < 0 or np.min(mp.lambda1.real) < -1e-12 / medium.tau0:
+    mp = kernels.mode_products(medium, k)
+    if np.min(mp.lambda0) < 0 or np.min(mp.mu) < -1e-12 / medium.tau0:
         raise ValueError(
             "negative decay rate on the grid: forward evolution would grow"
         )
@@ -275,11 +275,11 @@ def _checked_products(medium: Medium, k: np.ndarray) -> kernels.ModeProducts:
 
 
 def _mode_sum(mp: kernels.ModeProducts, t: float) -> np.ndarray:
-    """sum_j A_j lambda_j e^{-lambda_j t}."""
-    return (
-        mp.p0 * np.exp(-mp.lambda0 * t)
-        + mp.p1 * np.exp(-mp.lambda1 * t)
-        + mp.p2 * np.exp(-mp.lambda2 * t)
+    """sum_j A_j lambda_j e^{-lambda_j t}, real since p2 e^{-lambda2 t} is the
+    conjugate of p1 e^{-lambda1 t}."""
+    phase = mp.theta * t
+    return mp.p0 * np.exp(-mp.lambda0 * t) + 2.0 * np.exp(-mp.mu * t) * (
+        mp.p1.real * np.cos(phase) + mp.p1.imag * np.sin(phase)
     )
 
 
@@ -289,14 +289,13 @@ def forward_pressure(medium: Medium, phantom: Field, t: float) -> Field:
     Reduces to F^{-1}{phi_hat cos(c0 k t)} for kappa1 = 0 and to
     (tau1/tau0) phi as t -> 0+.  Requires Re(lambda_j) >= 0 on the whole
     grid (true for water-like media), so the forward factors never overflow.
-    In the real-C regime p2 e^{-lambda2 t} is the conjugate of
-    p1 e^{-lambda1 t}, so the mode sum is a real radial multiplier and is
-    applied on the grid's radial table like the image.
+    The mode sum is a real radial multiplier and is applied on the grid's
+    radial table like the image.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     k_table, index = phantom.grid.radial_table()
-    mult = -_mode_sum(_checked_products(medium, k_table), t).real
+    mult = -_mode_sum(_checked_products(medium, k_table), t)
     return _apply_radial(phantom, mult, index, "forward pressure")
 
 
@@ -306,15 +305,14 @@ def _time_reversal_table(medium: Medium, k_table: np.ndarray, T: float,
     mp = _checked_products(medium, k_table)
     if not include_zeta3:
         return mp.multiplier(T)
-    max_rate = max(float(np.max(lam.real))
-                   for lam in (mp.lambda0, mp.lambda1, mp.lambda2))
+    max_rate = max(float(np.max(mp.lambda0)), float(np.max(mp.mu)))
     if max_rate * T > kernels.EXP_REAL_LIMIT:
         raise kernels.ScaleOverflowError(
             f"exp(Re lambda T) with Re lambda T = {max_rate * T:.3g} is not "
             "representable; the exact reversed pipeline is only computable "
             "at nondimensional scale (use include_zeta3=False)"
         )
-    return (2.0 * _mode_sum(mp, T) * _mode_sum(mp, -T)).real
+    return 2.0 * _mode_sum(mp, T) * _mode_sum(mp, -T)
 
 
 def time_reversal_image(medium: Medium, phantom: Field, T: float,
@@ -334,9 +332,7 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
         I_hat = 2 [p0^2 + 2 Re(p1^2) + 2 |p1|^2 cos(2 theta T)] phi_hat,
 
     which is finite at any scale and equals ``kernels.multiplier_grid``.
-    Both are evaluated on the grid's radial table.  With the flag only the
-    real part of the product is applied: for a radial multiplier on a real
-    field its imaginary part only adds an imaginary residue to the image.
+    Both are real and are evaluated on the grid's radial table.
     """
     if T <= 0:
         raise ValueError("T must be positive")

@@ -55,6 +55,21 @@ def test_coeffs_all_degenerate_grid_exits_2(tmp_path, water_cfg_file, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["roots", "--k-max", "0kc", "--set", "k_spacing=log"], "needs k_max > 0"),
+    (["roots", "--k-max=-1kc"], "must be non-negative"),
+    (["roots", "--set", "k_min=-1"], "must be non-negative"),
+    (["coeffs", "--k-max=-1kc"], "must be non-negative"),
+], ids=["log_zero_k_max", "roots_negative_k_max", "negative_k_min",
+        "coeffs_negative_k_max"])
+def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_roots_subcommand(tmp_path, water_cfg_file, capsys):
     out = tmp_path / "out"
     code = main(["roots", "--config", str(water_cfg_file),

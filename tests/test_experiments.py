@@ -189,7 +189,7 @@ def _full_grid_reconstruction_entries(cfg) -> dict[str, float]:
     image = transform.time_reversal_image(medium, phantom, T, include_zeta3=False)
     image_eta0 = transform.apply_multiplier(
         phantom,
-        lambda kk: kernels.mode_products(medium, kk).require_real_regime().eta0_multiplier(),
+        lambda kk: kernels.mode_products(medium, kk).eta0_multiplier(),
     )
     oracle = kernels.dc_constant(medium) * phantom.samples
     mask = phantom.samples >= 0.01 * float(np.max(phantom.samples))

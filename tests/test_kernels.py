@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ def eta12(medium, k, T, d=3):
     eta1_hat = (4 A0 l0 / (2 pi)^{d/2}) e^{Re(l0 - l1) T} Im(A1 l1) and
     eta2_hat the same with Re(A1 l1)."""
     mp = mode_products(medium, np.asarray([k]))
-    pref = 4.0 * mp.p0.real[0] / (2 * math.pi) ** (d / 2)
-    x = float((mp.lambda0 - mp.lambda1).real[0] * T)
+    pref = 4.0 * mp.p0[0] / (2 * math.pi) ** (d / 2)
+    x = float((mp.lambda0 - mp.mu)[0] * T)
     return pref * mp.p1.imag[0], pref * mp.p1.real[0], x
 
 
@@ -203,7 +204,7 @@ def test_complex_regime_rejected_for_kernels():
     m = nondimensional_medium(0.1)
     k_bad = 1.8  # inside the complex-C band of this ratio
     roots = spectral.cardano_roots(m, k_bad)
-    assert not roots.diagnostics.real_c_regime
+    assert not roots.real_c_regime
     with pytest.raises(ComplexRegimeError):
         zeta_arrays(m, np.asarray([k_bad]), 1.0, d=3)
     with pytest.raises(ComplexRegimeError):
@@ -227,14 +228,57 @@ def test_multiplier_convergence_to_lossless_limit():
     assert sups[-1] <= 1e-4
 
 
-def test_mode_products_patch_below_threshold():
-    mp = mode_products(WATER, np.asarray([0.0, 1e-3, KC]))
-    assert mp.limit_patched[0] and mp.limit_patched[1]
-    assert not mp.limit_patched[2]
-    r = WATER.tau_ratio
-    assert mp.p0[0] == pytest.approx(1.0 - r, rel=1e-12)
-    assert mp.p1[0] == pytest.approx(-0.5, rel=1e-12)
-    assert mp.theta[1].real == pytest.approx(WATER.c0 * 1e-3, rel=1e-12)
+def test_mode_products_refuse_complex_regime():
+    with pytest.raises(ComplexRegimeError):
+        mode_products(nondimensional_medium(0.1), np.asarray([1.8]))
+
+
+# water plus 40 seeded ratios tau0/tau1 in [0.02, 1] and the two ends
+_RATIOS = (*np.random.default_rng(8).uniform(0.02, 1.0, 40), 0.02, 1.0)
+
+
+@pytest.mark.parametrize(
+    "medium", [WATER] + [nondimensional_medium(r) for r in _RATIOS],
+    ids=["water"] + [f"{r:.4g}" for r in _RATIOS])
+def test_mode_products_contracts_across_media(medium):
+    unit = np.concatenate([[0.0], np.logspace(-14, 3, 200),
+                           np.linspace(0.0, 10.0, 201)[1:]])
+    k = unit * medium.k_c
+    k = k[spectral.roots_grid(medium, k).real_c_regime]
+    mp = mode_products(medium, k)
+    for a in (mp.lambda0, mp.mu, mp.theta, mp.p0, mp.p1):
+        assert np.all(np.isfinite(a))
+    assert np.all(mp.theta[1:] > 0)
+
+    # lambda0 and mu +- i theta solve the cubic to round-off
+    roots = replace(spectral.roots_grid(medium, k), lambda0=mp.lambda0 + 0j,
+                    mu=mp.mu + 0j, theta=mp.theta + 0j)
+    assert np.max(spectral.scaled_residuals(medium, roots)) <= 1e-13
+
+    # sum_j p_j lambda_j^{m-1} = a_m with p2 = conj(p1), lambda2 = conj(lambda1)
+    lam1 = mp.mu[1:] + 1j * mp.theta[1:]
+    lams = (mp.lambda0[1:], lam1, np.conj(lam1))
+    ps = (mp.p0[1:], mp.p1[1:], np.conj(mp.p1[1:]))
+    for m, target in enumerate(spectral.moment_targets(medium)):
+        terms = [p * lam ** (m - 1) for p, lam in zip(ps, lams)]
+        scale = np.maximum.reduce([np.abs(t) for t in terms]) + abs(target)
+        assert np.max(np.abs(sum(terms) - target) / scale) <= 1e-13
+
+    # cross-check with the closed-form A_j on Cardano's roots; that route
+    # loses digits near the complex-C band (3.4e-11 at tau0/tau1 = 0.036,
+    # k = 1.52 k_c, where mode_products is within 7e-16 of a 60-digit
+    # reference)
+    far = k >= 0.1 * medium.k_c
+    grid = spectral.roots_grid(medium, k[far])
+    _, a1, _, _ = spectral.amplitudes_grid(medium, grid)
+    np.testing.assert_allclose(mp.p1[far], a1 * grid.lambda1, rtol=1e-10, atol=0)
+
+    # k = 0 without a substituted limit; (tau0 - tau1)/tau0 is 1 - tau1/tau0
+    # without the rounding of tau1/tau0
+    assert k[0] == 0.0 and mp.mu[0] == 0.0 and mp.theta[0] == 0.0
+    assert mp.p0[0] == pytest.approx((medium.tau0 - medium.tau1) / medium.tau0,
+                                     rel=1e-15, abs=1e-300)
+    assert mp.p1[0] == pytest.approx(-0.5, rel=1e-15)
 
 
 def test_kernel_table_columns():

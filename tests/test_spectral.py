@@ -6,7 +6,6 @@ import pytest
 from patrev.medium import RawParams, derive_medium, nondimensional_medium, water_params
 from patrev.spectral import (
     DegenerateRootsError,
-    SpectralRoots,
     amplitudes,
     amplitudes_grid,
     asymptotic_limits,
@@ -14,7 +13,6 @@ from patrev.spectral import (
     moment_targets,
     roots_grid,
     scaled_residuals,
-    small_k_limits,
     solve_vandermonde,
 )
 
@@ -32,9 +30,9 @@ def companion_roots(medium, k):
 
 def test_k_zero_degenerates_to_relaxation_root():
     r = cardano_roots(WATER, 0.0)
-    assert r.diagnostics.delta0 == 1.0
-    assert r.diagnostics.delta1 == 2.0
-    assert r.diagnostics.big_c == 1.0
+    assert r.delta0 == 1.0
+    assert r.delta1 == 2.0
+    assert r.big_c == 1.0
     assert r.lambda0 == pytest.approx(1.0 / WATER.tau0, rel=1e-14)
     assert r.mu == 0.0
     assert r.theta == 0.0
@@ -48,7 +46,7 @@ def test_negative_k_rejected():
 @pytest.mark.parametrize("kfac", [0.01, 0.5, 1.0, 20.0])
 def test_cardano_diagnostic_formulas(kfac):
     k = kfac * KC
-    d = cardano_roots(WATER, k).diagnostics
+    d = cardano_roots(WATER, k)
     t0, t1, c0 = WATER.tau0, WATER.tau1, WATER.c0
     assert d.delta0 == pytest.approx(1.0 - 3.0 * c0**2 * t0 * t1 * k**2,
                                      rel=1e-12)
@@ -63,7 +61,8 @@ def test_cardano_diagnostic_formulas(kfac):
 @pytest.mark.parametrize("k", [1e-3 * KC, 0.1 * KC, KC, 10 * KC, 1e3 * KC])
 def test_roots_match_companion_oracle(k):
     r = cardano_roots(WATER, k)
-    got = sorted(r.all_roots(), key=lambda z: (z.real, z.imag))
+    got = sorted(map(complex, (r.lambda0, r.lambda1, r.lambda2)),
+                 key=lambda z: (z.real, z.imag))
     expected = sorted(map(complex, companion_roots(WATER, k)),
                       key=lambda z: (z.real, z.imag))
     for g, e in zip(got, expected):
@@ -92,11 +91,10 @@ def test_real_c_regime_has_exactly_real_parts():
 ])
 def test_pair_decomposition_matches_u_root_formulas(medium, k):
     r = cardano_roots(medium, k)
-    d = r.diagnostics
     u1 = (-1.0 + 1j * np.sqrt(3.0)) / 2.0
     u2 = np.conj(u1)
     for u, lam in ((1.0, r.lambda0), (u1, r.lambda1), (u2, r.lambda2)):
-        direct = (1.0 + u * d.big_c + d.delta0 / (u * d.big_c)) / (3 * medium.tau0)
+        direct = (1.0 + u * r.big_c + r.delta0 / (u * r.big_c)) / (3 * medium.tau0)
         assert lam == pytest.approx(direct, rel=1e-10)
 
 
@@ -180,8 +178,7 @@ def test_amplitudes_dissipation_free_closed_form():
 def test_vandermonde_dissipation_free():
     m = LOSSLESS
     lam0, mu, theta = lossless_oracle(m.k_c)
-    r = SpectralRoots(k=m.k_c, lambda0=lam0, mu=mu, theta=theta,
-                      diagnostics=cardano_roots(m, m.k_c).diagnostics)
+    r = replace(cardano_roots(m, m.k_c), lambda0=lam0, mu=mu, theta=theta)
     v = solve_vandermonde(r, m)
     assert v.a0_coef == pytest.approx(0.0, abs=1e-12 * abs(v.a1_coef))
     assert v.a1_coef == pytest.approx(-1.0 / (2.0 * r.lambda1), rel=1e-10)
@@ -263,29 +260,6 @@ def test_amplitude_limits_for_small_k():
     a = amplitudes(r, WATER)
     assert a.a0_coef.real == pytest.approx(WATER.tau0 - WATER.tau1, rel=1e-6)
     assert a.a1_coef * r.lambda1 == pytest.approx(-0.5, abs=1e-5)
-
-
-def test_small_k_roots_quality():
-    kq = KC / 100.0
-    lam0, mu, theta = small_k_limits(WATER, kq)
-    exact = cardano_roots(WATER, kq)
-    assert abs(theta - exact.theta) / abs(exact.theta) <= 0.05
-    assert abs(lam0 - exact.lambda0) / abs(exact.lambda0) <= 0.05
-    # leading-order damping mu ~ c0^2 (tau1 - tau0) k^2 / 2
-    ratio = (mu / exact.mu).real
-    assert ratio == pytest.approx(1.0, rel=1e-3)
-    # ordering: both pair rates are far below the relaxation rate
-    assert 0 < mu
-    assert 0 < theta
-    assert max(mu, theta) / lam0 <= 0.05
-
-
-def test_small_k_roots_at_zero_match_cardano():
-    lam0, mu, theta = small_k_limits(WATER, 0.0)
-    exact = cardano_roots(WATER, 0.0)
-    assert lam0 == pytest.approx(exact.lambda0, rel=1e-12)
-    assert mu == exact.mu == 0.0
-    assert theta == exact.theta == 0.0
 
 
 def test_growth_orders_on_grid():

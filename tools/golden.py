@@ -39,6 +39,8 @@ RUNS = [
     ("water_coeffs", ["coeffs", "--config", WATER]),
     ("water_kernels", ["kernels", "--config", WATER]),
     ("water_reconstruct", ["reconstruct", "--config", WATER]),
+    ("water_reconstruct_lossless", ["reconstruct", "--config", WATER,
+                                    "--set", "kappa1_m2_per_N=0"]),
     ("water_sweep_kappa", ["sweep-kappa", "--config", WATER]),
     ("water_resolution", ["resolution", "--config", WATER]),
     ("water_report", ["report", "--config", WATER]),
