@@ -24,9 +24,9 @@ gain (2 pi)^{d/2} eta0_hat(0) = 2 (1 - tau1/tau0)^2 + 1 describes the image on
 the reconstruction region.
 
 The products p_j = A_j lambda_j come from the one real root and the moment
-relations, not from the closed-form A_j: lambda0 is Cardano's real root
-polished by one Newton step, and the pair is deflated by Vieta (Kahan, "To
-solve a real cubic equation", 1986),
+relations, not from the closed-form A_j: lambda0 is Cardano's real root in
+real arithmetic (no complex cube root) polished by one Newton step, and the
+pair is deflated by Vieta (Kahan, "To solve a real cubic equation", 1986),
 
     lambda1 lambda2 = mu^2 + theta^2 = c0^2 k^2 / (tau0 lambda0),
     2 mu = (tau1/tau0 - 1) c0^2 k^2 lambda0 / (lambda0^2 + c0^2 k^2),
@@ -35,7 +35,8 @@ the second being the root sum and the pair sum of products combined into a
 form without cancellation.  p0 and p1 then solve
 sum_j p_j lambda_j^{m-1} = a_m.  Every array is accurate to round-off down
 to k = 0, where mu = theta = 0, p0 = 1 - tau1/tau0 and p1 = -1/2 come out
-of the same formulas, with no substituted limit.
+of the same formulas, with no substituted limit.  Where Delta1^2 < 4 Delta0^3
+the cubic has three real roots and no pair, so the imaging path refuses.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .medium import Medium
-from . import spectral
 
 __all__ = [
     "EXP_REAL_LIMIT",
@@ -67,10 +67,9 @@ EXP_REAL_LIMIT = 700.0
 
 
 class ComplexRegimeError(ValueError):
-    """The Cardano intermediate C is complex at some requested wavenumber.
-
-    The real-valued zeta/eta decomposition (and with it the imaging path)
-    is only defined for media whose conjugate-pair structure is real.
+    """The cubic has three real roots (Delta1^2 < 4 Delta0^3, or the triple
+    root Delta0 = Delta1 = 0) at some requested wavenumber: the real-valued
+    zeta/eta decomposition, and with it the imaging path, needs a conjugate pair.
     """
 
 
@@ -98,15 +97,21 @@ class ModeProducts:
     mu: np.ndarray
     theta: np.ndarray
     p0: np.ndarray
-    p1: np.ndarray
+    p1_re: np.ndarray
+    p1_im: np.ndarray
+
+    @property
+    def p1(self) -> np.ndarray:
+        """p1 = A1 lambda1 as a complex array."""
+        return self.p1_re + 1j * self.p1_im
 
     def eta0_multiplier(self) -> np.ndarray:
         """(2 pi)^{d/2} eta0_hat = 2 sum_j p_j^2 = 2 (p0^2 + 2 Re p1^2)."""
-        return 2.0 * (self.p0**2 + 2.0 * (self.p1 * self.p1).real)
+        return 2.0 * (self.p0**2 + 2.0 * (self.p1_re**2 - self.p1_im**2))
 
     def abs_p1_sq(self) -> np.ndarray:
         """|p1|^2 = |p2|^2."""
-        return (self.p1 * np.conj(self.p1)).real
+        return self.p1_re**2 + self.p1_im**2
 
     def multiplier(self, T: float) -> np.ndarray:
         """zeta3-excluded image multiplier 2 sum_j p_j^2 + 4 |p1|^2 cos(2 theta T)."""
@@ -118,26 +123,33 @@ class ModeProducts:
 def mode_products(medium: Medium, k) -> ModeProducts:
     """Real root data and A_j lambda_j products over a k grid (k >= 0).
 
-    Raises ComplexRegimeError where Cardano's C is complex: the real pair
-    decomposition, and with it every imaging multiplier, is undefined there.
+    Raises ComplexRegimeError where the cubic has three real roots: the real
+    pair decomposition, and with it every imaging multiplier, is undefined there.
     """
     k = np.asarray(k, dtype=float)
-    grid = spectral.roots_grid(medium, k)
-    if not np.all(grid.real_c_regime):
-        bad = k[~grid.real_c_regime]
+    if np.any(k < 0):
+        raise ValueError("wavenumbers must be non-negative")
+    t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
+    ck2 = c0 * c0 * k * k
+    d0 = 1.0 - 3.0 * t0 * t1 * ck2
+    d1 = 2.0 + 9.0 * t0 * (3.0 * t0 - t1) * ck2
+    disc = d1 * d1 - 4.0 * d0**3
+    bad = k[(disc < 0) | ((d0 == 0) & (d1 == 0))]
+    if bad.size:
         raise ComplexRegimeError(
-            f"complex Cardano C at {bad.size} wavenumber(s), e.g. "
+            f"three real roots at {bad.size} wavenumber(s), e.g. "
             f"k = {bad.flat[0]:.6g}; the real-valued kernel decomposition "
             "is undefined for this medium"
         )
-    t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
     if t0 == t1:
         # dissipation-free: the cubic factors as (1 - tau1 l)(l^2 + c0^2 k^2)
         zero = np.zeros_like(k)
         return ModeProducts(k, np.full_like(k, 1.0 / t1), zero, c0 * k, zero,
-                            np.full(k.shape, -0.5 + 0j))
-    ck2 = c0 * c0 * k * k
-    lam0 = grid.lambda0.real
+                            np.full_like(k, -0.5), zero)
+    # Cardano's real root with the real cube root; the sign of d1 keeps the
+    # sum free of cancellation, so C = 0 only at the refused triple root
+    big_c = np.cbrt(0.5 * (d1 + np.copysign(np.sqrt(disc), d1)))
+    lam0 = (1.0 + big_c + d0 / big_c) / (3.0 * t0)
     # one Newton step on -t0 l^3 + l^2 - t1 ck2 l + ck2
     f = ((1.0 - t0 * lam0) * lam0 - t1 * ck2) * lam0 + ck2
     df = (2.0 - 3.0 * t0 * lam0) * lam0 - t1 * ck2
@@ -160,7 +172,7 @@ def mode_products(medium: Medium, k) -> ModeProducts:
     re_p1 = -0.5 - 0.5 * (d + p0)
     im_p1 = np.divide(-(p0 * pair / (2.0 * lam0) + mu * re_p1), theta,
                       out=np.zeros_like(theta), where=theta > 0)
-    return ModeProducts(k, lam0, mu, theta, p0, re_p1 + 1j * im_p1)
+    return ModeProducts(k, lam0, mu, theta, p0, re_p1, im_p1)
 
 
 def _norm(d: int) -> float:
@@ -180,8 +192,6 @@ def _zeta_pieces(mp: ModeProducts, T: float, d: int):
     """(zeta1_hat, zeta2_hat, zeta3_mantissa, zeta3_log_scale) of real-regime
     mode products; see ``zeta_arrays``."""
     norm = _norm(d)
-    p0 = mp.p0
-    p1 = mp.p1
     abs_p1_sq = mp.abs_p1_sq()
     z1 = (mp.eta0_multiplier() + 4.0 * abs_p1_sq) / norm
     z2 = 8.0 * abs_p1_sq * np.sin(mp.theta * T) ** 2 / norm
@@ -193,8 +203,8 @@ def _zeta_pieces(mp: ModeProducts, T: float, d: int):
     sinh_m = 0.5 * (1.0 - decay) * np.sign(x)    # sinh(x) = e^{|x|} sinh_m
     z3_m = (
         8.0
-        * p0
-        * (p1.real * np.cos(y) * cosh_m - p1.imag * np.sin(y) * sinh_m)
+        * mp.p0
+        * (mp.p1_re * np.cos(y) * cosh_m - mp.p1_im * np.sin(y) * sinh_m)
         / norm
     )
     return z1, z2, z3_m, ax

@@ -279,7 +279,7 @@ def _mode_sum(mp: kernels.ModeProducts, t: float) -> np.ndarray:
     conjugate of p1 e^{-lambda1 t}."""
     phase = mp.theta * t
     return mp.p0 * np.exp(-mp.lambda0 * t) + 2.0 * np.exp(-mp.mu * t) * (
-        mp.p1.real * np.cos(phase) + mp.p1.imag * np.sin(phase)
+        mp.p1_re * np.cos(phase) + mp.p1_im * np.sin(phase)
     )
 
 

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from patrev.medium import RawParams, derive_medium, nondimensional_medium, water_params
+from patrev.medium import (Medium, RawParams, derive_medium, nondimensional_medium,
+                           water_params)
 from patrev import kernels, spectral
 from patrev.kernels import (
     ComplexRegimeError,
@@ -202,7 +203,7 @@ def test_eta2_defined_when_imag_part_vanishes():
 
 def test_complex_regime_rejected_for_kernels():
     m = nondimensional_medium(0.1)
-    k_bad = 1.8  # inside the complex-C band of this ratio
+    k_bad = 1.78  # inside the three-real-root band (1.7678, 1.7888) of this ratio
     roots = spectral.cardano_roots(m, k_bad)
     assert not roots.real_c_regime
     with pytest.raises(ComplexRegimeError):
@@ -230,7 +231,65 @@ def test_multiplier_convergence_to_lossless_limit():
 
 def test_mode_products_refuse_complex_regime():
     with pytest.raises(ComplexRegimeError):
-        mode_products(nondimensional_medium(0.1), np.asarray([1.8]))
+        mode_products(nondimensional_medium(0.1), np.asarray([1.78]))
+
+
+def test_mode_products_reject_negative_wavenumbers():
+    with pytest.raises(ValueError, match="non-negative"):
+        mode_products(WATER, [-1.0])
+
+
+def test_mode_products_refuse_triple_root():
+    # tau0/tau1 = 1/9 and c0^2 k^2 = 1/(27 tau0^2): d0 = d1 = 0 exactly in
+    # doubles, where all three roots equal 1/(3 tau0) and the A_j do not exist
+    m = Medium(tau1=3.0, tau0=1.0 / 3.0, c0=1.0, c_inf=3.0, kappa1=8.0 / 9.0,
+               rho=1.0, k_c=2.0 / 3.0)
+    k = math.sqrt(1.0 / 3.0)
+    with pytest.raises(ComplexRegimeError, match="at 1 wavenumber"):
+        mode_products(m, np.asarray([k]))
+    mp = mode_products(m, k * np.asarray([1.0 - 1e-6, 1.0 + 1e-6]))
+    np.testing.assert_allclose(mp.lambda0, 1.0, rtol=2e-2)
+    assert np.all(np.isfinite(mp.p0)) and np.all(mp.theta > 0)
+
+
+def _discriminant(medium, k):
+    """Delta1^2 - 4 Delta0^3 of the cubic; negative on the three-real-root band."""
+    grid = spectral.roots_grid(medium, k)
+    return grid.delta1 ** 2 - 4.0 * grid.delta0 ** 3
+
+
+def _contract_residuals(medium, mp):
+    """Worst scaled cubic residual of lambda0, mu +- i theta and worst scaled
+    moment residual sum_j p_j lambda_j^{m-1} - a_m (k > 0) of mode products."""
+    roots = replace(spectral.roots_grid(medium, mp.k), lambda0=mp.lambda0 + 0j,
+                    mu=mp.mu + 0j, theta=mp.theta + 0j)
+    cubic = float(np.max(spectral.scaled_residuals(medium, roots)))
+    pos = mp.k > 0
+    lam1 = mp.mu[pos] + 1j * mp.theta[pos]
+    lams = (mp.lambda0[pos], lam1, np.conj(lam1))
+    ps = (mp.p0[pos], mp.p1[pos], np.conj(mp.p1[pos]))
+    moment = 0.0
+    for m, target in enumerate(spectral.moment_targets(medium)):
+        terms = [p * lam ** (m - 1) for p, lam in zip(ps, lams)]
+        scale = np.maximum.reduce([np.abs(t) for t in terms]) + abs(target)
+        moment = max(moment, float(np.max(np.abs(sum(terms) - target) / scale)))
+    return cubic, moment
+
+
+def test_mode_products_refusals_equal_discriminant_set():
+    # Cardano's principal complex branch flags 580 points of this grid, 369
+    # of them outside the three-real-root band
+    medium = nondimensional_medium(0.1)
+    k = np.linspace(0.0, 10.0 * medium.k_c, 200001)
+    band = _discriminant(medium, k) < 0
+    assert band.sum() == 211
+    with pytest.raises(ComplexRegimeError, match="at 211 wavenumber"):
+        mode_products(medium, k)
+    mode_products(medium, k[~band])
+    branch = ~band & ~spectral.roots_grid(medium, k).real_c_regime
+    assert branch.sum() == 369
+    cubic, moment = _contract_residuals(medium, mode_products(medium, k[branch]))
+    assert cubic <= 1e-13 and moment <= 1e-13
 
 
 # water plus 40 seeded ratios tau0/tau1 in [0.02, 1] and the two ends
@@ -244,31 +303,23 @@ def test_mode_products_contracts_across_media(medium):
     unit = np.concatenate([[0.0], np.logspace(-14, 3, 200),
                            np.linspace(0.0, 10.0, 201)[1:]])
     k = unit * medium.k_c
-    k = k[spectral.roots_grid(medium, k).real_c_regime]
+    k = k[_discriminant(medium, k) >= 0]
     mp = mode_products(medium, k)
-    for a in (mp.lambda0, mp.mu, mp.theta, mp.p0, mp.p1):
+    for a in (mp.lambda0, mp.mu, mp.theta, mp.p0, mp.p1_re, mp.p1_im):
         assert np.all(np.isfinite(a))
     assert np.all(mp.theta[1:] > 0)
 
-    # lambda0 and mu +- i theta solve the cubic to round-off
-    roots = replace(spectral.roots_grid(medium, k), lambda0=mp.lambda0 + 0j,
-                    mu=mp.mu + 0j, theta=mp.theta + 0j)
-    assert np.max(spectral.scaled_residuals(medium, roots)) <= 1e-13
+    # lambda0 and mu +- i theta solve the cubic, and sum_j p_j lambda_j^{m-1}
+    # = a_m with p2 = conj(p1), lambda2 = conj(lambda1), to round-off
+    cubic, moment = _contract_residuals(medium, mp)
+    assert cubic <= 1e-13 and moment <= 1e-13
 
-    # sum_j p_j lambda_j^{m-1} = a_m with p2 = conj(p1), lambda2 = conj(lambda1)
-    lam1 = mp.mu[1:] + 1j * mp.theta[1:]
-    lams = (mp.lambda0[1:], lam1, np.conj(lam1))
-    ps = (mp.p0[1:], mp.p1[1:], np.conj(mp.p1[1:]))
-    for m, target in enumerate(spectral.moment_targets(medium)):
-        terms = [p * lam ** (m - 1) for p, lam in zip(ps, lams)]
-        scale = np.maximum.reduce([np.abs(t) for t in terms]) + abs(target)
-        assert np.max(np.abs(sum(terms) - target) / scale) <= 1e-13
-
-    # cross-check with the closed-form A_j on Cardano's roots; that route
-    # loses digits near the complex-C band (3.4e-11 at tau0/tau1 = 0.036,
-    # k = 1.52 k_c, where mode_products is within 7e-16 of a 60-digit
-    # reference)
-    far = k >= 0.1 * medium.k_c
+    # cross-check with the closed-form A_j on Cardano's roots where Cardano's
+    # branch is real; that route loses digits near the three-real-root band
+    # (3.4e-11 at tau0/tau1 = 0.036, k = 1.52 k_c, where mode_products is
+    # within 7e-16 of a 60-digit reference)
+    grid = spectral.roots_grid(medium, k)
+    far = (k >= 0.1 * medium.k_c) & grid.real_c_regime
     grid = spectral.roots_grid(medium, k[far])
     _, a1, _, _ = spectral.amplitudes_grid(medium, grid)
     np.testing.assert_allclose(mp.p1[far], a1 * grid.lambda1, rtol=1e-10, atol=0)

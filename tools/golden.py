@@ -9,7 +9,12 @@ compare with
 
     python3 tools/golden.py /tmp/a          # in checkout A
     python3 tools/golden.py /tmp/b          # in checkout B
-    diff -r /tmp/a /tmp/b
+    python3 tools/golden.py --compare /tmp/a /tmp/b
+
+``--compare A B`` prints the number of byte-identical files; for each CSV
+that differs, the max |B - A| of every column as a fraction of the column's
+max |A|; and for every other file that differs, the lines that changed.  It
+exits 0 when the trees are byte-identical and 1 otherwise.
 
 Each run's exit status goes to ``OUT_DIR/status.txt`` (exit 1, a failed
 check, is an output like any other: the nondimensional medium fails the
@@ -20,13 +25,17 @@ configuration or usage error.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
+import math
 import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
 
 from patrev.cli import main as patrev_main  # noqa: E402
 
@@ -54,8 +63,60 @@ RUNS = [
 ]
 
 
+def _read_csv(path: Path):
+    """(column names, 2-D float array) of a CSV written by ``write_csv``."""
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()
+             if not ln.startswith("#")]
+    values = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
+    return lines[0].split(","), values
+
+
+def _column_drift(a: Path, b: Path) -> list[str]:
+    names, va = _read_csv(a)
+    names_b, vb = _read_csv(b)
+    if names != names_b or va.shape != vb.shape:
+        return [f"  columns or rows differ: {names} {va.shape}, {names_b} {vb.shape}"]
+    out = []
+    for j, name in enumerate(names):
+        delta = np.where(va[:, j] == vb[:, j], 0.0, np.abs(vb[:, j] - va[:, j]))
+        scale = np.max(np.abs(va[:, j]), initial=0.0)
+        worst = np.max(delta, initial=0.0)
+        frac = worst / scale if scale > 0 else (0.0 if worst == 0 else math.inf)
+        out.append(f"  {name}: {frac:.3g}")
+    return out
+
+
+def compare(a_dir: Path, b_dir: Path) -> int:
+    """Print how tree B differs from tree A; 0 when byte-identical."""
+    files_a = {p.relative_to(a_dir) for p in a_dir.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b_dir) for p in b_dir.rglob("*") if p.is_file()}
+    common = sorted(files_a & files_b)
+    differ = [f for f in common
+              if (a_dir / f).read_bytes() != (b_dir / f).read_bytes()]
+    print(f"byte-identical: {len(common) - len(differ)} of "
+          f"{len(files_a | files_b)} files")
+    for f in sorted(files_a - files_b):
+        print(f"only in A: {f}")
+    for f in sorted(files_b - files_a):
+        print(f"only in B: {f}")
+    for f in differ:
+        print(f"{f}:")
+        if f.suffix == ".csv":
+            print("\n".join(_column_drift(a_dir / f, b_dir / f)))
+            continue
+        diff = list(difflib.unified_diff(
+            (a_dir / f).read_text(encoding="utf-8").splitlines(),
+            (b_dir / f).read_text(encoding="utf-8").splitlines(), n=0, lineterm=""))
+        for line in diff[2:]:               # after the ---/+++ file header
+            if not line.startswith("@@"):
+                print(f"  {line}")
+    return 0 if files_a == files_b and not differ else 1
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 64
