@@ -2,7 +2,7 @@
 
 Subcommands map onto the experiment runners:
 
-    roots        tabulate cubic roots + Cardano diagnostics over a k grid
+    roots        tabulate cubic roots, Delta0/Delta1/C and residuals over a k grid
     coeffs       tabulate amplitude coefficients and moment residuals
     kernels      tabulate the imaging kernel curves
     reconstruct  run the Gaussian reconstruction experiment
@@ -14,7 +14,8 @@ Configuration comes from a key=value file (see configs/water.cfg); any key
 can be overridden on the command line with --set key=value, and --k-max
 accepts the suffix "kc" for multiples of the derived critical wavenumber.
 Exit status: 0 all declared checks pass, 1 a check failed, 2 configuration
-error, 64 usage error.
+error or refused input (a medium without a finite wavefront speed, a phantom
+wider than the grid, three real roots on the imaging path), 64 usage error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ import numpy as np
 
 from . import experiments, spectral
 from .experiments import ConfigError, ExperimentConfig, Report, write_csv
+from .kernels import ComplexRegimeError
+from .medium import UnphysicalMediumError
+from .transform import PhantomSupportError
 
 __all__ = ["main"]
 
@@ -179,6 +183,9 @@ def main(argv=None) -> int:
         rep = _run(args.subcommand, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (UnphysicalMediumError, PhantomSupportError, ComplexRegimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _print_summary(rep)
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED

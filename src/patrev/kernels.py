@@ -23,19 +23,12 @@ small-wavenumber kernel eta0_hat = 2 sum_j (A_j l_j)^2 / (2 pi)^{d/2} with DC
 gain (2 pi)^{d/2} eta0_hat(0) = 2 (1 - tau1/tau0)^2 + 1 describes the image on
 the reconstruction region.
 
-The products p_j = A_j lambda_j come from the one real root and the moment
-relations, not from the closed-form A_j: lambda0 is Cardano's real root in
-real arithmetic (no complex cube root) polished by one Newton step, and the
-pair is deflated by Vieta (Kahan, "To solve a real cubic equation", 1986),
-
-    lambda1 lambda2 = mu^2 + theta^2 = c0^2 k^2 / (tau0 lambda0),
-    2 mu = (tau1/tau0 - 1) c0^2 k^2 lambda0 / (lambda0^2 + c0^2 k^2),
-
-the second being the root sum and the pair sum of products combined into a
-form without cancellation.  p0 and p1 then solve
-sum_j p_j lambda_j^{m-1} = a_m.  Every array is accurate to round-off down
-to k = 0, where mu = theta = 0, p0 = 1 - tau1/tau0 and p1 = -1/2 come out
-of the same formulas, with no substituted limit.  Where Delta1^2 < 4 Delta0^3
+The products p_j = A_j lambda_j come from the roots of
+``spectral.roots_grid`` (the real root lambda0 and the Vieta-deflated pair
+mu +- i theta) and the moment relations sum_j p_j lambda_j^{m-1} = a_m, not
+from the closed-form A_j.  Every array is accurate to round-off down to
+k = 0, where mu = theta = 0, p0 = 1 - tau1/tau0 and p1 = -1/2 come out of
+the same formulas, with no substituted limit.  Where Delta1^2 < 4 Delta0^3
 the cubic has three real roots and no pair, so the imaging path refuses.
 """
 
@@ -46,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .medium import Medium
 
 __all__ = [
@@ -114,10 +108,25 @@ class ModeProducts:
         return self.p1_re**2 + self.p1_im**2
 
     def multiplier(self, T: float) -> np.ndarray:
-        """zeta3-excluded image multiplier 2 sum_j p_j^2 + 4 |p1|^2 cos(2 theta T)."""
-        return self.eta0_multiplier() + 4.0 * self.abs_p1_sq() * np.cos(
-            2.0 * self.theta * T
-        )
+        """zeta3-excluded image multiplier 2 sum_j p_j^2 + 4 |p1|^2 cos(2 theta T).
+
+        Evaluated as 2 p0^2 + 8 (Re p1)^2 (1 - s^2) - 8 (Im p1 s)^2 with
+        s = sin(theta T): next to the three-real-root band Im p1 grows like
+        1/theta, and the cos(2 theta T) form cancels its square.
+        """
+        s = np.sin(self.theta * T)
+        b = self.p1_im * s
+        b *= b
+        s *= s
+        s -= 1.0
+        s *= self.p1_re
+        s *= self.p1_re
+        s += b                  # -(Re p1)^2 (1 - s^2) + (Im p1 s)^2
+        s *= 8.0
+        m = self.p0 * self.p0
+        m *= 2.0
+        m -= s
+        return m
 
 
 def mode_products(medium: Medium, k) -> ModeProducts:
@@ -126,51 +135,29 @@ def mode_products(medium: Medium, k) -> ModeProducts:
     Raises ComplexRegimeError where the cubic has three real roots: the real
     pair decomposition, and with it every imaging multiplier, is undefined there.
     """
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 0):
-        raise ValueError("wavenumbers must be non-negative")
-    t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
-    ck2 = c0 * c0 * k * k
-    d0 = 1.0 - 3.0 * t0 * t1 * ck2
-    d1 = 2.0 + 9.0 * t0 * (3.0 * t0 - t1) * ck2
-    disc = d1 * d1 - 4.0 * d0**3
-    bad = k[(disc < 0) | ((d0 == 0) & (d1 == 0))]
+    grid = spectral.roots_grid(medium, k)
+    bad = grid.k[~grid.real_c_regime | ((grid.delta0 == 0) & (grid.delta1 == 0))]
     if bad.size:
         raise ComplexRegimeError(
             f"three real roots at {bad.size} wavenumber(s), e.g. "
             f"k = {bad.flat[0]:.6g}; the real-valued kernel decomposition "
             "is undefined for this medium"
         )
-    if t0 == t1:
-        # dissipation-free: the cubic factors as (1 - tau1 l)(l^2 + c0^2 k^2)
-        zero = np.zeros_like(k)
-        return ModeProducts(k, np.full_like(k, 1.0 / t1), zero, c0 * k, zero,
-                            np.full_like(k, -0.5), zero)
-    # Cardano's real root with the real cube root; the sign of d1 keeps the
-    # sum free of cancellation, so C = 0 only at the refused triple root
-    big_c = np.cbrt(0.5 * (d1 + np.copysign(np.sqrt(disc), d1)))
-    lam0 = (1.0 + big_c + d0 / big_c) / (3.0 * t0)
-    # one Newton step on -t0 l^3 + l^2 - t1 ck2 l + ck2
-    f = ((1.0 - t0 * lam0) * lam0 - t1 * ck2) * lam0 + ck2
-    df = (2.0 - 3.0 * t0 * lam0) * lam0 - t1 * ck2
-    lam0 = lam0 - f / df
-    # deflation by Vieta: lambda1 lambda2 = ck2 / (t0 lambda0), and the root
-    # sum with the pair sum of products give mu in a form free of
-    # cancellation (1/t0 - lambda0 cancels at small k, the pair-sum form at
-    # large k); d = tau1/tau0 - 1 is formed from t1 - t0, which is exact
-    # for t0 >= t1/2
-    d = (t1 - t0) / t0
+    k, lam0, mu, theta = grid.k, grid.lambda0, grid.mu, grid.theta
+    del grid
+    # moment relations sum_j p_j lambda_j^{m-1} = a_m, m = 0, 1, 2, with
+    # a2 - 2 a1 mu = p0_zero lambda0^3 / g by the cubic; each ratio is
+    # exactly 1 at k = 0, so p0 = p0_zero = 1 - tau1/tau0 and re_p1 = -1/2
+    # there (and p0 = +0 without dissipation)
+    t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
+    p0_zero = (t0 - t1) / t0
+    ck2 = c0 * c0 * k * k
+    pair = ck2 / (t0 * lam0)            # lambda1 lambda2
     lam0_sq = lam0 * lam0
     g = lam0_sq + ck2
-    pair = ck2 / (t0 * lam0)
-    mu = 0.5 * d * ck2 * lam0 / g
-    theta = np.sqrt(pair - mu * mu)
-    # moment relations sum_j p_j lambda_j^{m-1} = a_m, m = 0, 1, 2, with
-    # a2 - 2 a1 mu = -d lambda0^3 / g by the cubic; each ratio is exactly 1
-    # at k = 0, so p0 = -d and re_p1 = -1/2 there
-    p0 = -d * (lam0_sq / g) * (lam0_sq / (lam0 * (lam0 - 2.0 * mu) + pair))
-    re_p1 = -0.5 - 0.5 * (d + p0)
-    im_p1 = np.divide(-(p0 * pair / (2.0 * lam0) + mu * re_p1), theta,
+    p0 = p0_zero * (lam0_sq / g) * (lam0_sq / (lam0 * (lam0 - 2.0 * mu) + pair))
+    re_p1 = -0.5 + 0.5 * (p0_zero - p0)
+    im_p1 = np.divide(-mu * re_p1 - p0 * pair / (2.0 * lam0), theta,
                       out=np.zeros_like(theta), where=theta > 0)
     return ModeProducts(k, lam0, mu, theta, p0, re_p1, im_p1)
 

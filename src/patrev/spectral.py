@@ -3,29 +3,32 @@
 Per wavenumber k the temporal behaviour of the pressure modes is governed by
 the cubic
 
-    -tau0 lambda^3 + lambda^2 - c0^2 tau1 k^2 lambda + c0^2 k^2 = 0,
+    -tau0 lambda^3 + lambda^2 - c0^2 tau1 k^2 lambda + c0^2 k^2 = 0.
 
-solved here in closed form (Cardano, principal complex branches) with the
-deterministic labelling
+``roots_grid`` is its one solver, in real arithmetic after Kahan ("To solve a
+real cubic equation", 1986): one accurate real root, then deflation.  With
+Delta0 = 1 - 3 c0^2 tau0 tau1 k^2, Delta1 = 2 + 9 c0^2 tau0 (3 tau0 - tau1) k^2
+and disc = Delta1^2 - 4 Delta0^3, lambda0 = (1 + C + Delta0/C) / (3 tau0) is
+Cardano's real root, C = cbrt((Delta1 + sign(Delta1) sqrt(disc)) / 2), where
+disc >= 0; where disc < 0 (three real roots) it is the u_0 root of the
+principal C = sqrt(Delta0) e^{i phi/3}, phi = atan2(sqrt(-disc), Delta1).  One
+Newton step polishes lambda0, and the pair lambda_{1,2} = mu +- i theta
+follows by Vieta:
 
-    lambda_j = (1 + u_j C + Delta0/(u_j C)) / (3 tau0),   u_0 = 1,
-    u_1 = (-1 + i sqrt3)/2,  u_2 = conj(u_1),
-    Delta0 = 1 - 3 c0^2 tau0 tau1 k^2,
-    Delta1 = 2 + 9 c0^2 tau0 (3 tau0 - tau1) k^2,
-    C = cbrt((Delta1 + sqrt(Delta1^2 - 4 Delta0^3)) / 2).
+    lambda1 lambda2 = mu^2 + theta^2 = c0^2 k^2 / (tau0 lambda0),
+    2 mu = (tau1/tau0 - 1) c0^2 k^2 lambda0 / (lambda0^2 + c0^2 k^2).
 
-lambda0 is always the u_0 root, and the conjugate-pair decomposition
-lambda_{1,2} = mu +- i theta is derived from (C, Delta0) directly, never by
-sorting numeric roots, so branches cannot swap along a k grid.  When
-C is real (water-like media) the arithmetic runs over the projected real C and
-lambda0, mu, theta come out with exactly zero imaginary part.
+Every root is accurate to round-off down to k = 0.  Where disc >= 0
+(``real_c_regime``: C is real) theta >= 0 and the pair is conjugate; where
+disc < 0 theta is purely imaginary and lambda_{1,2} = mu -+ |theta|.  The
+labels follow from lambda0 and the sign of theta, never from sorting numeric
+roots, so they cannot swap along a k grid.
 
 The mode weights A_j solve the moment system sum_j A_j lambda_j^m = a_m,
 m = 0, 1, 2, with a_0 = 0, a_1 = -tau1/tau0, a_2 = (1 - tau1/tau0)/tau0,
 either in closed form (``amplitudes``) or by a direct 3x3 linear solve
 (``solve_vandermonde``), which serve as mutual cross-checks.  For a conjugate
-root pair and real moment data, A0 is real and A2 = conj(A1); the pair is
-constructed that way in the real-C regime.
+root pair and real moment data, A0 is real and A2 = conj(A1).
 
 All functions are pure; grid evaluation is vectorized and deterministic.
 """
@@ -39,7 +42,6 @@ import numpy as np
 from .medium import Medium
 
 __all__ = [
-    "REAL_C_IM_TOL",
     "DEGENERATE_REL_TOL",
     "Amplitudes",
     "RootsGrid",
@@ -54,9 +56,6 @@ __all__ = [
     "scaled_residuals",
     "degenerate_mask",
 ]
-
-#: C counts as real when |Im C| <= REAL_C_IM_TOL * |C|
-REAL_C_IM_TOL = 1e-10
 
 #: roots count as degenerate when min pairwise |l_i - l_j| < tol * max |l_j|;
 #: below this the closed-form A_j lose ~8 digits, so ``amplitudes`` and
@@ -82,12 +81,13 @@ class Amplitudes:
 
 @dataclass(frozen=True)
 class RootsGrid:
-    """Vectorized root data over a k grid (complex arrays, fft-layout agnostic).
+    """Roots of the dispersion cubic over a k grid (fft-layout agnostic).
 
-    lambda1 = mu + i theta and lambda2 = mu - i theta by construction; in the
-    real-C regime mu and theta carry exactly zero imaginary part, making the
-    pair exact conjugates.  A 0-d k gives the roots at one wavenumber
-    (``cardano_roots``).
+    lambda0 and mu are real, and lambda_{1,2} = mu +- i theta.  Where
+    ``real_c_regime`` (disc >= 0) theta >= 0 and the pair is conjugate;
+    elsewhere theta (then a complex array) is purely imaginary, all three
+    roots are real, and big_c is the principal complex C.  A 0-d k gives the
+    roots at one wavenumber (``cardano_roots``).
     """
 
     k: np.ndarray
@@ -108,57 +108,67 @@ class RootsGrid:
         return self.mu - 1j * self.theta
 
 
-def _cardano_arrays(tau0: float, tau1: float, c0: float, k: np.ndarray):
-    k2 = k * k
-    d0 = 1.0 - 3.0 * c0 * c0 * tau0 * tau1 * k2
-    d1 = 2.0 + 9.0 * c0 * c0 * tau0 * (3.0 * tau0 - tau1) * k2
-    sq = np.sqrt((d1 * d1 - 4.0 * d0**3).astype(complex))
-    big_c = ((d1 + sq) / 2.0) ** (1.0 / 3.0)
-
-    # |C| = 0 only at d0 = 0 with d1 <= 0; the other Cardano branch is nonzero
-    # there unless d0 = d1 = 0 (exact triple root, handled below).
-    zero = big_c == 0
-    if np.any(zero):
-        alt = ((d1 - sq) / 2.0) ** (1.0 / 3.0)
-        big_c = np.where(zero, alt, big_c)
-        triple = big_c == 0
-        big_c = np.where(triple, 1.0, big_c)  # placeholder, roots patched below
-    else:
-        triple = None
-
-    regime = np.abs(big_c.imag) <= REAL_C_IM_TOL * np.abs(big_c)
-    # project onto the real axis in the real regime so that lambda0, mu, theta
-    # come out with exactly zero imaginary part
-    cproj = np.where(regime, big_c.real + 0j, big_c)
-    w = cproj + d0 / cproj
-    v = cproj - d0 / cproj
-    lam0 = (1.0 + w) / (3.0 * tau0)
-    mu = (2.0 - w) / (6.0 * tau0)
-    theta = np.sqrt(3.0) * v / (6.0 * tau0)
-    if triple is not None and np.any(triple):
-        lam0 = np.where(triple, 1.0 / (3.0 * tau0) + 0j, lam0)
-        mu = np.where(triple, 1.0 / (3.0 * tau0) + 0j, mu)
-        theta = np.where(triple, 0j, theta)
-    return lam0, mu, theta, d0, d1, big_c, regime
-
-
 def roots_grid(medium: Medium, k) -> RootsGrid:
-    """Cardano roots over an array of wavenumbers (k >= 0 elementwise)."""
+    """Roots of the dispersion cubic over a k grid (k >= 0), in real
+    arithmetic (see the module docstring).
+
+    At the exact triple root Delta0 = Delta1 = 0 (tau0/tau1 = 1/9 at one k)
+    C = 0 and the roots are NaN.
+    """
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ValueError("wavenumbers must be non-negative")
-    lam0, mu, theta, d0, d1, big_c, regime = _cardano_arrays(
-        medium.tau0, medium.tau1, medium.c0, k
-    )
+    t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
+    ck2 = c0 * c0 * k * k
+    d0 = 1.0 - 3.0 * t0 * t1 * ck2
+    d1 = 2.0 + 9.0 * t0 * (3.0 * t0 - t1) * ck2
+    # disc = d1^2 - 4 d0^3 expanded in ck2: both terms tend to 4 as k -> 0,
+    # and their difference 108 t0^2 ck2 would drown in their rounding
+    q1 = 3.0 * (3.0 * t0 - t1) ** 2 - 4.0 * t1 * t1
+    disc = 27.0 * t0 * t0 * ck2 * (4.0 + ck2 * (q1 + 4.0 * t0 * t1**3 * ck2))
+    regime = disc >= 0
+    # Cardano's real root with the real cube root; the sign of d1 keeps the
+    # sum free of cancellation, so C = 0 only at the triple root.  Entries
+    # with disc < 0 are NaN here and replaced below.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        big_c = np.cbrt(0.5 * (d1 + np.copysign(np.sqrt(disc), d1)))
+        lam0 = (1.0 + big_c + d0 / big_c) / (3.0 * t0)
+    if t0 == t1:
+        # dissipation-free: the cubic factors as (1 - tau1 l)(l^2 + c0^2 k^2)
+        return RootsGrid(k, np.full_like(k, 1.0 / t1), np.zeros_like(k), c0 * k,
+                         d0, d1, big_c, regime)
+    any_band = not np.all(regime)
+    if any_band:
+        # three real roots: the u_0 root of the principal C, for which
+        # |C|^2 = d0 and C + d0/C = 2 Re C
+        with np.errstate(invalid="ignore"):
+            c_band = np.sqrt(d0) * np.exp(1j / 3.0 * np.arctan2(np.sqrt(-disc), d1))
+        big_c = np.where(regime, big_c, c_band)
+        lam0 = np.where(regime, lam0, (1.0 + 2.0 * c_band.real) / (3.0 * t0))
+    del disc
+    # one Newton step on -t0 l^3 + l^2 - t1 ck2 l + ck2
+    f = ((1.0 - t0 * lam0) * lam0 - t1 * ck2) * lam0 + ck2
+    df = (2.0 - 3.0 * t0 * lam0) * lam0 - t1 * ck2
+    lam0 = lam0 - f / df
+    del f, df
+    # deflation by Vieta: lambda1 lambda2 = ck2 / (t0 lambda0), and the root
+    # sum with the pair sum of products give mu in a form free of
+    # cancellation (1/t0 - lambda0 cancels at small k, the pair-sum form at
+    # large k); d = tau1/tau0 - 1 is formed from t1 - t0, which is exact
+    # for t0 >= t1/2
+    d = (t1 - t0) / t0
+    mu = 0.5 * d * ck2 * lam0 / (lam0 * lam0 + ck2)
+    theta = np.sqrt(np.abs(ck2 / (t0 * lam0) - mu * mu))
+    if any_band:
+        theta = np.where(regime, theta, 1j * theta)     # theta^2 < 0 there
     return RootsGrid(k, lam0, mu, theta, d0, d1, big_c, regime)
 
 
 def cardano_roots(medium: Medium, k: float) -> RootsGrid:
     """``roots_grid`` at one wavenumber, as a 0-d RootsGrid.
 
-    Never fails for k >= 0; a complex intermediate C is reported through
-    ``real_c_regime = False`` (downstream imaging refuses such media, the
-    root data itself stays valid).
+    Where the cubic has three real roots ``real_c_regime`` is False
+    (downstream imaging refuses such media; the root data itself is valid).
     """
     return roots_grid(medium, float(k))
 
@@ -187,24 +197,14 @@ def amplitudes_grid(medium: Medium, grid: RootsGrid):
 
     Returns ``(a0, a1, a2, degenerate)``; entries flagged degenerate contain
     unusable values (the A_j curve tables substitute their k -> 0 limits
-    there; ``kernels.mode_products`` does not use the A_j).  In the real-C
-    regime A0 is projected to its exactly real value and A2 is constructed
-    as conj(A1), which the conjugate-pair structure makes exact; outside the
-    regime all three closed forms are evaluated directly.
+    there; ``kernels.mode_products`` does not use the A_j).  Where the pair
+    is conjugate (``real_c_regime``) A0 is projected to its exactly real
+    value and A2 is constructed as conj(A1).  Dissipation-free media need no
+    case of their own: mu = 0 exactly there, so A0 = 0 exactly.
     """
     _, m1, m2 = moment_targets(medium)
     l0, l1, l2 = grid.lambda0, grid.lambda1, grid.lambda2
     degen = degenerate_mask(l0, l1, l2)
-    if medium.tau0 == medium.tau1:
-        # dissipation-free (kappa1 = 0, or c0^2 rho kappa1 below double
-        # resolution): the cubic factors exactly, A0 = 0 and
-        # A1 = -1/(2 lambda1) = -A2; evaluating the generic closed forms
-        # would leave round-off dust in A0 that the exponentially large
-        # relaxation cross terms then amplify
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a1 = -0.5 / l1
-        a0 = np.zeros_like(a1)
-        return a0, a1, np.conj(a1), degen
     with np.errstate(divide="ignore", invalid="ignore"):
         a0 = (m2 - m1 * (l2 + l1)) / ((l2 - l0) * (l1 - l0))
         a1 = (m1 * (l2 + l0) - m2) / ((l1 - l0) * (l2 - l1))
@@ -274,8 +274,9 @@ def scaled_residuals(medium: Medium, grid: RootsGrid) -> np.ndarray:
                  (c0 * c0 * k2).astype(complex))
         residual = np.abs(terms[0] + terms[1] + terms[2] + terms[3])
         scale = np.maximum.reduce([np.abs(t) for t in terms])
-        # the zero root at k = 0 makes every term vanish identically
+        # the zero root at k = 0 makes every term vanish identically; a NaN
+        # root gives a NaN ratio
         ratio = np.divide(residual, scale, out=np.zeros_like(residual),
-                          where=scale > 0)
+                          where=scale != 0)
         worst = np.maximum(worst, ratio)
     return worst

@@ -70,6 +70,31 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["roots", "--set", "speed_kind=c_zero", "--set", "kappa1_m2_per_N=1e-5"],
+     "no finite wavefront speed"),
+    (["reconstruct", "--set", "phantom_D_m2=10"], "exceeds half the extent"),
+    (["report", "--set", "kappa1_m2_per_N=9e-9"], "three real roots"),
+], ids=["unphysical_medium", "phantom_support", "complex_regime"])
+def test_refused_input_exits_2(tmp_path, capsys, argv, message):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", ["k_spacing=log", "kappa1_m2_per_N=9e-9"])
+def test_roots_residual_check_passes(tmp_path, capsys, override):
+    # log spacing reaches down to 1e-5 kc, and tau0/tau1 = 0.047 crosses
+    # the three-real-root band; both failed the 1e-9 residual check when the
+    # roots came from a principal complex cube root
+    out = tmp_path / "out"
+    assert main(["roots", "--set", override, "--out", str(out)]) == 0
+    assert "max_cubic_residual_scaled.pass = true" in (
+        out / "report_roots.txt").read_text()
+
+
 def test_roots_subcommand(tmp_path, water_cfg_file, capsys):
     out = tmp_path / "out"
     code = main(["roots", "--config", str(water_cfg_file),

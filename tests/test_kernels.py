@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -250,12 +251,18 @@ def test_mode_products_refuse_triple_root():
     mp = mode_products(m, k * np.asarray([1.0 - 1e-6, 1.0 + 1e-6]))
     np.testing.assert_allclose(mp.lambda0, 1.0, rtol=2e-2)
     assert np.all(np.isfinite(mp.p0)) and np.all(mp.theta > 0)
+    # C = 0 there, so the root tables carry NaN and fail their residual check
+    grid = spectral.roots_grid(m, np.asarray([k]))
+    assert np.isnan(grid.lambda0[0]) and np.isnan(spectral.scaled_residuals(m, grid)[0])
 
 
 def _discriminant(medium, k):
-    """Delta1^2 - 4 Delta0^3 of the cubic; negative on the three-real-root band."""
-    grid = spectral.roots_grid(medium, k)
-    return grid.delta1 ** 2 - 4.0 * grid.delta0 ** 3
+    """Delta1^2 - 4 Delta0^3 of the cubic as defined, negative on the
+    three-real-root band; its two terms cancel as k -> 0."""
+    ck2 = (medium.c0 * np.asarray(k)) ** 2
+    d0 = 1.0 - 3.0 * medium.tau0 * medium.tau1 * ck2
+    d1 = 2.0 + 9.0 * medium.tau0 * (3.0 * medium.tau0 - medium.tau1) * ck2
+    return d1 * d1 - 4.0 * d0**3
 
 
 def _contract_residuals(medium, mp):
@@ -277,33 +284,77 @@ def _contract_residuals(medium, mp):
 
 
 def test_mode_products_refusals_equal_discriminant_set():
-    # Cardano's principal complex branch flags 580 points of this grid, 369
-    # of them outside the three-real-root band
     medium = nondimensional_medium(0.1)
     k = np.linspace(0.0, 10.0 * medium.k_c, 200001)
+    grid = spectral.roots_grid(medium, k)
     band = _discriminant(medium, k) < 0
     assert band.sum() == 211
+    np.testing.assert_array_equal(grid.real_c_regime, ~band)
     with pytest.raises(ComplexRegimeError, match="at 211 wavenumber"):
         mode_products(medium, k)
     mode_products(medium, k[~band])
-    branch = ~band & ~spectral.roots_grid(medium, k).real_c_regime
+    # a principal complex cube root of (Delta1 + sqrt(disc))/2 < 0 is not
+    # real: these 369 points next to the band were flagged complex and refused
+    # before the cube root was taken in real arithmetic
+    branch = ~band & (grid.delta1 < 0) & (grid.delta0 > 0)
     assert branch.sum() == 369
+    assert np.all(grid.big_c[branch].imag == 0) and np.all(grid.big_c[branch].real < 0)
     cubic, moment = _contract_residuals(medium, mode_products(medium, k[branch]))
     assert cubic <= 1e-13 and moment <= 1e-13
 
 
+def test_multiplier_next_to_band_edges_matches_mpmath():
+    # Im p1 grows like 1/theta towards the three-real-root band, so the
+    # cos(2 theta T) form of the multiplier cancels (Im p1)^2 there
+    mpmath = pytest.importorskip("mpmath")
+    medium = nondimensional_medium(0.1)
+    T = 6.0
+
+    def edge(out, inside):
+        # last double k outside the band, by bisection on the sign of disc
+        while (mid := 0.5 * (out + inside)) not in (out, inside):
+            if _discriminant(medium, mid) >= 0:
+                out = mid
+            else:
+                inside = mid
+        return out
+
+    lo, hi = edge(1.70, 1.78), edge(1.85, 1.78)
+    ks = np.asarray([lo * (1 - 1e-12), hi * (1 + 1e-12),
+                     lo * (1 - 1e-10), hi * (1 + 1e-10)])
+    got = mode_products(medium, ks).multiplier(T)
+
+    mpmath.mp.dps = 60
+    t0, t1 = mpmath.mpf(medium.tau0), mpmath.mpf(medium.tau1)
+    for k, m in zip(ks, got):
+        ck2 = (mpmath.mpf(medium.c0) * mpmath.mpf(k)) ** 2
+        roots = mpmath.polyroots([-t0, 1, -t1 * ck2, ck2], maxsteps=200,
+                                 extraprec=300)
+        lam1 = max(roots, key=mpmath.im)
+        lams = [min(roots, key=lambda z: abs(mpmath.im(z))).real, lam1,
+                mpmath.conj(lam1)]
+        amps = mpmath.lu_solve(
+            mpmath.matrix([[1, 1, 1], lams, [lam**2 for lam in lams]]),
+            mpmath.matrix([0, -t1 / t0, (1 - t1 / t0) / t0]))
+        p = [a * lam for a, lam in zip(amps, lams)]
+        ref = (2 * mpmath.re(sum(x * x for x in p))
+               + 4 * abs(p[1]) ** 2 * mpmath.cos(2 * mpmath.im(lam1) * T))
+        assert abs((m - ref) / ref) <= 1e-12
+
+
 # water plus 40 seeded ratios tau0/tau1 in [0.02, 1] and the two ends
 _RATIOS = (*np.random.default_rng(8).uniform(0.02, 1.0, 40), 0.02, 1.0)
-
-
-@pytest.mark.parametrize(
+_MEDIA = pytest.mark.parametrize(
     "medium", [WATER] + [nondimensional_medium(r) for r in _RATIOS],
     ids=["water"] + [f"{r:.4g}" for r in _RATIOS])
+_UNIT_K = np.concatenate([[0.0], np.logspace(-14, 3, 200),
+                          np.linspace(0.0, 10.0, 201)[1:]])
+
+
+@_MEDIA
 def test_mode_products_contracts_across_media(medium):
-    unit = np.concatenate([[0.0], np.logspace(-14, 3, 200),
-                           np.linspace(0.0, 10.0, 201)[1:]])
-    k = unit * medium.k_c
-    k = k[_discriminant(medium, k) >= 0]
+    k = _UNIT_K * medium.k_c
+    k = k[spectral.roots_grid(medium, k).real_c_regime]
     mp = mode_products(medium, k)
     for a in (mp.lambda0, mp.mu, mp.theta, mp.p0, mp.p1_re, mp.p1_im):
         assert np.all(np.isfinite(a))
@@ -314,15 +365,11 @@ def test_mode_products_contracts_across_media(medium):
     cubic, moment = _contract_residuals(medium, mp)
     assert cubic <= 1e-13 and moment <= 1e-13
 
-    # cross-check with the closed-form A_j on Cardano's roots where Cardano's
-    # branch is real; that route loses digits near the three-real-root band
-    # (3.4e-11 at tau0/tau1 = 0.036, k = 1.52 k_c, where mode_products is
-    # within 7e-16 of a 60-digit reference)
-    grid = spectral.roots_grid(medium, k)
-    far = (k >= 0.1 * medium.k_c) & grid.real_c_regime
-    grid = spectral.roots_grid(medium, k[far])
+    # cross-check with the closed-form A_j on the same roots at every k > 0
+    pos = k > 0
+    grid = spectral.roots_grid(medium, k[pos])
     _, a1, _, _ = spectral.amplitudes_grid(medium, grid)
-    np.testing.assert_allclose(mp.p1[far], a1 * grid.lambda1, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(mp.p1[pos], a1 * grid.lambda1, rtol=1e-10, atol=0)
 
     # k = 0 without a substituted limit; (tau0 - tau1)/tau0 is 1 - tau1/tau0
     # without the rounding of tau1/tau0
@@ -330,6 +377,45 @@ def test_mode_products_contracts_across_media(medium):
     assert mp.p0[0] == pytest.approx((medium.tau0 - medium.tau1) / medium.tau0,
                                      rel=1e-15, abs=1e-300)
     assert mp.p1[0] == pytest.approx(-0.5, rel=1e-15)
+
+
+def _exact_disc_nonnegative(medium, k):
+    """Delta1^2 - 4 Delta0^3 >= 0, in exact rational arithmetic on the
+    double inputs (the cubic's discriminant up to a negative factor)."""
+    t0, t1 = Fraction(medium.tau0), Fraction(medium.tau1)
+    out = []
+    for kk in k:
+        ck2 = (Fraction(medium.c0) * Fraction(float(kk))) ** 2
+        d0 = 1 - 3 * t0 * t1 * ck2
+        d1 = 2 + 9 * t0 * (3 * t0 - t1) * ck2
+        out.append(d1 * d1 - 4 * d0**3 >= 0)
+    return np.asarray(out)
+
+
+@_MEDIA
+def test_roots_grid_contracts_across_media(medium):
+    # the band disc < 0 sampled at up to 50 points of a 20001-point grid
+    dense = np.linspace(0.0, 10.0 * medium.k_c, 20001)
+    band = dense[~spectral.roots_grid(medium, dense).real_c_regime]
+    band = band[::max(1, band.size // 50)]
+    k = np.concatenate([_UNIT_K * medium.k_c, band])
+    grid = spectral.roots_grid(medium, k)
+    assert np.all(spectral.scaled_residuals(medium, grid) <= 1e-13)
+    regime = _exact_disc_nonnegative(medium, k)
+    np.testing.assert_array_equal(grid.real_c_regime, regime)
+    assert np.all(grid.theta[regime].imag == 0) and np.all(grid.theta.real >= 0)
+
+    # on the band: real lambda0 > mu + |theta| > mu - |theta|, the companion
+    # matrix roots in descending order
+    inside = ~regime
+    assert np.all(grid.theta[inside].real == 0) and np.all(grid.theta[inside].imag > 0)
+    mu, theta = grid.mu[inside].real, grid.theta[inside].imag
+    got = np.stack([grid.lambda0[inside].real, mu + theta, mu - theta], axis=1)
+    assert np.all(grid.lambda0[inside].imag == 0) and np.all(grid.mu[inside].imag == 0)
+    ref = np.asarray([
+        np.sort(np.roots([-medium.tau0, 1.0, -medium.tau1 * ck2, ck2]).real)[::-1]
+        for ck2 in (medium.c0 * k[inside]) ** 2]).reshape(-1, 3)
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 def test_kernel_table_columns():

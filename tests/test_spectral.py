@@ -87,15 +87,25 @@ def test_real_c_regime_has_exactly_real_parts():
 @pytest.mark.parametrize("medium,k", [
     (WATER, 0.3 * KC),
     (WATER, 10 * KC),
-    (nondimensional_medium(0.1), 1.8),  # complex-C point
+    # Delta1 < 0: C is the real cube root, where the principal complex one
+    # made the u_0 root complex
+    (nondimensional_medium(0.1), 1.8),
+    (nondimensional_medium(0.1), 1.78),  # three real roots, principal C
 ])
 def test_pair_decomposition_matches_u_root_formulas(medium, k):
     r = cardano_roots(medium, k)
     u1 = (-1.0 + 1j * np.sqrt(3.0)) / 2.0
-    u2 = np.conj(u1)
-    for u, lam in ((1.0, r.lambda0), (u1, r.lambda1), (u2, r.lambda2)):
-        direct = (1.0 + u * r.big_c + r.delta0 / (u * r.big_c)) / (3 * medium.tau0)
-        assert lam == pytest.approx(direct, rel=1e-10)
+    direct = [(1.0 + u * r.big_c + r.delta0 / (u * r.big_c)) / (3 * medium.tau0)
+              for u in (1.0, u1, np.conj(u1))]
+    assert r.lambda0 == pytest.approx(direct[0], rel=1e-10)
+    assert r.lambda0.imag == 0.0
+    # the pair is labelled by theta (lambda1 = mu + i theta, theta >= 0 or
+    # purely imaginary with positive imaginary part), not by u_1, u_2
+    assert r.theta.real >= 0.0 and r.theta.imag >= 0.0
+    if abs(r.lambda1 - direct[1]) > abs(r.lambda1 - direct[2]):
+        direct[1:] = direct[2], direct[1]
+    assert r.lambda1 == pytest.approx(direct[1], rel=1e-10)
+    assert r.lambda2 == pytest.approx(direct[2], rel=1e-10)
 
 
 def test_vieta_identities():

@@ -56,6 +56,12 @@ RUNS = [
     ("nondim_report", ["report", "--config", NONDIM]),
     ("nondim_roots", ["roots", "--config", NONDIM]),
     ("nondim_coeffs", ["coeffs", "--config", NONDIM]),
+    # tau0/tau1 = 0.047: the k grid crosses the three-real-root band (53
+    # points) and the Delta1 < 0 points next to it
+    ("water_kappa9e-9_roots", ["roots", "--config", WATER,
+                               "--set", "kappa1_m2_per_N=9e-9"]),
+    ("water_kappa9e-9_coeffs", ["coeffs", "--config", WATER,
+                                "--set", "kappa1_m2_per_N=9e-9"]),
     ("water_reconstruct_2d", ["reconstruct", "--config", WATER, "--set", "grid_dim=2",
                               "--set", "grid_n=256", "--set", "phantom_D_m2=0.03125"]),
     ("water_reconstruct_3d", ["reconstruct", "--config", WATER, "--set", "grid_dim=3",
