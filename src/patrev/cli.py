@@ -155,14 +155,10 @@ def _cmd_coeffs(cfg: ExperimentConfig) -> Report:
     return rep
 
 
-def _cmd_kernels(cfg: ExperimentConfig) -> Report:
-    return experiments.run_kernel_tables(cfg)
-
-
 _DISPATCH = {
     "roots": _cmd_roots,
     "coeffs": _cmd_coeffs,
-    "kernels": _cmd_kernels,
+    "kernels": experiments.run_kernel_tables,
     "reconstruct": experiments.run_reconstruction,
     "sweep-kappa": experiments.run_kappa_sweep,
     "resolution": experiments.run_resolution_study,

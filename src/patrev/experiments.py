@@ -90,39 +90,24 @@ class Report:
         return all(e.passed is not False for e in self.entries)
 
     def record(self, name: str, value: float, provenance: str = "derived") -> ReportEntry:
-        entry = ReportEntry(name=name, value=float(value), provenance=provenance)
-        self.entries.append(entry)
-        return entry
+        return self._append(ReportEntry(name, float(value), provenance))
 
     def check(self, name: str, value: float, target: float, tolerance: float,
               provenance: str = "derived") -> ReportEntry:
         """Record a scalar with a relative tolerance against its target."""
         scale = abs(target) if target != 0 else 1.0
         deviation = abs(value - target) / scale
-        entry = ReportEntry(
-            name=name,
-            value=float(value),
-            provenance=provenance,
-            target=float(target),
-            tolerance=float(tolerance),
-            deviation=float(deviation),
-            passed=bool(deviation <= tolerance),
-        )
-        self.entries.append(entry)
-        return entry
+        return self._append(ReportEntry(name, float(value), provenance, float(target),
+                                        float(tolerance), float(deviation),
+                                        bool(deviation <= tolerance)))
 
     def check_below(self, name: str, value: float, bound: float,
                     provenance: str = "derived") -> ReportEntry:
         """Record a scalar that must not exceed an absolute bound."""
-        entry = ReportEntry(
-            name=name,
-            value=float(value),
-            provenance=provenance,
-            target=0.0,
-            tolerance=float(bound),
-            deviation=float(value),
-            passed=bool(value <= bound),
-        )
+        return self._append(ReportEntry(name, float(value), provenance, 0.0, float(bound),
+                                        float(value), bool(value <= bound)))
+
+    def _append(self, entry: ReportEntry) -> ReportEntry:
         self.entries.append(entry)
         return entry
 
@@ -375,11 +360,13 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # every table is built before any is written: a refusal leaves none
+    tables = []
     for mult, tag in ((10.0, "10kc"), (100.0, "100kc")):
         ks = np.linspace(0.0, mult * medium.k_c, cfg.k_num)
         grid, (a0k, a1k, a2k, degen) = _amplitude_curve_columns(medium, ks)
         residual = spectral.scaled_residuals(medium, grid)
-        rep.csv_paths.append(write_csv(
+        tables.append((
             out / f"roots_{tag}.csv",
             [f"roots over [0, {mult:g} kc], kc = {medium.k_c:.17g}"],
             ["k", "re_lambda0", "im_lambda0", "re_mu", "im_mu", "re_theta",
@@ -390,7 +377,7 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
              grid.delta1, grid.big_c.real, grid.big_c.imag,
              grid.real_c_regime.astype(int), residual],
         ))
-        rep.csv_paths.append(write_csv(
+        tables.append((
             out / f"amplitudes_{tag}.csv",
             [f"amplitude curves over [0, {mult:g} kc]"],
             ["k", "re_a0_k", "im_a0_k", "re_a1_k", "im_a1_k", "re_a2_k",
@@ -400,7 +387,7 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
              np.abs(a2k), degen.astype(int)],
         ))
         table = kernels.kernel_table(medium, ks, T, d=3)
-        rep.csv_paths.append(write_csv(
+        tables.append((
             out / f"kernels_{tag}.csv",
             [f"kernel curves over [0, {mult:g} kc], T = {T:.17g}"],
             list(table.keys()),
@@ -438,6 +425,7 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
     )
     theta_over_k = grid.theta.real / ks
     rep.record("theta_over_k_plateau_m_per_s", float(theta_over_k[-1]))
+    rep.csv_paths += [write_csv(*spec) for spec in tables]
     return rep
 
 
@@ -538,10 +526,7 @@ def run_kappa_sweep(cfg: ExperimentConfig) -> Report:
         rep.record(f"err_linf_j{j}", errs_linf[j])
     strict = all(errs_linf[j + 1] < errs_linf[j] for j in range(5))
     rep.check_below("final_err_linf", errs_linf[-1], SWEEP_FINAL_TOL)
-    rep.entries.append(ReportEntry(
-        name="strictly_decreasing", value=float(strict), provenance="derived",
-        target=1.0, tolerance=0.0, deviation=0.0 if strict else 1.0, passed=strict,
-    ))
+    rep.check("strictly_decreasing", float(strict), 1.0, 0.0)
     rep.csv_paths.append(write_csv(
         out / "kappa_sweep.csv",
         ["image error vs phantom for halving kappa1"],

@@ -48,6 +48,7 @@ __all__ = [
     "ComplexRegimeError",
     "ScaleOverflowError",
     "mode_products",
+    "regime_refusal",
     "zeta_arrays",
     "multiplier_grid",
     "eta0_hat",
@@ -136,23 +137,16 @@ def mode_products(medium: Medium, k) -> ModeProducts:
     pair decomposition, and with it every imaging multiplier, is undefined there.
     """
     grid = spectral.roots_grid(medium, k)
-    bad = grid.k[~grid.real_c_regime | ((grid.delta0 == 0) & (grid.delta1 == 0))]
-    if bad.size:
-        raise ComplexRegimeError(
-            f"three real roots at {bad.size} wavenumber(s), e.g. "
-            f"k = {bad.flat[0]:.6g}; the real-valued kernel decomposition "
-            "is undefined for this medium"
-        )
+    if (refusal := regime_refusal(grid)) is not None:
+        raise refusal
     k, lam0, mu, theta = grid.k, grid.lambda0, grid.mu, grid.theta
+    ck2, pair = grid.ck2, grid.pair     # pair = lambda1 lambda2
     del grid
     # moment relations sum_j p_j lambda_j^{m-1} = a_m, m = 0, 1, 2, with
     # a2 - 2 a1 mu = p0_zero lambda0^3 / g by the cubic; each ratio is
     # exactly 1 at k = 0, so p0 = p0_zero = 1 - tau1/tau0 and re_p1 = -1/2
     # there (and p0 = +0 without dissipation)
-    t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
-    p0_zero = (t0 - t1) / t0
-    ck2 = c0 * c0 * k * k
-    pair = ck2 / (t0 * lam0)            # lambda1 lambda2
+    p0_zero = (medium.tau0 - medium.tau1) / medium.tau0
     lam0_sq = lam0 * lam0
     g = lam0_sq + ck2
     p0 = p0_zero * (lam0_sq / g) * (lam0_sq / (lam0 * (lam0 - 2.0 * mu) + pair))
@@ -160,6 +154,17 @@ def mode_products(medium: Medium, k) -> ModeProducts:
     im_p1 = np.divide(-mu * re_p1 - p0 * pair / (2.0 * lam0), theta,
                       out=np.zeros_like(theta), where=theta > 0)
     return ModeProducts(k, lam0, mu, theta, p0, re_p1, im_p1)
+
+
+def regime_refusal(grid: spectral.RootsGrid) -> ComplexRegimeError | None:
+    """The refusal of ``mode_products`` on a roots grid, counting every k with
+    three real roots (or the triple root), or None when it serves them all."""
+    bad = grid.k[~grid.real_c_regime | ((grid.delta0 == 0) & (grid.delta1 == 0))]
+    return ComplexRegimeError(
+        f"three real roots at {bad.size} wavenumber(s), e.g. "
+        f"k = {bad.flat[0]:.6g}; the real-valued kernel decomposition "
+        "is undefined for this medium"
+    ) if bad.size else None
 
 
 def _norm(d: int) -> float:

@@ -86,8 +86,9 @@ class RootsGrid:
     lambda0 and mu are real, and lambda_{1,2} = mu +- i theta.  Where
     ``real_c_regime`` (disc >= 0) theta >= 0 and the pair is conjugate;
     elsewhere theta (then a complex array) is purely imaginary, all three
-    roots are real, and big_c is the principal complex C.  A 0-d k gives the
-    roots at one wavenumber (``cardano_roots``).
+    roots are real, and big_c is the principal complex C.  ck2 = c0^2 k^2 and
+    pair = lambda1 lambda2 = ck2 / (tau0 lambda0) feed ``mode_products``.  A
+    0-d k gives the roots at one wavenumber (``cardano_roots``).
     """
 
     k: np.ndarray
@@ -98,6 +99,8 @@ class RootsGrid:
     delta1: np.ndarray
     big_c: np.ndarray
     real_c_regime: np.ndarray  # bool
+    ck2: np.ndarray
+    pair: np.ndarray
 
     @property
     def lambda1(self) -> np.ndarray:
@@ -135,8 +138,9 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
         lam0 = (1.0 + big_c + d0 / big_c) / (3.0 * t0)
     if t0 == t1:
         # dissipation-free: the cubic factors as (1 - tau1 l)(l^2 + c0^2 k^2)
-        return RootsGrid(k, np.full_like(k, 1.0 / t1), np.zeros_like(k), c0 * k,
-                         d0, d1, big_c, regime)
+        lam0 = np.full_like(k, 1.0 / t1)
+        return RootsGrid(k, lam0, np.zeros_like(k), c0 * k, d0, d1, big_c, regime,
+                         ck2, ck2 / (t0 * lam0))
     any_band = not np.all(regime)
     if any_band:
         # three real roots: the u_0 root of the principal C, for which
@@ -158,10 +162,11 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
     # for t0 >= t1/2
     d = (t1 - t0) / t0
     mu = 0.5 * d * ck2 * lam0 / (lam0 * lam0 + ck2)
-    theta = np.sqrt(np.abs(ck2 / (t0 * lam0) - mu * mu))
+    pair = ck2 / (t0 * lam0)
+    theta = np.sqrt(np.abs(pair - mu * mu))
     if any_band:
         theta = np.where(regime, theta, 1j * theta)     # theta^2 < 0 there
-    return RootsGrid(k, lam0, mu, theta, d0, d1, big_c, regime)
+    return RootsGrid(k, lam0, mu, theta, d0, d1, big_c, regime, ck2, pair)
 
 
 def cardano_roots(medium: Medium, k: float) -> RootsGrid:

@@ -13,9 +13,15 @@ real-FFT half spectrum (layout of ``np.fft.rfftn``: shape
 (n,)*(d-1) + (n//2+1,), FFT order on every axis, non-negative frequencies
 only on the last) together with an integer index per half-spectrum point;
 ``apply_multiplier``, ``forward_pressure`` and ``time_reversal_image``
-evaluate on that 1-D table, gather with the index and run one rfftn/irfftn
-round trip.  A multiplier callable hence receives the 1-D table of distinct
-|k|, not a grid-shaped array, and must be elementwise in k.
+evaluate on that 1-D table, gather with the index (not in 1-D, where it is
+the identity) and run one rfftn/irfftn round trip.  They evaluate it in
+blocks of 8192 |k| written into one table, so the ~20 temporaries of a root
+solve and its mode products (64 KB each) stay in a 2 MB L2 cache instead of
+streaming through memory: on a Xeon with 2 MB L2 per core the water table
+of 2^20 points (524289 |k|) took 35 ms in blocks of 8192 against 72 ms in
+one call, 40 ms in blocks of 4096 and 36-39 ms in blocks of 16384-65536.  A
+multiplier callable hence receives slices of the 1-D table of distinct |k|,
+not a grid-shaped array, and must be elementwise in k.
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -34,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .medium import Medium
-from . import kernels
+from . import kernels, spectral
 
 __all__ = [
     "GridSpec",
@@ -131,9 +137,9 @@ class GridSpec:
         """
         n, d = self.n_per_axis, self.dim
         half = n // 2 + 1
+        if d == 1:      # bit for bit |_k_axis()[:half]|, without the full axis
+            return 2.0 * math.pi * (np.arange(half) * (1.0 / (n * self.spacing))), np.arange(half)
         kax = self._k_axis()
-        if d == 1:
-            return np.abs(kax[:half]), np.arange(half)
         m = (np.arange(n) + n // 2) % n - n // 2
         q = _outer_sum([m * m] * (d - 1) + [np.arange(half) ** 2])
         occupied = np.zeros(d * (n // 2) ** 2 + 1, dtype=bool)
@@ -195,21 +201,51 @@ def gaussian_phantom(grid: GridSpec, D: float) -> Field:
             f"6 sigma = {6 * sigma:.6g} m exceeds half the extent "
             f"({grid.extent / 2:.6g} m)"
         )
-    r = grid.radius()
-    samples = (4.0 * math.pi * D) ** (-grid.dim / 2.0) * np.exp(-(r * r) / (4.0 * D))
-    return Field(grid, samples, label=f"gaussian D={D:.6g}")
+    r = grid.radius()      # in place: -(r^2) / (4 D) = r^2 / (-4 D) exactly
+    r *= r
+    r /= -4.0 * D
+    np.exp(r, out=r)
+    r *= (4.0 * math.pi * D) ** (-grid.dim / 2.0)
+    return Field(grid, r, label=f"gaussian D={D:.6g}")
+
+
+#: |k| per block of multiplier evaluation; see the module docstring
+_BLOCK = 8192
+
+
+def _radial_multiplier(grid: GridSpec, evaluate: Callable[[np.ndarray], np.ndarray],
+                       medium: Medium | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Finite real ``evaluate(k)`` on ``grid.radial_table()`` in _BLOCK
+    slices, and the table's index.  A ComplexRegimeError of one block
+    (``mode_products`` of ``medium``) is reworded to count every refused |k|
+    of the table; the rest is solved without raising, so it stays one refusal.
+    """
+    k_table, index = grid.radial_table()
+    mult = np.empty_like(k_table)
+    for start in range(0, k_table.size, _BLOCK):
+        block = mult[start:start + _BLOCK]
+        try:
+            block[...] = evaluate(k_table[start:start + _BLOCK])
+        except kernels.ComplexRegimeError as exc:
+            if medium is not None:
+                exc.args = kernels.regime_refusal(
+                    spectral.roots_grid(medium, k_table[start:])).args
+            raise
+        if not np.all(np.isfinite(block)):
+            raise ValueError("multiplier produced non-finite values on the grid")
+    return mult, index
 
 
 def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray, label: str) -> Field:
     """F^{-1}{mult[index] F{fld}} by one real-FFT round trip.
 
-    ``mult`` holds real multiplier values on ``fld.grid.radial_table()`` and
-    ``index`` is that table's half-spectrum index.  The inverse is
-    ``np.fft.irfftn`` written out so that each complex-axis pass frees its
-    input: two half spectra are alive at a time instead of three.
+    ``mult`` and ``index`` come from ``_radial_multiplier``; the 1-D index is
+    the identity and is not gathered.  The inverse is ``np.fft.irfftn``
+    written out so that each complex-axis pass frees its input: two half
+    spectra are alive at a time instead of three.
     """
     spec = np.fft.rfftn(fld.samples)
-    spec *= mult[index]
+    spec *= mult if fld.grid.dim == 1 else mult[index]
     for axis in range(fld.grid.dim - 1):
         spec = np.fft.ifft(spec, axis=axis)
     out = np.fft.irfft(spec, n=fld.grid.n_per_axis, axis=-1)
@@ -219,17 +255,14 @@ def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray, label: str) -
 def apply_multiplier(field: Field, multiplier: Callable[[np.ndarray], np.ndarray]) -> Field:
     """Apply a radial spectral multiplier: F^{-1}{ multiplier(|k|) F{field} }.
 
-    The multiplier callable receives the 1-D array of distinct |k| of the
-    grid (``GridSpec.radial_table``), not a grid-shaped array, so it must be
-    elementwise in k; it must return finite real values on it.  The result
+    The multiplier callable receives consecutive slices of the 1-D array of
+    distinct |k| of the grid (``GridSpec.radial_table``), not a grid-shaped
+    array, so it must be elementwise in k; it must return finite real values
+    (or a scalar) on each.  The result
     is gathered onto the real-FFT half spectrum, so the output is real by
     construction.
     """
-    k_table, index = field.grid.radial_table()
-    mvals = np.broadcast_to(np.asarray(multiplier(k_table), dtype=float), k_table.shape)
-    if not np.all(np.isfinite(mvals)):
-        raise ValueError("multiplier produced non-finite values on the grid")
-    return _apply_radial(field, mvals, index, field.label)
+    return _apply_radial(field, *_radial_multiplier(field.grid, multiplier), field.label)
 
 
 def propdelta_check(field: Field, medium: Medium, T: float,
@@ -294,25 +327,9 @@ def forward_pressure(medium: Medium, phantom: Field, t: float) -> Field:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    k_table, index = phantom.grid.radial_table()
-    mult = -_mode_sum(_checked_products(medium, k_table), t)
+    mult, index = _radial_multiplier(
+        phantom.grid, lambda kk: -_mode_sum(_checked_products(medium, kk), t), medium)
     return _apply_radial(phantom, mult, index, "forward pressure")
-
-
-def _time_reversal_table(medium: Medium, k_table: np.ndarray, T: float,
-                         include_zeta3: bool) -> np.ndarray:
-    """Real time-reversal multiplier on a table of |k|; see time_reversal_image."""
-    mp = _checked_products(medium, k_table)
-    if not include_zeta3:
-        return mp.multiplier(T)
-    max_rate = max(float(np.max(mp.lambda0)), float(np.max(mp.mu)))
-    if max_rate * T > kernels.EXP_REAL_LIMIT:
-        raise kernels.ScaleOverflowError(
-            f"exp(Re lambda T) with Re lambda T = {max_rate * T:.3g} is not "
-            "representable; the exact reversed pipeline is only computable "
-            "at nondimensional scale (use include_zeta3=False)"
-        )
-    return 2.0 * _mode_sum(mp, T) * _mode_sum(mp, -T)
 
 
 def time_reversal_image(medium: Medium, phantom: Field, T: float,
@@ -336,7 +353,22 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    k_table, index = phantom.grid.radial_table()
-    mult = _time_reversal_table(medium, k_table, T, include_zeta3)
-    return _apply_radial(phantom, mult, index, "time reversal image")
+    rates = []      # Re lambda T per block, for the zeta3 overflow refusal
 
+    def table(kk):
+        mp = _checked_products(medium, kk)
+        if not include_zeta3:
+            return mp.multiplier(T)
+        rates.append(max(float(np.max(mp.lambda0)), float(np.max(mp.mu))) * T)
+        if max(rates) > kernels.EXP_REAL_LIMIT:
+            return 0.0      # refused below, naming the largest rate of the table
+        return 2.0 * _mode_sum(mp, T) * _mode_sum(mp, -T)
+
+    mult, index = _radial_multiplier(phantom.grid, table, medium)
+    if max(rates, default=0.0) > kernels.EXP_REAL_LIMIT:
+        raise kernels.ScaleOverflowError(
+            f"exp(Re lambda T) with Re lambda T = {max(rates):.3g} is not "
+            "representable; the exact reversed pipeline is only computable "
+            "at nondimensional scale (use include_zeta3=False)"
+        )
+    return _apply_radial(phantom, mult, index, "time reversal image")

@@ -84,6 +84,14 @@ def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     assert "Traceback" not in err
 
 
+def test_refused_report_leaves_no_tables(tmp_path, capsys):
+    # tau0/tau1 = 0.047 refuses in the kernel tables, after the roots and
+    # amplitudes of the same k grid are computed
+    out = tmp_path / "out"
+    assert main(["report", "--set", "kappa1_m2_per_N=9e-9", "--out", str(out)]) == 2
+    assert sorted(out.glob("roots_*")) + sorted(out.glob("amplitudes_*")) == []
+
+
 @pytest.mark.parametrize("override", ["k_spacing=log", "kappa1_m2_per_N=9e-9"])
 def test_roots_residual_check_passes(tmp_path, capsys, override):
     # log spacing reaches down to 1e-5 kc, and tau0/tau1 = 0.047 crosses

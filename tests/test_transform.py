@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from patrev.medium import RawParams, derive_medium, nondimensional_medium, water_params
-from patrev import kernels
+from patrev import kernels, spectral, transform
 from patrev.transform import (
     Field,
     GridSpec,
@@ -54,6 +54,14 @@ def test_gaussian_phantom_2d_normalization():
     g = GridSpec(dim=2, n_per_axis=256, extent=40.0)
     phi = gaussian_phantom(g, 1.0)
     assert phi.integral() == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(dim=1, n_per_axis=4096, extent=40.0),
+                                  GridSpec(dim=3, n_per_axis=32, extent=40.0)])
+def test_gaussian_phantom_is_the_closed_form_bit_for_bit(grid):
+    r = grid.radius()
+    ref = (4.0 * math.pi * 1.5) ** (-grid.dim / 2.0) * np.exp(-(r * r) / (4.0 * 1.5))
+    assert np.array_equal(gaussian_phantom(grid, 1.5).samples, ref)
 
 
 def test_gaussian_support_check():
@@ -414,3 +422,96 @@ def test_complex_regime_rejected():
     with pytest.raises(kernels.ComplexRegimeError):
         time_reversal_image(nondimensional_medium(0.02), phi, T_DESK)
 
+
+
+# -- blocked multiplier evaluation ---------------------------------------------
+
+# 2^15 points: the radial table has 16385 |k|, two full blocks and a last
+# block of one point (the Nyquist wavenumber)
+RAGGED = GridSpec(dim=1, n_per_axis=1 << 15, extent=29000.0)
+# nondimensional_medium(0.1) has three real roots for k in about
+# [1.7678, 1.7889]; on RAGGED they sit at table entries 8160-8256, across the
+# first block boundary
+BAND_MEDIUM = nondimensional_medium(0.1)
+
+
+def _single_call(phi, mult):
+    """Reference: the 1-D real-FFT round trip with the multiplier evaluated
+    on the whole radial table in one call."""
+    k_table, _ = phi.grid.radial_table()
+    spec = np.fft.rfft(phi.samples)
+    spec *= mult(k_table)
+    return np.fft.irfft(spec, n=phi.grid.n_per_axis)
+
+
+def test_ragged_grid_has_a_partial_last_block():
+    k_table, _ = RAGGED.radial_table()
+    assert k_table.size > 2 * transform._BLOCK
+    assert k_table.size % transform._BLOCK == 1
+
+
+def test_blocked_operators_equal_single_call_round_trip():
+    phi = gaussian_phantom(RAGGED, 4.0)
+    t = 30.0
+
+    def forward(k):
+        return -transform._mode_sum(kernels.mode_products(NONDIM, k), t)
+
+    def image(k):
+        return kernels.mode_products(NONDIM, k).multiplier(t)
+
+    def pipeline(k):
+        mp = kernels.mode_products(NONDIM, k)
+        return 2.0 * transform._mode_sum(mp, t) * transform._mode_sum(mp, -t)
+
+    def sine(k):
+        return np.sin(NONDIM.c0 * k * t) ** 2
+
+    assert np.array_equal(forward_pressure(NONDIM, phi, t).samples, _single_call(phi, forward))
+    assert np.array_equal(time_reversal_image(NONDIM, phi, t).samples,
+                          _single_call(phi, image))
+    assert np.array_equal(time_reversal_image(NONDIM, phi, t, include_zeta3=True).samples,
+                          _single_call(phi, pipeline))
+    assert np.array_equal(apply_multiplier(phi, sine).samples, _single_call(phi, sine))
+
+
+def test_blocked_scalar_multiplier_broadcasts():
+    phi = gaussian_phantom(RAGGED, 4.0)
+    out = apply_multiplier(phi, lambda k: 0.5)
+    assert np.array_equal(out.samples, _single_call(phi, lambda k: 0.5))
+
+
+def test_non_finite_value_in_last_block_is_refused():
+    phi = gaussian_phantom(RAGGED, 4.0)
+    k_last = RAGGED.radial_table()[0][-1]
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_multiplier(phi, lambda k: np.where(k == k_last, np.nan, 1.0))
+
+
+def test_blocked_refusal_counts_the_whole_table():
+    k_table, _ = RAGGED.radial_table()
+    refused = ~spectral.roots_grid(BAND_MEDIUM, k_table).real_c_regime
+    block = transform._BLOCK
+    assert refused[:block].any() and refused[block:].any()
+    with pytest.raises(kernels.ComplexRegimeError) as whole:
+        kernels.mode_products(BAND_MEDIUM, k_table)
+    assert f"at {np.count_nonzero(refused)} wavenumber(s)" in str(whole.value)
+    phi = gaussian_phantom(RAGGED, 4.0)
+    for operator in (forward_pressure, time_reversal_image):
+        with pytest.raises(kernels.ComplexRegimeError) as refusal:
+            operator(BAND_MEDIUM, phi, 2.0)
+        assert str(refusal.value) == str(whole.value)
+
+
+def test_blocked_zeta3_overflow_names_the_whole_table():
+    phi = gaussian_phantom(RAGGED, 4.0)
+    k_table, _ = RAGGED.radial_table()
+    mp = kernels.mode_products(WATER, k_table)
+    rate = max(float(np.max(mp.lambda0)), float(np.max(mp.mu))) * T_WATER
+    with pytest.raises(kernels.ScaleOverflowError) as refusal:
+        time_reversal_image(WATER, phi, T_WATER, include_zeta3=True)
+    assert str(refusal.value) == (
+        f"exp(Re lambda T) with Re lambda T = {rate:.3g} is not "
+        "representable; the exact reversed pipeline is only computable "
+        "at nondimensional scale (use include_zeta3=False)"
+    )
