@@ -25,10 +25,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import experiments, spectral
-from .experiments import ConfigError, ExperimentConfig, Report, write_csv
+from . import experiments
+from .experiments import ConfigError, ExperimentConfig, Report
 from .kernels import ComplexRegimeError
 from .medium import UnphysicalMediumError
 from .transform import PhantomSupportError
@@ -96,68 +94,9 @@ def _water_mapping() -> dict[str, str]:
     }
 
 
-def _cmd_roots(cfg: ExperimentConfig) -> Report:
-    medium = cfg.medium()
-    ks = cfg.k_grid(medium)
-    grid = spectral.roots_grid(medium, ks)
-    residual = spectral.scaled_residuals(medium, grid)
-    rep = Report("roots")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rep.csv_paths.append(write_csv(
-        out / "roots.csv",
-        [f"dispersion cubic roots, kc = {medium.k_c:.17g}"],
-        ["k", "re_lambda0", "im_lambda0", "re_mu", "im_mu", "re_theta", "im_theta",
-         "delta0", "delta1", "re_C", "im_C", "real_c_regime",
-         "max_cubic_residual_scaled"],
-        [ks, grid.lambda0.real, grid.lambda0.imag, grid.mu.real, grid.mu.imag,
-         grid.theta.real, grid.theta.imag, grid.delta0, grid.delta1,
-         grid.big_c.real, grid.big_c.imag, grid.real_c_regime.astype(int),
-         residual],
-    ))
-    rep.check_below("max_cubic_residual_scaled", float(np.max(residual)), 1e-9,
-                    provenance="definition")
-    return rep
-
-
-def _cmd_coeffs(cfg: ExperimentConfig) -> Report:
-    medium = cfg.medium()
-    grid = spectral.roots_grid(medium, cfg.k_grid(medium))
-    a0, a1, a2, degen = spectral.amplitudes_grid(medium, grid)
-    keep = ~degen
-    if not np.any(keep):
-        raise ConfigError(
-            "every wavenumber of the k grid is below the root-degeneracy "
-            "threshold, where the amplitudes are undefined; raise --k-max"
-        )
-    ks = grid.k[keep]
-    lams = [lam[keep] for lam in (grid.lambda0, grid.lambda1, grid.lambda2)]
-    a0, a1, a2 = a0[keep], a1[keep], a2[keep]
-    targets = spectral.moment_targets(medium)
-    worst = np.zeros_like(ks)
-    for m in range(3):
-        terms = [a * lam**m for a, lam in zip((a0, a1, a2), lams)]
-        lhs = terms[0] + terms[1] + terms[2]
-        scale = np.maximum.reduce([np.abs(t) for t in terms]) + abs(targets[m])
-        worst = np.maximum(worst, np.abs(lhs - targets[m]) / scale)
-    rep = Report("coeffs")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rep.csv_paths.append(write_csv(
-        out / "coeffs.csv",
-        [f"amplitude coefficients, kc = {medium.k_c:.17g}"],
-        ["k", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
-         "max_moment_residual_scaled"],
-        [ks, a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag, worst],
-    ))
-    rep.check_below("max_moment_residual_scaled", float(np.max(worst)), 1e-9,
-                    provenance="definition")
-    return rep
-
-
 _DISPATCH = {
-    "roots": _cmd_roots,
-    "coeffs": _cmd_coeffs,
+    "roots": experiments.run_roots,
+    "coeffs": experiments.run_coeffs,
     "kernels": experiments.run_kernel_tables,
     "reconstruct": experiments.run_reconstruction,
     "sweep-kappa": experiments.run_kappa_sweep,

@@ -37,6 +37,8 @@ __all__ = [
     "Report",
     "ExperimentConfig",
     "write_csv",
+    "run_roots",
+    "run_coeffs",
     "run_water_constants",
     "run_kernel_tables",
     "run_reconstruction",
@@ -336,20 +338,70 @@ def run_water_constants(cfg: ExperimentConfig) -> Report:
     return rep
 
 
-def _amplitude_curve_columns(medium: Medium, ks: np.ndarray):
-    """A_j * k curve values; near k = 0 the closed forms are singular and the
-    finite limits A0 k -> (tau0 - tau1) k, A1 k -> i/(2 c0) are substituted."""
-    grid = spectral.roots_grid(medium, ks)
+#: columns of every roots CSV, one per entry of ``_roots_columns``
+_ROOTS_NAMES = ["k", "re_lambda0", "im_lambda0", "re_mu", "im_mu", "re_theta", "im_theta",
+                "abs_lambda1", "delta0", "delta1", "re_C", "im_C", "real_c_regime",
+                "max_cubic_residual_scaled"]
+
+
+def _roots_columns(medium: Medium, grid: spectral.RootsGrid) -> list[np.ndarray]:
+    """Roots CSV columns (``_ROOTS_NAMES``); the last is the scaled cubic residual."""
+    return [grid.k, grid.lambda0.real, grid.lambda0.imag, grid.mu.real, grid.mu.imag,
+            grid.theta.real, grid.theta.imag, np.abs(grid.lambda1), grid.delta0,
+            grid.delta1, grid.big_c.real, grid.big_c.imag,
+            grid.real_c_regime.astype(int), spectral.scaled_residuals(medium, grid)]
+
+
+def run_roots(cfg: ExperimentConfig) -> Report:
+    """Roots table over the configured k grid and its cubic-residual check."""
+    medium = cfg.medium()
+    columns = _roots_columns(medium, spectral.roots_grid(medium, cfg.k_grid(medium)))
+    rep = Report("roots")
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rep.csv_paths.append(write_csv(
+        out / "roots.csv", [f"dispersion cubic roots, kc = {medium.k_c:.17g}"],
+        _ROOTS_NAMES, columns))
+    rep.check_below("max_cubic_residual_scaled", float(np.max(columns[-1])), 1e-9,
+                    provenance="definition")
+    return rep
+
+
+def run_coeffs(cfg: ExperimentConfig) -> Report:
+    """Mode weights over the configured k grid and their moment-residual check;
+    rows where the weights are undefined (k = 0, the triple root) are left out."""
+    medium = cfg.medium()
+    grid = spectral.roots_grid(medium, cfg.k_grid(medium))
     a0, a1, a2, degen = spectral.amplitudes_grid(medium, grid)
-    a0k = a0 * ks
-    a1k = a1 * ks
-    a2k = a2 * ks
-    if np.any(degen):
-        lim = 1j / (2.0 * medium.c0)
-        a0k = np.where(degen, (medium.tau0 - medium.tau1) * ks + 0j, a0k)
-        a1k = np.where(degen, lim, a1k)
-        a2k = np.where(degen, -lim, a2k)
-    return grid, (a0k, a1k, a2k, degen)
+    keep = ~degen
+    if not np.any(keep):
+        raise ConfigError(
+            "the k grid holds only k = 0 (or the triple root), where the "
+            "amplitudes are undefined; raise --k-max"
+        )
+    ks = grid.k[keep]
+    lams = [lam[keep] for lam in (grid.lambda0, grid.lambda1, grid.lambda2)]
+    a0, a1, a2 = a0[keep], a1[keep], a2[keep]
+    targets = spectral.moment_targets(medium)
+    worst = np.zeros_like(ks)
+    for m in range(3):
+        terms = [a * lam**m for a, lam in zip((a0, a1, a2), lams)]
+        lhs = terms[0] + terms[1] + terms[2]
+        scale = np.maximum.reduce([np.abs(t) for t in terms]) + abs(targets[m])
+        worst = np.maximum(worst, np.abs(lhs - targets[m]) / scale)
+    rep = Report("coeffs")
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rep.csv_paths.append(write_csv(
+        out / "coeffs.csv",
+        [f"amplitude coefficients, kc = {medium.k_c:.17g}"],
+        ["k", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
+         "max_moment_residual_scaled"],
+        [ks, a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag, worst],
+    ))
+    rep.check_below("max_moment_residual_scaled", float(np.max(worst)), 1e-9,
+                    provenance="definition")
+    return rep
 
 
 def run_kernel_tables(cfg: ExperimentConfig) -> Report:
@@ -364,18 +416,19 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
     tables = []
     for mult, tag in ((10.0, "10kc"), (100.0, "100kc")):
         ks = np.linspace(0.0, mult * medium.k_c, cfg.k_num)
-        grid, (a0k, a1k, a2k, degen) = _amplitude_curve_columns(medium, ks)
-        residual = spectral.scaled_residuals(medium, grid)
+        grid = spectral.roots_grid(medium, ks)
+        a0, a1, a2, _ = spectral.amplitudes_grid(medium, grid)
+        # A_j k; at k = 0, where lambda1 = lambda2 = 0, A1 k and A2 k are
+        # defined by their limits +-i/(2 c0), while A0 k = 0 comes out exact
+        at_zero = ks == 0
+        with np.errstate(invalid="ignore"):
+            a1k = np.where(at_zero, 0.5j / medium.c0, a1 * ks)
+            a2k = np.where(at_zero, -0.5j / medium.c0, a2 * ks)
+        a0k = a0 * ks
         tables.append((
             out / f"roots_{tag}.csv",
             [f"roots over [0, {mult:g} kc], kc = {medium.k_c:.17g}"],
-            ["k", "re_lambda0", "im_lambda0", "re_mu", "im_mu", "re_theta",
-             "im_theta", "abs_lambda1", "delta0", "delta1", "re_C", "im_C",
-             "real_c_regime", "max_cubic_residual_scaled"],
-            [ks, grid.lambda0.real, grid.lambda0.imag, grid.mu.real, grid.mu.imag,
-             grid.theta.real, grid.theta.imag, np.abs(grid.lambda1), grid.delta0,
-             grid.delta1, grid.big_c.real, grid.big_c.imag,
-             grid.real_c_regime.astype(int), residual],
+            _ROOTS_NAMES, _roots_columns(medium, grid),
         ))
         tables.append((
             out / f"amplitudes_{tag}.csv",
@@ -384,7 +437,7 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
              "im_a2_k", "abs_a0_k2", "abs_a1_k", "abs_a2_k", "limit_patched"],
             [ks, a0k.real, a0k.imag, a1k.real, a1k.imag,
              a2k.real, a2k.imag, np.abs(a0k) * ks, np.abs(a1k),
-             np.abs(a2k), degen.astype(int)],
+             np.abs(a2k), at_zero.astype(int)],
         ))
         table = kernels.kernel_table(medium, ks, T, d=3)
         tables.append((

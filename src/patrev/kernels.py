@@ -23,13 +23,14 @@ small-wavenumber kernel eta0_hat = 2 sum_j (A_j l_j)^2 / (2 pi)^{d/2} with DC
 gain (2 pi)^{d/2} eta0_hat(0) = 2 (1 - tau1/tau0)^2 + 1 describes the image on
 the reconstruction region.
 
-The products p_j = A_j lambda_j come from the roots of
-``spectral.roots_grid`` (the real root lambda0 and the Vieta-deflated pair
-mu +- i theta) and the moment relations sum_j p_j lambda_j^{m-1} = a_m, not
-from the closed-form A_j.  Every array is accurate to round-off down to
-k = 0, where mu = theta = 0, p0 = 1 - tau1/tau0 and p1 = -1/2 come out of
-the same formulas, with no substituted limit.  Where Delta1^2 < 4 Delta0^3
-the cubic has three real roots and no pair, so the imaging path refuses.
+The products p_j = A_j lambda_j come from ``spectral.pair_products``: the
+roots of ``spectral.roots_grid`` (the real root lambda0 and the
+Vieta-deflated pair mu +- i theta) and the moment relations
+sum_j p_j lambda_j^{m-1} = a_m, the same home the A_j tables read.  Every
+array is accurate to round-off down to k = 0, where mu = theta = 0,
+p0 = 1 - tau1/tau0 and p1 = -1/2 come out of the same formulas, with no
+substituted limit.  Where Delta1^2 < 4 Delta0^3 the cubic has three real
+roots and no conjugate pair, so the imaging path refuses.
 """
 
 from __future__ import annotations
@@ -139,21 +140,8 @@ def mode_products(medium: Medium, k) -> ModeProducts:
     grid = spectral.roots_grid(medium, k)
     if (refusal := regime_refusal(grid)) is not None:
         raise refusal
-    k, lam0, mu, theta = grid.k, grid.lambda0, grid.mu, grid.theta
-    ck2, pair = grid.ck2, grid.pair     # pair = lambda1 lambda2
-    del grid
-    # moment relations sum_j p_j lambda_j^{m-1} = a_m, m = 0, 1, 2, with
-    # a2 - 2 a1 mu = p0_zero lambda0^3 / g by the cubic; each ratio is
-    # exactly 1 at k = 0, so p0 = p0_zero = 1 - tau1/tau0 and re_p1 = -1/2
-    # there (and p0 = +0 without dissipation)
-    p0_zero = (medium.tau0 - medium.tau1) / medium.tau0
-    lam0_sq = lam0 * lam0
-    g = lam0_sq + ck2
-    p0 = p0_zero * (lam0_sq / g) * (lam0_sq / (lam0 * (lam0 - 2.0 * mu) + pair))
-    re_p1 = -0.5 + 0.5 * (p0_zero - p0)
-    im_p1 = np.divide(-mu * re_p1 - p0 * pair / (2.0 * lam0), theta,
-                      out=np.zeros_like(theta), where=theta > 0)
-    return ModeProducts(k, lam0, mu, theta, p0, re_p1, im_p1)
+    return ModeProducts(grid.k, grid.lambda0, grid.mu, grid.theta,
+                        *spectral.pair_products(medium, grid))
 
 
 def regime_refusal(grid: spectral.RootsGrid) -> ComplexRegimeError | None:

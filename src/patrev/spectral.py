@@ -25,10 +25,15 @@ labels follow from lambda0 and the sign of theta, never from sorting numeric
 roots, so they cannot swap along a k grid.
 
 The mode weights A_j solve the moment system sum_j A_j lambda_j^m = a_m,
-m = 0, 1, 2, with a_0 = 0, a_1 = -tau1/tau0, a_2 = (1 - tau1/tau0)/tau0,
-either in closed form (``amplitudes``) or by a direct 3x3 linear solve
-(``solve_vandermonde``), which serve as mutual cross-checks.  For a conjugate
-root pair and real moment data, A0 is real and A2 = conj(A1).
+m = 0, 1, 2, with a_0 = 0, a_1 = -tau1/tau0, a_2 = (1 - tau1/tau0)/tau0.
+``pair_products`` is the one home of the products p_j = A_j lambda_j: it
+takes them from the moment relations sum_j p_j lambda_j^{m-1} = a_m on the
+deflated roots, accurate to round-off down to k = 0 and on the
+three-real-root band.  The weights follow as A_j = p_j / lambda_j
+(``amplitudes``), defined wherever the roots are pairwise distinct, that is
+at every k > 0 off the triple root; a direct 3x3 linear solve of the moment
+system (``solve_vandermonde``) is the independent cross-check.  For a
+conjugate root pair and real moment data, A0 is real and A2 = conj(A1).
 
 All functions are pure; grid evaluation is vectorized and deterministic.
 """
@@ -42,13 +47,13 @@ import numpy as np
 from .medium import Medium
 
 __all__ = [
-    "DEGENERATE_REL_TOL",
     "Amplitudes",
     "RootsGrid",
     "DegenerateRootsError",
     "cardano_roots",
     "roots_grid",
     "moment_targets",
+    "pair_products",
     "amplitudes",
     "amplitudes_grid",
     "solve_vandermonde",
@@ -57,14 +62,9 @@ __all__ = [
     "degenerate_mask",
 ]
 
-#: roots count as degenerate when min pairwise |l_i - l_j| < tol * max |l_j|;
-#: below this the closed-form A_j lose ~8 digits, so ``amplitudes`` and
-#: ``solve_vandermonde`` refuse such roots and ``amplitudes_grid`` flags them.
-DEGENERATE_REL_TOL = 1e-8
-
-
 class DegenerateRootsError(ValueError):
-    """Roots too close for the closed-form/linear amplitude solve."""
+    """Two roots coincide (k = 0) or are undefined (the triple root): the
+    moment system has no unique solution there."""
 
 
 @dataclass(frozen=True)
@@ -185,57 +185,66 @@ def moment_targets(medium: Medium) -> tuple[float, float, float]:
 
 
 def degenerate_mask(lambda0, lambda1, lambda2) -> np.ndarray:
-    """True where the minimum pairwise root distance is below the threshold."""
-    lam0 = np.asarray(lambda0)
-    lam1 = np.asarray(lambda1)
-    lam2 = np.asarray(lambda2)
-    dmin = np.minimum(
-        np.abs(lam0 - lam1),
-        np.minimum(np.abs(lam0 - lam2), np.abs(lam1 - lam2)),
-    )
-    lmax = np.maximum(np.abs(lam0), np.maximum(np.abs(lam1), np.abs(lam2)))
-    return dmin < DEGENERATE_REL_TOL * lmax
+    """True where two roots coincide exactly or a root is NaN: k = 0, where
+    lambda1 = lambda2 = 0, and the triple root."""
+    return ((lambda0 == lambda1) | (lambda0 == lambda2) | (lambda1 == lambda2)
+            | np.isnan(lambda0 + lambda1 + lambda2))
+
+
+def pair_products(medium: Medium, grid: RootsGrid):
+    """Mode products (p0, re_p1, im_p1), p_j = A_j lambda_j, over a roots grid.
+
+    From the moment relations sum_j p_j lambda_j^{m-1} = a_m, m = 0, 1, 2,
+    with p1,2 = re_p1 +- i im_p1; a2 - 2 a1 mu = p0_zero lambda0^3 / g by
+    the cubic.  Each ratio below is exactly 1 at k = 0, so p0 = p0_zero =
+    1 - tau1/tau0 and re_p1 = -1/2 there (p0 = +0 without dissipation), and
+    im_p1 = 0 where theta = 0.  Where theta is imaginary (three real roots)
+    im_p1 is imaginary too, so p1 and p2 are real.
+    """
+    lam0, mu, theta, ck2, pair = grid.lambda0, grid.mu, grid.theta, grid.ck2, grid.pair
+    p0_zero = (medium.tau0 - medium.tau1) / medium.tau0
+    lam0_sq = lam0 * lam0
+    g = lam0_sq + ck2
+    p0 = p0_zero * (lam0_sq / g) * (lam0_sq / (lam0 * (lam0 - 2.0 * mu) + pair))
+    re_p1 = -0.5 + 0.5 * (p0_zero - p0)
+    im_p1 = np.divide(-mu * re_p1 - p0 * pair / (2.0 * lam0), theta,
+                      out=np.zeros_like(theta), where=theta != 0)
+    return p0, re_p1, im_p1
 
 
 def amplitudes_grid(medium: Medium, grid: RootsGrid):
-    """Closed-form A0, A1, A2 over a roots grid.
+    """Mode weights A_j = p_j / lambda_j over a roots grid.
 
-    Returns ``(a0, a1, a2, degenerate)``; entries flagged degenerate contain
-    unusable values (the A_j curve tables substitute their k -> 0 limits
-    there; ``kernels.mode_products`` does not use the A_j).  Where the pair
-    is conjugate (``real_c_regime``) A0 is projected to its exactly real
-    value and A2 is constructed as conj(A1).  Dissipation-free media need no
-    case of their own: mu = 0 exactly there, so A0 = 0 exactly.
+    Returns ``(a0, a1, a2, degenerate)``; where ``degenerate`` (k = 0 or the
+    triple root) A1 and A2 are not finite, while A0 is finite at k = 0.
+    Where the pair is conjugate (``real_c_regime``) A0 is real and A2 is
+    conj(A1); on the three-real-root band all three are real.
     """
-    _, m1, m2 = moment_targets(medium)
-    l0, l1, l2 = grid.lambda0, grid.lambda1, grid.lambda2
-    degen = degenerate_mask(l0, l1, l2)
+    p0, re_p1, im_p1 = pair_products(medium, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a0 = (m2 - m1 * (l2 + l1)) / ((l2 - l0) * (l1 - l0))
-        a1 = (m1 * (l2 + l0) - m2) / ((l1 - l0) * (l2 - l1))
-        a2 = (m2 - m1 * (l1 + l0)) / ((l2 - l0) * (l2 - l1))
-    a0 = np.where(grid.real_c_regime, a0.real + 0j, a0)
+        a0 = p0 / grid.lambda0 + 0j
+        a1 = (re_p1 + 1j * im_p1) / grid.lambda1
+        a2 = (re_p1 - 1j * im_p1) / grid.lambda2
     a2 = np.where(grid.real_c_regime, np.conj(a1), a2)
-    return a0, a1, a2, degen
+    return a0, a1, a2, degenerate_mask(grid.lambda0, grid.lambda1, grid.lambda2)
 
 
 def _check_not_degenerate(roots: RootsGrid, what: str):
     if bool(degenerate_mask(roots.lambda0, roots.lambda1, roots.lambda2)):
         raise DegenerateRootsError(
-            f"{what} at k = {roots.k:.6g}: pairwise root distance below "
-            f"{DEGENERATE_REL_TOL:g} * max|lambda|; the products A_j lambda_j "
-            "of kernels.mode_products hold down to k = 0"
+            f"{what} at k = {roots.k:.6g}: two roots coincide (k = 0) or are "
+            "NaN (the triple root)"
         )
 
 
 def amplitudes(roots: RootsGrid, medium: Medium) -> Amplitudes:
-    """Closed-form amplitude coefficients at one wavenumber.
+    """Mode weights A_j = p_j / lambda_j at one wavenumber.
 
-    Requires pairwise-distinct roots (k > 0); at and near k = 0 the double
-    root lambda1 = lambda2 makes the closed forms singular and a
-    DegenerateRootsError is raised.
+    Requires pairwise-distinct roots (k > 0); at k = 0 the double root
+    lambda1 = lambda2 = 0 leaves A1, A2 undefined and a DegenerateRootsError
+    is raised.
     """
-    _check_not_degenerate(roots, "closed-form amplitudes degenerate")
+    _check_not_degenerate(roots, "amplitudes undefined")
     a0, a1, a2, _ = amplitudes_grid(medium, roots)
     return Amplitudes(complex(a0), complex(a1), complex(a2))
 
@@ -244,7 +253,9 @@ def solve_vandermonde(roots: RootsGrid, medium: Medium) -> Amplitudes:
     """Amplitudes by a direct 3x3 linear solve of the moment system.
 
     Independent route kept as a cross-check of ``amplitudes``; agreement is
-    1e-8 relative componentwise on the supported k range.
+    about 1e-8 relative componentwise at every k > 0, limited by this solve
+    (its error in A1 grows like 1e-15 k_c / k as the pair closes in on 0,
+    up to 2e-8 between 1e-8 and 1e-7 k_c; the small A0 cancels at k >> k_c).
     """
     _check_not_degenerate(roots, "moment system singular")
     l0, l1, l2 = roots.lambda0, roots.lambda1, roots.lambda2

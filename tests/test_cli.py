@@ -46,7 +46,8 @@ def test_k_num_zero_flag_reaches_validation(tmp_path, capsys):
 
 
 def test_coeffs_all_degenerate_grid_exits_2(tmp_path, water_cfg_file, capsys):
-    # every k below the root-degeneracy threshold leaves no amplitude to report
+    # a k grid of k = 0 only, where the mode weights are undefined, leaves no
+    # amplitude to report
     code = main(["coeffs", "--config", str(water_cfg_file), "--k-max", "0kc",
                  "--out", str(tmp_path / "out")])
     assert code == 2
@@ -110,6 +111,7 @@ def test_roots_subcommand(tmp_path, water_cfg_file, capsys):
     assert code == 0
     csv = (out / "roots.csv").read_text().splitlines()
     header = csv[1].split(",")
+    assert "abs_lambda1" in header      # the column list of roots_10kc.csv
     residual_col = header.index("max_cubic_residual_scaled")
     residuals = [float(line.split(",")[residual_col]) for line in csv[2:]]
     assert max(residuals) <= 1e-9

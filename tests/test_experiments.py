@@ -144,6 +144,22 @@ def test_kernel_tables(tmp_path):
     assert header == "k,zeta1,zeta2,zeta3_mantissa,zeta3_logscale,eta0,multiplier_no_zeta3"
 
 
+def test_amplitude_table_defines_k_zero_row_only(tmp_path):
+    # A_j = p_j / lambda_j at every k > 0; at k = 0 A1 k = -A2 k = i/(2 c0)
+    # by definition and A0 k = 0 comes out of the products
+    cfg = water_cfg(tmp_path / "out", k_num=100)
+    run_kernel_tables(cfg)
+    lines = (cfg.out_dir / "amplitudes_10kc.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+    col = dict(zip(lines[1].split(","), rows.T))
+    assert np.flatnonzero(col["limit_patched"]).tolist() == [0]
+    assert np.all(np.isfinite(rows))
+    half = 0.5 / cfg.medium().c0
+    assert (col["re_a0_k"][0], col["im_a0_k"][0]) == (0.0, 0.0)
+    assert (col["re_a1_k"][0], col["im_a1_k"][0]) == (0.0, half)
+    assert (col["re_a2_k"][0], col["im_a2_k"][0]) == (0.0, -half)
+
+
 def test_kernel_tables_deterministic(tmp_path):
     cfg1 = water_cfg(tmp_path / "r1", k_num=100)
     cfg2 = water_cfg(tmp_path / "r2", k_num=100)

@@ -10,6 +10,7 @@ from patrev.spectral import (
     amplitudes_grid,
     asymptotic_limits,
     cardano_roots,
+    degenerate_mask,
     moment_targets,
     roots_grid,
     scaled_residuals,
@@ -264,12 +265,62 @@ def test_degenerate_roots_raise():
 
 
 def test_amplitude_limits_for_small_k():
-    # series oracle: the closed forms approach A0 -> tau0 - tau1 and
+    # series oracle: the weights approach A0 -> tau0 - tau1 and
     # A1 lambda1 -> -1/2 along k -> 0
     r = cardano_roots(WATER, 1e-6 * KC)
     a = amplitudes(r, WATER)
     assert a.a0_coef.real == pytest.approx(WATER.tau0 - WATER.tau1, rel=1e-6)
     assert a.a1_coef * r.lambda1 == pytest.approx(-0.5, abs=1e-5)
+
+
+def _scaled_moment_residual(medium, weights, roots):
+    lams = (roots.lambda0, roots.lambda1, roots.lambda2)
+    worst = 0.0
+    for m, target in enumerate(moment_targets(medium)):
+        terms = [a * lam**m for a, lam in zip(weights, lams)]
+        scale = max(abs(t) for t in terms) + abs(target)
+        worst = max(worst, abs(sum(terms) - target) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("kfac", [1e-12, 1e-9])
+def test_weights_defined_at_tiny_k(kfac):
+    # A_j = p_j / lambda_j holds at every k > 0: no band of small k is refused
+    r = cardano_roots(WATER, kfac * KC)
+    a = amplitudes(r, WATER)
+    v = solve_vandermonde(r, WATER)
+    assert _scaled_moment_residual(WATER, a.as_tuple(), r) <= 1e-14
+    for x, y in zip(a.as_tuple(), v.as_tuple()):
+        assert x == pytest.approx(y, rel=1e-8)
+
+
+def test_degenerate_mask_is_k_zero_only():
+    unit_k = np.concatenate([[0.0], np.logspace(-14, 3, 2000)])
+    for medium in (WATER, nondimensional_medium(0.036), LOSSLESS):
+        grid = roots_grid(medium, unit_k * medium.k_c)
+        mask = degenerate_mask(grid.lambda0, grid.lambda1, grid.lambda2)
+        assert np.flatnonzero(mask).tolist() == [0]
+        assert np.flatnonzero(amplitudes_grid(medium, grid)[3]).tolist() == [0]
+
+
+@pytest.mark.parametrize("medium", [
+    nondimensional_medium(0.036),
+    derive_medium(replace(water_params(), kappa1=9e-9)),
+], ids=["ratio_0.036", "water_kappa9e-9"])
+def test_band_weights_real_and_match_vandermonde(medium):
+    # three real roots: theta and im_p1 are imaginary, so p1, p2 and the
+    # weights are real
+    ks = np.linspace(0.0, 10.0, 4001)[1:] * medium.k_c
+    grid = roots_grid(medium, ks)
+    band = np.flatnonzero(~grid.real_c_regime)
+    assert band.size > 100
+    a0, a1, a2, degen = amplitudes_grid(medium, grid)
+    assert not np.any(degen)
+    assert np.all(a1[band].imag == 0) and np.all(a2[band].imag == 0)
+    for i in band:
+        v = solve_vandermonde(cardano_roots(medium, float(ks[i])), medium)
+        for x, y in zip((a0[i], a1[i], a2[i]), v.as_tuple()):
+            assert x == pytest.approx(y, rel=1e-12)
 
 
 def test_growth_orders_on_grid():

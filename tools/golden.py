@@ -46,6 +46,10 @@ NONDIM = str(ROOT / "configs" / "nondim.cfg")
 RUNS = [
     ("water_roots", ["roots", "--config", WATER]),
     ("water_coeffs", ["coeffs", "--config", WATER]),
+    # log grid from 5.1e-10 k_c: k = 0 is the only point where the mode
+    # weights are undefined, so every row is written
+    ("water_coeffs_log", ["coeffs", "--config", WATER, "--set", "k_spacing=log",
+                          "--set", "k_min=1e-3"]),
     ("water_kernels", ["kernels", "--config", WATER]),
     ("water_reconstruct", ["reconstruct", "--config", WATER]),
     ("water_reconstruct_lossless", ["reconstruct", "--config", WATER,
