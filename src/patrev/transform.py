@@ -11,10 +11,10 @@ Multipliers are therefore evaluated once per distinct |k|, not once per
 grid point.  ``GridSpec.radial_table`` lists the distinct |k| of the
 real-FFT half spectrum (layout of ``np.fft.rfftn``: shape
 (n,)*(d-1) + (n//2+1,), FFT order on every axis, non-negative frequencies
-only on the last) together with an integer index per half-spectrum point;
-``apply_multiplier``, ``forward_pressure`` and ``time_reversal_image``
-evaluate on that 1-D table, gather with the index (not in 1-D, where it is
-the identity) and run one rfftn/irfftn round trip.  They evaluate it in
+only on the last) together with an index per half-spectrum point
+(``slice(None)`` in 1-D); ``apply_multiplier``, ``forward_pressure`` and
+``time_reversal_image`` evaluate on that 1-D table, gather with the index
+and run one real-FFT round trip.  They evaluate it in
 blocks of 8192 |k| written into one table, so the ~20 temporaries of a root
 solve and its mode products (64 KB each) stay in a 2 MB L2 cache instead of
 streaming through memory: on a Xeon with 2 MB L2 per core the water table
@@ -22,6 +22,12 @@ of 2^20 points (524289 |k|) took 35 ms in blocks of 8192 against 72 ms in
 one call, 40 ms in blocks of 4096 and 36-39 ms in blocks of 16384-65536.  A
 multiplier callable hence receives slices of the 1-D table of distinct |k|,
 not a grid-shaped array, and must be elementwise in k.
+
+The round trip runs the axis passes of rfftn/irfftn in their order; a 2-D or
+3-D pass of 2^20 elements or more (all of a 128^3 grid) transforms two slabs
+of its lines on two threads when two CPUs are usable, each line as in one
+numpy call, so outputs are bit-identical.  Smaller passes lose more to a
+thread start (~0.2 ms) than they gain (README has the measurements).
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -33,6 +39,8 @@ is emitted when that margin is violated.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -124,28 +132,28 @@ class GridSpec:
         """
         return self._magnitude(self._k_axis())
 
-    def radial_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def radial_table(self) -> tuple[np.ndarray, np.ndarray | slice]:
         """Distinct |k| of the real-FFT half spectrum and an index into them.
 
         Returns ``(k_table, index)``: ``k_table`` is the strictly increasing
-        1-D array of distinct |k| [1/m] and ``index`` has the half-spectrum
-        shape (n,)*(d-1) + (n//2+1,) of ``np.fft.rfftn``, with
-        ``k_table[index]`` equal to ``k_magnitude()[..., :n//2+1]`` (exactly
-        in 1-D, to round-off otherwise).  On the periodic lattice
+        1-D array of distinct |k| [1/m], and ``k_table[index]`` equals
+        ``k_magnitude()[..., :n//2+1]``, the half spectrum of ``np.fft.rfftn``
+        (exactly in 1-D, where ``index`` is ``slice(None)``; to round-off
+        otherwise).  On the periodic lattice
         |k|^2 = (2 pi / extent)^2 q with integer q = sum_i m_i^2 <= d (n/2)^2,
         so the distinct values are found by marking the occupied q.
         """
         n, d = self.n_per_axis, self.dim
         half = n // 2 + 1
-        if d == 1:      # bit for bit |_k_axis()[:half]|, without the full axis
-            return 2.0 * math.pi * (np.arange(half) * (1.0 / (n * self.spacing))), np.arange(half)
-        kax = self._k_axis()
+        step = 1.0 / (n * self.spacing)     # fftfreq's, so 1-D |k| match k_magnitude()
+        if d == 1:
+            return 2.0 * math.pi * (np.arange(half) * step), slice(None)
         m = (np.arange(n) + n // 2) % n - n // 2
         q = _outer_sum([m * m] * (d - 1) + [np.arange(half) ** 2])
         occupied = np.zeros(d * (n // 2) ** 2 + 1, dtype=bool)
         occupied[q] = True
         rank = np.cumsum(occupied) - 1
-        return kax[1] * np.sqrt(np.flatnonzero(occupied)), rank[q]
+        return 2.0 * math.pi * step * np.sqrt(np.flatnonzero(occupied)), rank[q]
 
     def shape(self) -> tuple[int, ...]:
         return (self.n_per_axis,) * self.dim
@@ -214,7 +222,8 @@ _BLOCK = 8192
 
 
 def _radial_multiplier(grid: GridSpec, evaluate: Callable[[np.ndarray], np.ndarray],
-                       medium: Medium | None = None) -> tuple[np.ndarray, np.ndarray]:
+                       medium: Medium | None = None
+                       ) -> tuple[np.ndarray, np.ndarray | slice]:
     """Finite real ``evaluate(k)`` on ``grid.radial_table()`` in _BLOCK
     slices, and the table's index.  A ComplexRegimeError of one block
     (``mode_products`` of ``medium``) is reworded to count every refused |k|
@@ -236,19 +245,59 @@ def _radial_multiplier(grid: GridSpec, evaluate: Callable[[np.ndarray], np.ndarr
     return mult, index
 
 
-def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray, label: str) -> Field:
+#: pass size (lines x line length) from which two threads run it, usable CPUs
+_THREADED_SIZE = 2 ** 20
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+def _pass(fft: Callable, src: np.ndarray, dst: np.ndarray, axis: int, **kw) -> np.ndarray:
+    """``fft(src, axis=axis, out=dst, **kw)``, returning ``dst``.  From
+    _THREADED_SIZE elements on, with two CPUs, half the lines run on a worker
+    thread that is always joined, its exception re-raised here."""
+    if src.ndim == 1 or src.size < _THREADED_SIZE or _CPUS < 2:
+        return fft(src, axis=axis, out=dst, **kw)
+    split = -1 if axis == 0 else 0
+    (src0, src1), (dst0, dst1) = (np.array_split(a, 2, axis=split) for a in (src, dst))
+    failed = []
+
+    def work():
+        try:
+            fft(src0, axis=axis, out=dst0, **kw)
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        fft(src1, axis=axis, out=dst1, **kw)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return dst
+
+
+def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray | slice,
+                  label: str) -> Field:
     """F^{-1}{mult[index] F{fld}} by one real-FFT round trip.
 
-    ``mult`` and ``index`` come from ``_radial_multiplier``; the 1-D index is
-    the identity and is not gathered.  The inverse is ``np.fft.irfftn``
-    written out so that each complex-axis pass frees its input: two half
-    spectra are alive at a time instead of three.
+    ``mult`` and ``index`` come from ``_radial_multiplier``.  The complex
+    passes write alternately into ``spec`` and ``spare``, and ``spare`` is
+    dropped before the real output is allocated, so two half spectra are
+    alive at a time, as with ``rfftn``/``irfftn``.
     """
-    spec = np.fft.rfftn(fld.samples)
-    spec *= mult if fld.grid.dim == 1 else mult[index]
-    for axis in range(fld.grid.dim - 1):
-        spec = np.fft.ifft(spec, axis=axis)
-    out = np.fft.irfft(spec, n=fld.grid.n_per_axis, axis=-1)
+    d, n = fld.grid.dim, fld.grid.n_per_axis
+    spec = _pass(np.fft.rfft, fld.samples,
+                 np.empty((n,) * (d - 1) + (n // 2 + 1,), dtype=complex), -1)
+    spare = np.empty_like(spec) if d > 1 else None
+    for axis in range(d - 2, -1, -1):
+        spec, spare = _pass(np.fft.fft, spec, spare, axis), spec
+    spec *= mult[index]
+    for axis in range(d - 1):
+        spec, spare = _pass(np.fft.ifft, spec, spare, axis), spec
+    del spare
+    out = _pass(np.fft.irfft, spec, np.empty(fld.grid.shape()), -1, n=n)
     return Field(fld.grid, out, label=label)
 
 

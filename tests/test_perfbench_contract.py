@@ -8,6 +8,7 @@ checks the list here.  ``perfbench/`` is only read.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from patrev import kernels, transform
@@ -39,3 +40,26 @@ def test_blocked_refusal_is_counted_once():
     totals = tracer.request_totals(0)
     assert totals["spectral.roots_grid.calls"] == 2
     assert totals["refusal:kernels.ComplexRegimeError"] == 1
+
+
+def test_traced_3d_image_is_unchanged_and_restored(monkeypatch):
+    # every pass runs one half on a worker thread while the tracer wraps the
+    # np.fft functions: the bytes must not change and every binding must be
+    # restored
+    monkeypatch.setattr(transform, "_THREADED_SIZE", 0)
+    monkeypatch.setattr(transform, "_CPUS", 2)
+    grid = transform.GridSpec(dim=3, n_per_axis=16, extent=16.0)
+    phantom = transform.gaussian_phantom(grid, 0.25)
+    medium = nondimensional_medium(0.5)
+    untraced = transform.time_reversal_image(medium, phantom, 2.0)
+    before = spans.snapshot()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = transform.time_reversal_image(medium, phantom, 2.0)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(traced.samples, untraced.samples)
+    assert spans.snapshot_diff(before, spans.snapshot()) == []
+    # rfft, fft on axes 1 and 0, ifft on axes 0 and 1, irfft: two halves each
+    assert tracer.request_totals(0)["transform.fft.calls"] == 12

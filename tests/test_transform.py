@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -122,18 +123,22 @@ def test_multiplier_must_be_finite():
     (GridSpec(dim=1, n_per_axis=4096, extent=64.0), 4096 // 2 + 1),
     (GridSpec(dim=2, n_per_axis=64, extent=32.0), None),
     (GridSpec(dim=3, n_per_axis=128, extent=8.0), 8041),
+    (GridSpec(dim=2, n_per_axis=2, extent=1.0), 3),
+    (GridSpec(dim=3, n_per_axis=2, extent=1.0), 4),
 ])
 def test_radial_table_matches_grid(grid, size):
+    # n = 2 has only the Nyquist frequency, which np.fft.fftfreq makes
+    # negative; the table must still hold |k|
     n = grid.n_per_axis
     k_table, index = grid.radial_table()
-    assert np.all(np.diff(k_table) > 0)
-    assert index.shape == (n,) * (grid.dim - 1) + (n // 2 + 1,)
+    assert k_table[0] == 0.0 and np.all(np.diff(k_table) > 0)
     full = grid.k_magnitude()[..., : n // 2 + 1]
     if grid.dim == 1:
         assert np.array_equal(k_table[index], full)
     else:
+        assert index.shape == (n,) * (grid.dim - 1) + (n // 2 + 1,)
         np.testing.assert_allclose(k_table[index], full, rtol=1e-15, atol=0.0)
-    assert np.unique(index).size == k_table.size
+        assert np.unique(index).size == k_table.size
     if size is not None:
         assert k_table.size == size
 
@@ -436,24 +441,18 @@ BAND_MEDIUM = nondimensional_medium(0.1)
 
 
 def _single_call(phi, mult):
-    """Reference: the 1-D real-FFT round trip with the multiplier evaluated
-    on the whole radial table in one call."""
-    k_table, _ = phi.grid.radial_table()
-    spec = np.fft.rfft(phi.samples)
-    spec *= mult(k_table)
-    return np.fft.irfft(spec, n=phi.grid.n_per_axis)
+    """Reference: np.fft.rfftn, the multiplier evaluated on the whole radial
+    table in one call and gathered, ifft on axes 0 ... d-2 and irfft on the
+    last axis, all on one thread."""
+    k_table, index = phi.grid.radial_table()
+    spec = np.fft.rfftn(phi.samples)
+    spec *= np.broadcast_to(mult(k_table), k_table.shape)[index]
+    for axis in range(phi.grid.dim - 1):
+        spec = np.fft.ifft(spec, axis=axis)
+    return np.fft.irfft(spec, n=phi.grid.n_per_axis, axis=-1)
 
 
-def test_ragged_grid_has_a_partial_last_block():
-    k_table, _ = RAGGED.radial_table()
-    assert k_table.size > 2 * transform._BLOCK
-    assert k_table.size % transform._BLOCK == 1
-
-
-def test_blocked_operators_equal_single_call_round_trip():
-    phi = gaussian_phantom(RAGGED, 4.0)
-    t = 30.0
-
+def _assert_operators_equal_single_call(phi, t):
     def forward(k):
         return -transform._mode_sum(kernels.mode_products(NONDIM, k), t)
 
@@ -473,6 +472,16 @@ def test_blocked_operators_equal_single_call_round_trip():
     assert np.array_equal(time_reversal_image(NONDIM, phi, t, include_zeta3=True).samples,
                           _single_call(phi, pipeline))
     assert np.array_equal(apply_multiplier(phi, sine).samples, _single_call(phi, sine))
+
+
+def test_ragged_grid_has_a_partial_last_block():
+    k_table, _ = RAGGED.radial_table()
+    assert k_table.size > 2 * transform._BLOCK
+    assert k_table.size % transform._BLOCK == 1
+
+
+def test_blocked_operators_equal_single_call_round_trip():
+    _assert_operators_equal_single_call(gaussian_phantom(RAGGED, 4.0), 30.0)
 
 
 def test_blocked_scalar_multiplier_broadcasts():
@@ -515,3 +524,96 @@ def test_blocked_zeta3_overflow_names_the_whole_table():
         "representable; the exact reversed pipeline is only computable "
         "at nondimensional scale (use include_zeta3=False)"
     )
+
+
+# -- two-thread axis passes ----------------------------------------------------
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """Every pass of more than one line splits over two threads."""
+    monkeypatch.setattr(transform, "_THREADED_SIZE", 0)
+    monkeypatch.setattr(transform, "_CPUS", 2)
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("grid", [
+    GridSpec(dim=2, n_per_axis=2, extent=16.0),
+    GridSpec(dim=2, n_per_axis=4, extent=16.0),
+    GridSpec(dim=2, n_per_axis=64, extent=32.0),
+    GridSpec(dim=3, n_per_axis=2, extent=16.0),
+    GridSpec(dim=3, n_per_axis=4, extent=16.0),
+    GridSpec(dim=3, n_per_axis=16, extent=16.0),
+])
+def test_passes_equal_library_round_trip(request, grid, threaded):
+    # a random field has no symmetry that could hide a swapped or misrouted
+    # slab; n = 2 and 4 give slabs of one and two lines
+    if threaded:
+        request.getfixturevalue("two_threads")
+    phi = Field(grid, np.random.default_rng(grid.dim * grid.n_per_axis)
+                .standard_normal(grid.shape()))
+    _assert_operators_equal_single_call(phi, 2.0)
+
+
+class _CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("grid, size, cpus, threads", [
+    # 6 passes per 3-D round trip, 4 per 2-D one; the rfft pass of a 2-D
+    # 1024^2 grid is the only one of that grid with 2^20 elements
+    (GridSpec(dim=3, n_per_axis=128, extent=8.0), None, 2, 6),
+    (GridSpec(dim=3, n_per_axis=128, extent=8.0), None, 1, 0),
+    (GridSpec(dim=2, n_per_axis=1024, extent=8.0), None, 2, 1),
+    (GridSpec(dim=2, n_per_axis=256, extent=8.0), None, 2, 0),
+    (GridSpec(dim=3, n_per_axis=16, extent=8.0), None, 2, 0),
+    (GridSpec(dim=3, n_per_axis=16, extent=8.0), 0, 2, 6),
+    (GridSpec(dim=1, n_per_axis=2 ** 21, extent=8.0), None, 2, 0),
+])
+def test_threads_start_only_for_large_passes_and_two_cpus(monkeypatch, grid, size,
+                                                          cpus, threads):
+    _CountingThread.started = 0
+    monkeypatch.setattr(transform.threading, "Thread", _CountingThread)
+    monkeypatch.setattr(transform, "_CPUS", cpus)
+    if size is not None:
+        monkeypatch.setattr(transform, "_THREADED_SIZE", size)
+    apply_multiplier(Field(grid, np.zeros(grid.shape())), lambda k: 1.0)
+    assert _CountingThread.started == threads
+
+
+@pytest.mark.usefixtures("two_threads")
+@pytest.mark.parametrize("failing_half", ["worker", "caller"])
+def test_failed_pass_half_reaches_the_caller(monkeypatch, failing_half):
+    caller = threading.current_thread()
+    real_ifft = np.fft.ifft
+
+    def ifft(a, *args, **kwargs):
+        on_worker = threading.current_thread() is not caller
+        if on_worker == (failing_half == "worker"):
+            raise FloatingPointError(failing_half)
+        return real_ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", ifft)
+    phi = gaussian_phantom(GridSpec(dim=3, n_per_axis=16, extent=16.0), 0.25)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=failing_half):
+        apply_multiplier(phi, lambda k: 1.0)
+    assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("two_threads")
+def test_refusal_on_3d_grid_starts_no_pass(monkeypatch):
+    passes = []
+    monkeypatch.setattr(transform, "_pass", lambda *args, **kwargs: passes.append(args))
+    before = threading.active_count()
+    grid = GridSpec(dim=3, n_per_axis=16, extent=8.0)
+    phi = gaussian_phantom(grid, 0.01)
+    with pytest.raises(kernels.ComplexRegimeError):
+        time_reversal_image(nondimensional_medium(0.02), phi, T_DESK)
+    with pytest.raises(kernels.ScaleOverflowError):
+        time_reversal_image(WATER, phi, T_WATER, include_zeta3=True)
+    assert passes == [] and threading.active_count() == before
