@@ -185,14 +185,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.T_s is None and self.T_rule != "4L/c_inf":
             raise ConfigError("either T_s or the rule '4L/c_inf' must be given")
-        if self.T_s is not None and not self.T_s > 0:
-            raise ConfigError("T_s must be positive")
+        for name in ("T_s", "L_m", "phantom_D_m2"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.k_spacing not in ("linear", "log"):
             raise ConfigError("k_spacing must be 'linear' or 'log'")
         if self.k_num < 2:
             raise ConfigError("k_num must be at least 2")
-        if not (self.k_min >= 0 and self.k_max_over_kc >= 0):
-            raise ConfigError("k_min and k_max must be non-negative")
+        if not (0 <= self.k_min < math.inf and 0 <= self.k_max_over_kc < math.inf):
+            raise ConfigError("k_min and k_max must be non-negative and finite")
         if self.k_spacing == "log" and not self.k_max_over_kc > 0:
             raise ConfigError("a log-spaced k grid needs k_max > 0")
 

@@ -13,8 +13,9 @@ low-frequency (equilibrium) speed ``c0`` or the high-frequency limit
 ``tau0 in (0, tau1]`` is required for a finite wavefront speed; equality
 holds in the dissipation-free case ``kappa1 = 0`` and also whenever
 ``c0^2 rho kappa1`` is below double resolution (e.g. ``kappa1 = 1e-30`` at
-unit scale), so dissipation-free code paths key on ``tau0 == tau1``, not on
-``kappa1 == 0``.  All quantities are SI.  ``Medium`` is immutable and safe
+unit scale).  The general formulas cover both, so no code path branches on
+dissipation; only the reconstruction report's identity check keys on
+``tau0 == tau1``.  All quantities are SI.  ``Medium`` is immutable and safe
 to share across threads.
 """
 
@@ -62,14 +63,12 @@ class RawParams:
     speed_kind: str = "c_infinity"
 
     def __post_init__(self):
-        if not self.tau1 > 0:
-            raise ValueError(f"tau1 must be positive, got {self.tau1}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.kappa1 < 0:
-            raise ValueError(f"kappa1 must be non-negative, got {self.kappa1}")
-        if not self.speed > 0:
-            raise ValueError(f"speed must be positive, got {self.speed}")
+        for name in ("tau1", "rho", "speed"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        if not 0 <= self.kappa1 < math.inf:
+            raise ValueError(f"kappa1 must be non-negative and finite, got {self.kappa1}")
         if self.speed_kind not in SPEED_KINDS:
             raise ValueError(
                 f"speed_kind must be one of {SPEED_KINDS}, got {self.speed_kind!r}"
@@ -132,33 +131,33 @@ def derive_medium(raw: RawParams) -> Medium:
 
         tau0 = (1 - c0^2 rho kappa1) tau1,  c_inf = sqrt(tau1/tau0) c0
 
-    The two branches are algebraically equivalent and round-trip to 1e-12.
+    The two forms are algebraically equivalent and round-trip to 1e-12; at
+    kappa1 = 0 both give tau0 = tau1 and c0 = c_inf exactly.
 
     Raises
     ------
     UnphysicalMediumError
-        If the derived tau0 is not positive (c0^2 rho kappa1 >= 1), which
-        would mean an infinite wavefront speed.
+        If the derived tau0 is not a positive double: c0^2 rho kappa1 >= 1,
+        which would mean an infinite wavefront speed, or c^2 rho kappa1
+        overflowing.
     """
+    try:
+        c2_rho_kappa1 = raw.speed**2 * raw.rho * raw.kappa1
+    except OverflowError:
+        c2_rho_kappa1 = math.inf
+    tau0 = (raw.tau1 / (1.0 + c2_rho_kappa1) if raw.speed_kind == "c_infinity"
+            else (1.0 - c2_rho_kappa1) * raw.tau1)
+    if not tau0 > 0.0:
+        raise UnphysicalMediumError(
+            f"c^2 rho kappa1 = {c2_rho_kappa1:.6g} gives tau0 = {tau0:.6g}: "
+            "no finite wavefront speed"
+        )
     if raw.speed_kind == "c_infinity":
         c_inf = raw.speed
-        if raw.kappa1 == 0.0:
-            tau0, c0 = raw.tau1, c_inf
-        else:
-            tau0 = raw.tau1 / (1.0 + c_inf**2 * raw.rho * raw.kappa1)
-            c0 = c_inf * math.sqrt(tau0 / raw.tau1)
+        c0 = c_inf * math.sqrt(tau0 / raw.tau1)
     else:
         c0 = raw.speed
-        if raw.kappa1 == 0.0:
-            tau0, c_inf = raw.tau1, c0
-        else:
-            tau0 = (1.0 - c0**2 * raw.rho * raw.kappa1) * raw.tau1
-            if tau0 <= 0.0:
-                raise UnphysicalMediumError(
-                    f"c0^2 rho kappa1 = {c0**2 * raw.rho * raw.kappa1:.6g} >= 1: "
-                    "no finite wavefront speed"
-                )
-            c_inf = math.sqrt(raw.tau1 / tau0) * c0
+        c_inf = math.sqrt(raw.tau1 / tau0) * c0
     return Medium(
         tau1=raw.tau1,
         tau0=tau0,

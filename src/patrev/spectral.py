@@ -116,7 +116,9 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
     arithmetic (see the module docstring).
 
     At the exact triple root Delta0 = Delta1 = 0 (tau0/tau1 = 1/9 at one k)
-    C = 0 and the roots are NaN.
+    C = 0 and the roots are NaN.  Without dissipation (tau0 = tau1) the
+    cubic factors as (1 - tau1 l)(l^2 + c0^2 k^2): d = 0 below gives mu = 0
+    exactly, and lambda0 = 1/tau1, theta = c0 k to round-off.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
@@ -136,11 +138,6 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
     with np.errstate(invalid="ignore", divide="ignore"):
         big_c = np.cbrt(0.5 * (d1 + np.copysign(np.sqrt(disc), d1)))
         lam0 = (1.0 + big_c + d0 / big_c) / (3.0 * t0)
-    if t0 == t1:
-        # dissipation-free: the cubic factors as (1 - tau1 l)(l^2 + c0^2 k^2)
-        lam0 = np.full_like(k, 1.0 / t1)
-        return RootsGrid(k, lam0, np.zeros_like(k), c0 * k, d0, d1, big_c, regime,
-                         ck2, ck2 / (t0 * lam0))
     any_band = not np.all(regime)
     if any_band:
         # three real roots: the u_0 root of the principal C, for which

@@ -92,8 +92,8 @@ class GridSpec:
         n = self.n_per_axis
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"n_per_axis must be a power of two >= 2, got {n}")
-        if not self.extent > 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
 
     @property
     def spacing(self) -> float:
@@ -347,15 +347,6 @@ def propdelta_check(field: Field, medium: Medium, T: float,
     return float(np.max(np.abs(half.samples[mask] - target[mask])) / denom)
 
 
-def _checked_products(medium: Medium, k: np.ndarray) -> kernels.ModeProducts:
-    mp = kernels.mode_products(medium, k)
-    if np.min(mp.lambda0) < 0 or np.min(mp.mu) < -1e-12 / medium.tau0:
-        raise ValueError(
-            "negative decay rate on the grid: forward evolution would grow"
-        )
-    return mp
-
-
 def _mode_sum(mp: kernels.ModeProducts, t: float) -> np.ndarray:
     """sum_j A_j lambda_j e^{-lambda_j t}, real since p2 e^{-lambda2 t} is the
     conjugate of p1 e^{-lambda1 t}."""
@@ -369,15 +360,16 @@ def forward_pressure(medium: Medium, phantom: Field, t: float) -> Field:
     """Pressure p = F^{-1}{-phi_hat(k) sum_j A_j lambda_j e^{-lambda_j t}} at time t.
 
     Reduces to F^{-1}{phi_hat cos(c0 k t)} for kappa1 = 0 and to
-    (tau1/tau0) phi as t -> 0+.  Requires Re(lambda_j) >= 0 on the whole
-    grid (true for water-like media), so the forward factors never overflow.
-    The mode sum is a real radial multiplier and is applied on the grid's
-    radial table like the image.
+    (tau1/tau0) phi as t -> 0+.  Re(lambda_j) >= 0 at every k for every
+    admissible medium: 0 < tau0 <= tau1 makes the cubic positive for
+    lambda < 0, so lambda0 > 0, and mu is a product of non-negative factors;
+    hence the forward factors never overflow.  The mode sum is a real radial
+    multiplier and is applied on the grid's radial table like the image.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     mult, index = _radial_multiplier(
-        phantom.grid, lambda kk: -_mode_sum(_checked_products(medium, kk), t), medium)
+        phantom.grid, lambda kk: -_mode_sum(kernels.mode_products(medium, kk), t), medium)
     return _apply_radial(phantom, mult, index, "forward pressure")
 
 
@@ -389,11 +381,14 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
 
         I_hat = 2 [sum_j A_j l_j e^{-l_j T}] [sum_l A_l l_l e^{+l_l T}] phi_hat,
 
-    which requires every exp(Re lambda_j T) to be representable; at physical
-    tissue scale it is not (Re lambda0 T ~ 1e6) and a ScaleOverflowError is
-    raised, directing callers to the small-wavenumber kernel path.  Without
-    the flag the relaxation-oscillation cross terms are dropped and the
-    remaining product reduces to ``kernels.ModeProducts.multiplier``,
+    which requires every exp(Re lambda_j T) to be representable.  By Vieta
+    lambda0 + 2 mu = 1/tau0 with mu >= 0, so the largest Re lambda_j T of any
+    table is lambda0(0) T = T/tau0, and the pipeline is refused with a
+    ScaleOverflowError before any evaluation exactly when T/tau0 > 700; at
+    physical tissue scale T/tau0 ~ 1e6.  That refusal precedes the
+    three-real-root one.  Without the flag the relaxation-oscillation cross
+    terms are dropped and the remaining product reduces to
+    ``kernels.ModeProducts.multiplier``,
 
         I_hat = 2 [p0^2 + 2 Re(p1^2) + 2 |p1|^2 cos(2 theta T)] phi_hat,
 
@@ -402,22 +397,18 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    rates = []      # Re lambda T per block, for the zeta3 overflow refusal
-
-    def table(kk):
-        mp = _checked_products(medium, kk)
-        if not include_zeta3:
-            return mp.multiplier(T)
-        rates.append(max(float(np.max(mp.lambda0)), float(np.max(mp.mu))) * T)
-        if max(rates) > kernels.EXP_REAL_LIMIT:
-            return 0.0      # refused below, naming the largest rate of the table
-        return 2.0 * _mode_sum(mp, T) * _mode_sum(mp, -T)
-
-    mult, index = _radial_multiplier(phantom.grid, table, medium)
-    if max(rates, default=0.0) > kernels.EXP_REAL_LIMIT:
+    if include_zeta3 and T / medium.tau0 > kernels.EXP_REAL_LIMIT:
         raise kernels.ScaleOverflowError(
-            f"exp(Re lambda T) with Re lambda T = {max(rates):.3g} is not "
+            f"exp(Re lambda T) with Re lambda T = {T / medium.tau0:.3g} is not "
             "representable; the exact reversed pipeline is only computable "
             "at nondimensional scale (use include_zeta3=False)"
         )
+
+    def table(kk):
+        mp = kernels.mode_products(medium, kk)
+        if include_zeta3:
+            return 2.0 * _mode_sum(mp, T) * _mode_sum(mp, -T)
+        return mp.multiplier(T)
+
+    mult, index = _radial_multiplier(phantom.grid, table, medium)
     return _apply_radial(phantom, mult, index, "time reversal image")

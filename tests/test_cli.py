@@ -61,8 +61,23 @@ def test_coeffs_all_degenerate_grid_exits_2(tmp_path, water_cfg_file, capsys):
     (["roots", "--k-max=-1kc"], "must be non-negative"),
     (["roots", "--set", "k_min=-1"], "must be non-negative"),
     (["coeffs", "--k-max=-1kc"], "must be non-negative"),
+    (["roots", "--set", "k_min=inf"], "must be non-negative and finite"),
+    (["roots", "--set", "k_max=infkc"], "must be non-negative and finite"),
+    (["resolution", "--set", "kappa1_m2_per_N=inf"], "kappa1 must be non-negative"),
+    (["resolution", "--set", "rho_kg_per_m3=inf"], "rho must be positive and finite"),
+    (["resolution", "--set", "tau1_s=inf"], "tau1 must be positive and finite"),
+    (["reconstruct", "--set", "grid_n=256", "--set", "L_m=0"], "L_m must be positive"),
+    (["reconstruct", "--set", "grid_n=256", "--set", "L_m=-1"], "L_m must be positive"),
+    (["reconstruct", "--set", "grid_n=256", "--set", "L_m=inf"], "L_m must be positive"),
+    (["reconstruct", "--set", "grid_n=256", "--set", "T_s=inf"], "T_s must be positive"),
+    (["reconstruct", "--set", "grid_n=256", "--set", "grid_extent_m=inf"],
+     "extent must be positive and finite"),
+    (["reconstruct", "--set", "grid_n=256", "--set", "phantom_D_m2=-1"],
+     "phantom_D_m2 must be positive"),
 ], ids=["log_zero_k_max", "roots_negative_k_max", "negative_k_min",
-        "coeffs_negative_k_max"])
+        "coeffs_negative_k_max", "infinite_k_min", "infinite_k_max",
+        "infinite_kappa1", "infinite_rho", "infinite_tau1", "zero_L", "negative_L",
+        "infinite_L", "infinite_T", "infinite_extent", "negative_phantom_D"])
 def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2
@@ -76,7 +91,9 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
      "no finite wavefront speed"),
     (["reconstruct", "--set", "phantom_D_m2=10"], "exceeds half the extent"),
     (["report", "--set", "kappa1_m2_per_N=9e-9"], "three real roots"),
-], ids=["unphysical_medium", "phantom_support", "complex_regime"])
+    (["resolution", "--set", "speed_m_per_s=1e200"], "no finite wavefront speed"),
+], ids=["unphysical_medium", "phantom_support", "complex_regime",
+        "overflowing_c2_rho_kappa1"])
 def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2

@@ -360,6 +360,14 @@ def test_mode_products_contracts_across_media(medium):
         assert np.all(np.isfinite(a))
     assert np.all(mp.theta[1:] > 0)
 
+    # 0 < tau0 <= tau1 bounds the decay rates: the cubic is positive for
+    # lambda < 0, mu is a product of non-negative factors, and by Vieta
+    # lambda0 + 2 mu = 1/tau0, so no rate exceeds 1/tau0; the forward
+    # operator and the zeta3 refusal in time_reversal_image rest on these
+    assert np.all(mp.lambda0 > 0) and np.all(mp.mu >= 0)
+    eps = np.finfo(float).eps
+    assert max(mp.lambda0.max(), mp.mu.max()) <= (1.0 / medium.tau0) * (1.0 + 4.0 * eps)
+
     # lambda0 and mu +- i theta solve the cubic, and sum_j p_j lambda_j^{m-1}
     # = a_m with p2 = conj(p1), lambda2 = conj(lambda1), to round-off
     cubic, moment = _contract_residuals(medium, mp)

@@ -41,9 +41,11 @@ def test_round_trip_between_speed_forms():
         assert getattr(m2, attr) == pytest.approx(getattr(m1, attr), rel=1e-12)
 
 
-def test_kappa_zero_is_exact_identity():
+@pytest.mark.parametrize("speed_kind", ["c_infinity", "c_zero"])
+def test_kappa_zero_is_exact_identity(speed_kind):
+    # no kappa1 = 0 branch: the general formulas are exact there
     raw = RawParams(tau1=1e-9, kappa1=0.0, rho=1e3, speed=1500.0,
-                    speed_kind="c_infinity")
+                    speed_kind=speed_kind)
     m = derive_medium(raw)
     assert m.tau0 == m.tau1
     assert m.c0 == m.c_inf == 1500.0

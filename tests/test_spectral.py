@@ -167,13 +167,16 @@ def test_dissipation_free_roots_analytic():
 
 
 def test_dissipation_free_matches_cardano_path():
+    # tau0 = tau1 runs the general Cardano-Newton-Vieta path: d = 0 makes
+    # mu exactly 0, and lambda0 and theta agree with the factored cubic to
+    # round-off
     m = LOSSLESS
     for k in np.linspace(0.0, 10 * m.k_c, 20):
         lam0, _, theta = lossless_oracle(k)
         card = cardano_roots(m, k)
-        assert card.lambda0 == pytest.approx(lam0, rel=1e-9)
-        assert card.theta == pytest.approx(theta, rel=1e-9, abs=1e-3)
-        assert abs(card.mu) <= 1e-9 / m.tau1
+        assert card.lambda0 == pytest.approx(lam0, rel=1e-15)
+        assert card.theta == pytest.approx(theta, rel=1e-15)
+        assert card.mu == 0.0
 
 
 def test_amplitudes_dissipation_free_closed_form():

@@ -526,6 +526,26 @@ def test_blocked_zeta3_overflow_names_the_whole_table():
     )
 
 
+def test_zeta3_refusal_precedes_every_evaluation(monkeypatch):
+    # the largest Re lambda T of any table is T/tau0, so the refusal needs
+    # no mode products; on the three-real-root band it comes first too
+    calls = []
+    mode_products = kernels.mode_products
+    monkeypatch.setattr(kernels, "mode_products",
+                        lambda *args: calls.append(args) or mode_products(*args))
+    phi = gaussian_phantom(RAGGED, 4.0)
+    with pytest.raises(kernels.ScaleOverflowError):
+        time_reversal_image(WATER, phi, T_WATER, include_zeta3=True)
+    with pytest.raises(kernels.ScaleOverflowError):
+        time_reversal_image(BAND_MEDIUM, phi, 701.0 * BAND_MEDIUM.tau0,
+                            include_zeta3=True)
+    assert calls == []
+    with pytest.raises(kernels.ComplexRegimeError):
+        time_reversal_image(BAND_MEDIUM, phi, 700.0 * BAND_MEDIUM.tau0,
+                            include_zeta3=True)
+    assert len(calls) == 1
+
+
 # -- two-thread axis passes ----------------------------------------------------
 
 

@@ -51,6 +51,8 @@ RUNS = [
     ("water_coeffs_log", ["coeffs", "--config", WATER, "--set", "k_spacing=log",
                           "--set", "k_min=1e-3"]),
     ("water_kernels", ["kernels", "--config", WATER]),
+    ("water_kernels_lossless", ["kernels", "--config", WATER,
+                                "--set", "kappa1_m2_per_N=0"]),
     ("water_reconstruct", ["reconstruct", "--config", WATER]),
     ("water_reconstruct_lossless", ["reconstruct", "--config", WATER,
                                     "--set", "kappa1_m2_per_N=0"]),
