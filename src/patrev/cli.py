@@ -10,9 +10,10 @@ Subcommands map onto the experiment runners:
     resolution   resolution formula chain and the quoted claim
     report       full battery, one combined report
 
-Configuration comes from a key=value file (see configs/water.cfg); any key
-can be overridden on the command line with --set key=value, and --k-max
-accepts the suffix "kc" for multiples of the derived critical wavenumber.
+Configuration comes from a key=value file (see configs/water.cfg), or the
+built-in water medium without --config; any key can be overridden with
+--set key=value (flags > file > defaults), and k_max takes the suffix "kc"
+for multiples of the derived critical wavenumber.  Files go to --out.
 Exit status: 0 all declared checks pass, 1 a check failed, 2 configuration
 error or refused input (a medium without a finite wavefront speed, a phantom
 wider than the grid, three real roots on the imaging path), 64 usage error.
@@ -58,11 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory (default: ./out)")
-        if name in ("roots", "coeffs", "kernels"):
-            p.add_argument("--k-max", default=None,
-                           help="grid upper end in critical-wavenumber units, "
-                                "e.g. '10kc'")
-            p.add_argument("--k-num", type=int, default=None)
     return parser
 
 
@@ -70,28 +66,13 @@ def _assemble_config(args) -> ExperimentConfig:
     if args.config is not None:
         mapping = experiments.read_config_mapping(args.config)
     else:
-        mapping = _water_mapping()
+        mapping = experiments._water_mapping()
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    if getattr(args, "k_max", None) is not None:
-        mapping["k_max"] = args.k_max
-    if getattr(args, "k_num", None) is not None:
-        mapping["k_num"] = str(args.k_num)
     return experiments.config_from_mapping(mapping, args.out)
-
-
-def _water_mapping() -> dict[str, str]:
-    raw = experiments.water_params()
-    return {
-        "tau1_s": repr(raw.tau1),
-        "kappa1_m2_per_N": repr(raw.kappa1),
-        "rho_kg_per_m3": repr(raw.rho),
-        "speed_m_per_s": repr(raw.speed),
-        "speed_kind": raw.speed_kind,
-    }
 
 
 _DISPATCH = {
@@ -128,31 +109,30 @@ def main(argv=None) -> int:
 
 def _run(subcommand: str, cfg: ExperimentConfig) -> Report:
     """Run one subcommand and write its report files; returns the report."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if subcommand != "report":
         rep = _DISPATCH[subcommand](cfg)
-        rep.write(out / f"report_{rep.title}.txt")
+        rep.write(cfg.out_dir / f"report_{rep.title}.txt")
         return rep
     combined = Report("combined")
     for rep in experiments.run_all(cfg):
-        rep.write(out / f"report_{rep.title}.txt")
+        rep.write(cfg.out_dir / f"report_{rep.title}.txt")
         combined.entries.extend(
             replace(e, name=f"{rep.title}.{e.name}") for e in rep.entries
         )
         combined.csv_paths.extend(rep.csv_paths)
-    combined.write(out / "report.txt")
+    combined.write(cfg.out_dir / "report.txt")
     return combined
 
 
 def _print_summary(rep: Report):
     for e in rep.entries:
-        if e.passed is None:
-            print(f"{rep.title}.{e.name} = {e.value:.6g}")
-        else:
-            status = "pass" if e.passed else "FAIL"
-            print(f"{rep.title}.{e.name} = {e.value:.6g} "
-                  f"(target {e.target:.6g}, tol {e.tolerance:.3g}): {status}")
+        line = f"{rep.title}.{e.name} = {e.value:.6g}"
+        if e.target is not None:
+            line += f" (target {e.target:.6g}, tol {e.tolerance:.3g})"
+        if e.passed is not None:
+            line += ": pass" if e.passed else ": FAIL"
+        print(line)
     for p in rep.csv_paths:
         print(f"wrote {p}")
 

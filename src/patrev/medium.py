@@ -140,6 +140,9 @@ def derive_medium(raw: RawParams) -> Medium:
         If the derived tau0 is not a positive double: c0^2 rho kappa1 >= 1,
         which would mean an infinite wavefront speed, or c^2 rho kappa1
         overflowing.
+    ValueError
+        If k_c = 2/(c0 tau1) is not a positive double: c0 tau1 underflowing
+        (to 0 or below 2/DBL_MAX) or overflowing.
     """
     try:
         c2_rho_kappa1 = raw.speed**2 * raw.rho * raw.kappa1
@@ -158,6 +161,11 @@ def derive_medium(raw: RawParams) -> Medium:
     else:
         c0 = raw.speed
         c_inf = math.sqrt(raw.tau1 / tau0) * c0
+    c0_tau1 = c0 * raw.tau1
+    k_c = 2.0 / c0_tau1 if c0_tau1 > 0.0 else math.inf
+    if not 0.0 < k_c < math.inf:
+        raise ValueError(f"c0 tau1 = {c0_tau1:.6g} gives k_c = {k_c:.6g}: "
+                         "no finite positive critical wavenumber")
     return Medium(
         tau1=raw.tau1,
         tau0=tau0,
@@ -165,7 +173,7 @@ def derive_medium(raw: RawParams) -> Medium:
         c_inf=c_inf,
         kappa1=raw.kappa1,
         rho=raw.rho,
-        k_c=2.0 / (c0 * raw.tau1),
+        k_c=k_c,
     )
 
 

@@ -1,6 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from patrev import cli
 from patrev.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 WATER_CFG = """
 tau1_s          = 1e-9
@@ -40,7 +46,7 @@ def test_bad_override_exits_2(tmp_path, capsys):
 
 
 def test_k_num_zero_flag_reaches_validation(tmp_path, capsys):
-    code = main(["roots", "--k-num", "0", "--out", str(tmp_path / "out")])
+    code = main(["roots", "--set", "k_num=0", "--out", str(tmp_path / "out")])
     assert code == 2
     assert "k_num must be at least 2" in capsys.readouterr().err
 
@@ -48,19 +54,19 @@ def test_k_num_zero_flag_reaches_validation(tmp_path, capsys):
 def test_coeffs_all_degenerate_grid_exits_2(tmp_path, water_cfg_file, capsys):
     # a k grid of k = 0 only, where the mode weights are undefined, leaves no
     # amplitude to report
-    code = main(["coeffs", "--config", str(water_cfg_file), "--k-max", "0kc",
+    code = main(["coeffs", "--config", str(water_cfg_file), "--set", "k_max=0kc",
                  "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "raise --k-max" in err
+    assert "raise k_max" in err
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["roots", "--k-max", "0kc", "--set", "k_spacing=log"], "needs k_max > 0"),
-    (["roots", "--k-max=-1kc"], "must be non-negative"),
+    (["roots", "--set", "k_max=0kc", "--set", "k_spacing=log"], "needs k_max > 0"),
+    (["roots", "--set", "k_max=-1kc"], "must be non-negative"),
     (["roots", "--set", "k_min=-1"], "must be non-negative"),
-    (["coeffs", "--k-max=-1kc"], "must be non-negative"),
+    (["coeffs", "--set", "k_max=-1kc"], "must be non-negative"),
     (["roots", "--set", "k_min=inf"], "must be non-negative and finite"),
     (["roots", "--set", "k_max=infkc"], "must be non-negative and finite"),
     (["resolution", "--set", "kappa1_m2_per_N=inf"], "kappa1 must be non-negative"),
@@ -74,10 +80,14 @@ def test_coeffs_all_degenerate_grid_exits_2(tmp_path, water_cfg_file, capsys):
      "extent must be positive and finite"),
     (["reconstruct", "--set", "grid_n=256", "--set", "phantom_D_m2=-1"],
      "phantom_D_m2 must be positive"),
+    # c0 tau1 = 1e-317 and 0: k_c = 2/(c0 tau1) is not a double
+    (["resolution", "--set", "tau1_s=1e-320"], "gives k_c = inf"),
+    (["resolution", "--set", "speed_m_per_s=1e-320"], "c0 tau1 = 0 gives k_c = inf"),
 ], ids=["log_zero_k_max", "roots_negative_k_max", "negative_k_min",
         "coeffs_negative_k_max", "infinite_k_min", "infinite_k_max",
         "infinite_kappa1", "infinite_rho", "infinite_tau1", "zero_L", "negative_L",
-        "infinite_L", "infinite_T", "infinite_extent", "negative_phantom_D"])
+        "infinite_L", "infinite_T", "infinite_extent", "negative_phantom_D",
+        "subnormal_tau1", "subnormal_speed"])
 def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2
@@ -102,6 +112,32 @@ def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     assert "Traceback" not in err
 
 
+def test_nonfinite_sup_value_fails_without_traceback(tmp_path, capsys):
+    # theta T overflows at T = 1e300 s: the NaN sup value is a failed check
+    # without a target
+    out = tmp_path / "out"
+    assert main(["kernels", "--set", "T_s=1e300", "--set", "k_num=50",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "kernel_tables.sup_zeta2 = nan: FAIL\n" in captured.out
+    assert "Traceback" not in captured.err
+    assert "sup_zeta2.pass" not in (out / "report_kernel_tables.txt").read_text()
+
+
+def test_files_land_in_out(tmp_path, monkeypatch, capsys):
+    # --out is the only output directory: a config's out_dir key is refused
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "with_out_dir.cfg"
+    cfg.write_text(WATER_CFG + f"out_dir = {tmp_path / 'elsewhere'}\n")
+    assert main(["roots", "--config", str(cfg), "--out", "o1"]) == 2
+    assert "unknown config keys: out_dir" in capsys.readouterr().err
+    assert main(["roots", "--set", "k_num=50", "--out", "o2"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o2", "with_out_dir.cfg"]
+    assert sorted(p.name for p in (tmp_path / "o2").iterdir()) == [
+        "report_roots.txt", "roots.csv"]
+    assert "csv = o2/roots.csv\n" in (tmp_path / "o2" / "report_roots.txt").read_text()
+
+
 def test_refused_report_leaves_no_tables(tmp_path, capsys):
     # tau0/tau1 = 0.047 refuses in the kernel tables, after the roots and
     # amplitudes of the same k grid are computed
@@ -124,7 +160,7 @@ def test_roots_residual_check_passes(tmp_path, capsys, override):
 def test_roots_subcommand(tmp_path, water_cfg_file, capsys):
     out = tmp_path / "out"
     code = main(["roots", "--config", str(water_cfg_file),
-                 "--k-max", "10kc", "--k-num", "200", "--out", str(out)])
+                 "--set", "k_max=10kc", "--set", "k_num=200", "--out", str(out)])
     assert code == 0
     csv = (out / "roots.csv").read_text().splitlines()
     header = csv[1].split(",")
@@ -139,14 +175,14 @@ def test_roots_idempotent(tmp_path, water_cfg_file):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     for out in (out1, out2):
         assert main(["roots", "--config", str(water_cfg_file),
-                     "--k-num", "50", "--out", str(out)]) == 0
+                     "--set", "k_num=50", "--out", str(out)]) == 0
     assert (out1 / "roots.csv").read_bytes() == (out2 / "roots.csv").read_bytes()
 
 
 def test_coeffs_subcommand(tmp_path, water_cfg_file):
     out = tmp_path / "out"
     code = main(["coeffs", "--config", str(water_cfg_file),
-                 "--k-num", "100", "--out", str(out)])
+                 "--set", "k_num=100", "--out", str(out)])
     assert code == 0
     lines = (out / "coeffs.csv").read_text().splitlines()
     assert lines[1].startswith("k,re_a0,im_a0")
@@ -155,7 +191,7 @@ def test_coeffs_subcommand(tmp_path, water_cfg_file):
 def test_kernels_subcommand(tmp_path, water_cfg_file):
     out = tmp_path / "out"
     code = main(["kernels", "--config", str(water_cfg_file),
-                 "--k-num", "100", "--out", str(out)])
+                 "--set", "k_num=100", "--out", str(out)])
     assert code == 0
     assert (out / "kernels_10kc.csv").exists()
     assert (out / "kernels_100kc.csv").exists()
@@ -222,3 +258,32 @@ def test_report_subcommand(tmp_path, water_cfg_file, capsys):
     for sub in ("water_constants", "kernel_tables", "reconstruction",
                 "kappa_sweep", "resolution_study"):
         assert (out / f"report_{sub}.txt").exists()
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tool_argvs():
+    """(id, argv without --out) of every golden run and benchmark workload,
+    each workload with and without its smoke suffix."""
+    golden = _load("golden", ROOT / "tools" / "golden.py")
+    bench = _load("perfbench_run", ROOT / "perfbench" / "run.py")
+    runs = [(f"golden-{name}", argv) for name, argv in golden.RUNS]
+    for name, wl in bench.WORKLOADS.items():
+        runs += [(f"bench-{name}", wl["argv"]),
+                 (f"bench-{name}-smoke", wl["argv"] + wl["smoke"])]
+    return runs
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=name)
+                                  for name, argv in _tool_argvs()])
+def test_tool_argv_assembles(tmp_path, monkeypatch, argv):
+    # a key or flag removed from the CLI fails here, not in the golden run or
+    # the benchmark; the workloads name configs relative to the checkout
+    monkeypatch.chdir(ROOT)
+    args = cli._build_parser().parse_args(argv + ["--out", str(tmp_path)])
+    assert cli._assemble_config(args).out_dir == tmp_path

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from patrev import kernels, transform
-from patrev.medium import RawParams, water_params
+from patrev.medium import water_params
 from patrev.experiments import (
     _CSV_BLOCK_ROWS,
     ConfigError,
     ExperimentConfig,
     Report,
+    _water_mapping,
     config_from_mapping,
-    default_water_config,
+    read_config_mapping,
     run_kappa_sweep,
     run_kernel_tables,
     run_reconstruction,
@@ -19,12 +20,9 @@ from patrev.experiments import (
 )
 
 
-def water_cfg(out_dir, **overrides) -> ExperimentConfig:
-    base = default_water_config(out_dir)
-    if overrides:
-        from dataclasses import replace
-        base = replace(base, **overrides)
-    return base
+def water_cfg(out_dir, **overrides: str) -> ExperimentConfig:
+    """The CLI's built-in water config with config-key overrides."""
+    return config_from_mapping({**_water_mapping(), **overrides}, out_dir)
 
 
 def test_report_bookkeeping():
@@ -112,21 +110,19 @@ def test_water_constants_pass(tmp_path):
 
 
 def test_water_constants_lossless_variant(tmp_path):
-    raw = RawParams(tau1=1e-9, kappa1=0.0, rho=1e3, speed=1500.0)
-    rep = run_water_constants(water_cfg(tmp_path, raw=raw))
+    rep = run_water_constants(water_cfg(tmp_path, kappa1_m2_per_N="0"))
     assert rep.passed
     assert rep.entry("dc_gain").value == 1.0
     assert rep.entry("mu_limit_per_s").value == 0.0
 
 
 def test_water_constants_halved_kappa(tmp_path):
-    raw = RawParams(tau1=1e-9, kappa1=2.5e-10, rho=1e3, speed=1500.0)
-    rep = run_water_constants(water_cfg(tmp_path, raw=raw))
+    rep = run_water_constants(water_cfg(tmp_path, kappa1_m2_per_N="2.5e-10"))
     assert rep.entry("dc_gain").value == pytest.approx(1.6328125, rel=1e-12)
 
 
 def test_kernel_tables(tmp_path):
-    cfg = water_cfg(tmp_path / "out", k_num=400)
+    cfg = water_cfg(tmp_path / "out", k_num="400")
     rep = run_kernel_tables(cfg)
     assert rep.passed
     names = {p.name for p in rep.csv_paths}
@@ -147,22 +143,22 @@ def test_kernel_tables(tmp_path):
 def test_amplitude_table_defines_k_zero_row_only(tmp_path):
     # A_j = p_j / lambda_j at every k > 0; at k = 0 A1 k = -A2 k = i/(2 c0)
     # by definition and A0 k = 0 comes out of the products
-    cfg = water_cfg(tmp_path / "out", k_num=100)
+    cfg = water_cfg(tmp_path / "out", k_num="100")
     run_kernel_tables(cfg)
     lines = (cfg.out_dir / "amplitudes_10kc.csv").read_text().splitlines()
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
     col = dict(zip(lines[1].split(","), rows.T))
     assert np.flatnonzero(col["limit_patched"]).tolist() == [0]
     assert np.all(np.isfinite(rows))
-    half = 0.5 / cfg.medium().c0
+    half = 0.5 / cfg.medium.c0
     assert (col["re_a0_k"][0], col["im_a0_k"][0]) == (0.0, 0.0)
     assert (col["re_a1_k"][0], col["im_a1_k"][0]) == (0.0, half)
     assert (col["re_a2_k"][0], col["im_a2_k"][0]) == (0.0, -half)
 
 
 def test_kernel_tables_deterministic(tmp_path):
-    cfg1 = water_cfg(tmp_path / "r1", k_num=100)
-    cfg2 = water_cfg(tmp_path / "r2", k_num=100)
+    cfg1 = water_cfg(tmp_path / "r1", k_num="100")
+    cfg2 = water_cfg(tmp_path / "r2", k_num="100")
     run_kernel_tables(cfg1)
     run_kernel_tables(cfg2)
     for name in ("roots_10kc.csv", "kernels_100kc.csv"):
@@ -182,8 +178,7 @@ def test_reconstruction_water(tmp_path):
 
 
 def test_reconstruction_lossless_identity(tmp_path):
-    raw = RawParams(tau1=1e-9, kappa1=0.0, rho=1e3, speed=1500.0)
-    rep = run_reconstruction(water_cfg(tmp_path, raw=raw))
+    rep = run_reconstruction(water_cfg(tmp_path, kappa1_m2_per_N="0"))
     assert rep.passed
     assert rep.entry("err_linf_identity").value <= 1e-3
     assert rep.entry("err_linf_vs_phi").value <= 1e-3
@@ -191,15 +186,14 @@ def test_reconstruction_lossless_identity(tmp_path):
 
 def test_reconstruction_identity_checked_when_kappa1_rounds_away(tmp_path):
     # c_inf^2 rho kappa1 = 2.25e-21 rounds away against 1, so tau0 == tau1
-    raw = RawParams(tau1=1e-9, kappa1=1e-30, rho=1e3, speed=1500.0)
-    rep = run_reconstruction(water_cfg(tmp_path, raw=raw))
+    rep = run_reconstruction(water_cfg(tmp_path, kappa1_m2_per_N="1e-30"))
     assert rep.passed
     assert rep.entry("err_linf_identity").value <= 1e-3
 
 
 def _full_grid_reconstruction_entries(cfg) -> dict[str, float]:
     """Report values of run_reconstruction from whole-grid arrays."""
-    medium = cfg.medium()
+    medium = cfg.medium
     T = cfg.resolve_T(medium)
     phantom = transform.gaussian_phantom(cfg.grid, cfg.phantom_D(medium))
     image = transform.time_reversal_image(medium, phantom, T, include_zeta3=False)
@@ -225,16 +219,14 @@ def _full_grid_reconstruction_entries(cfg) -> dict[str, float]:
     return entries
 
 
-@pytest.mark.parametrize("raw", [
-    water_params(),
-    RawParams(tau1=1e-9, kappa1=0.0, rho=1e3, speed=1500.0),
-], ids=["water", "dissipation_free"])
-def test_reconstruction_3d_matches_full_grid_formulas(tmp_path, raw):
-    grid = transform.GridSpec(dim=3, n_per_axis=32, extent=8.0)
-    cfg = water_cfg(tmp_path / "out", raw=raw, grid=grid, phantom_D_m2=0.125)
+@pytest.mark.parametrize("medium_overrides", [{}, {"kappa1_m2_per_N": "0"}],
+                         ids=["water", "dissipation_free"])
+def test_reconstruction_3d_matches_full_grid_formulas(tmp_path, medium_overrides):
+    cfg = water_cfg(tmp_path / "out", grid_dim="3", grid_n="32", phantom_D_m2="0.125",
+                    **medium_overrides)
     rep = run_reconstruction(cfg)
     expected = _full_grid_reconstruction_entries(cfg)
-    assert ("err_linf_identity" in expected) == (raw.kappa1 == 0.0)
+    assert ("err_linf_identity" in expected) == (cfg.raw.kappa1 == 0.0)
     for name, value in expected.items():
         assert rep.entry(name).value == value, name
     assert rep.passed
@@ -244,8 +236,8 @@ def test_reconstruction_3d_matches_full_grid_formulas(tmp_path, raw):
 
 def test_reconstruction_smoother_phantom_is_better(tmp_path):
     cfg1 = water_cfg(tmp_path / "d0")
-    d0 = (500.0 / cfg1.medium().k_c) ** 2
-    cfg4 = water_cfg(tmp_path / "d4", phantom_D_m2=4.0 * d0)
+    d0 = (500.0 / cfg1.medium.k_c) ** 2
+    cfg4 = water_cfg(tmp_path / "d4", phantom_D_m2=repr(4.0 * d0))
     err1 = run_reconstruction(cfg1).entry("err_linf_vs_gain_phi").value
     err4 = run_reconstruction(cfg4).entry("err_linf_vs_gain_phi").value
     assert err4 < err1
@@ -294,19 +286,24 @@ def test_config_mapping_round_trip(tmp_path):
     assert cfg.grid.n_per_axis == 4096
     assert cfg.phantom_D_m2 == 1e-7
     assert cfg.k_max_over_kc == 5.0
-    medium = cfg.medium()
+    assert cfg.out_dir == tmp_path
+    medium = cfg.medium
     assert cfg.resolve_T(medium) == 2e-3
     assert cfg.k_grid(medium).max() == pytest.approx(5.0 * medium.k_c)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    mapping = {
-        "tau1_s": "1e-9", "kappa1_m2_per_N": "0", "rho_kg_per_m3": "1e3",
-        "speed_m_per_s": "1500.0", "speed_kind": "c_infinity",
-        "bogus_key": "1",
-    }
-    with pytest.raises(ConfigError, match="bogus_key"):
-        config_from_mapping(mapping, tmp_path)
+    # out_dir (the output directory is --out alone) and T_rule (T is T_s or
+    # 4 L_m / c_inf) are keys no longer
+    for key, value in [("bogus_key", "1"), ("out_dir", str(tmp_path / "x")),
+                       ("T_rule", "4L/c_inf")]:
+        mapping = {
+            "tau1_s": "1e-9", "kappa1_m2_per_N": "0", "rho_kg_per_m3": "1e3",
+            "speed_m_per_s": "1500.0", "speed_kind": "c_infinity",
+            key: value,
+        }
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping(mapping, tmp_path)
 
 
 def test_config_rejects_plain_k_max(tmp_path):
@@ -320,9 +317,8 @@ def test_config_rejects_plain_k_max(tmp_path):
 
 
 def test_shipped_configs_parse(tmp_path):
-    from patrev.experiments import load_config
     from pathlib import Path
     for name in ("water.cfg", "nondim.cfg"):
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / name,
-                          tmp_path)
-        assert cfg.medium().tau0 > 0
+        path = Path(__file__).resolve().parents[1] / "configs" / name
+        cfg = config_from_mapping(read_config_mapping(path), tmp_path)
+        assert cfg.medium.tau0 > 0
