@@ -34,7 +34,6 @@ from .transform import (
     GridSpec,
     InteriorRegion,
     apply_multiplier,
-    forward_pressure,
     gaussian_phantom,
     propdelta_check,
     time_reversal_image,
@@ -49,6 +48,5 @@ __all__ = [
     "cardano_roots", "solve_vandermonde",
     "ComplexRegimeError", "ScaleOverflowError", "dc_constant", "eta0_hat",
     "Field", "GridSpec", "InteriorRegion", "apply_multiplier",
-    "forward_pressure", "gaussian_phantom", "propdelta_check",
-    "time_reversal_image",
+    "gaussian_phantom", "propdelta_check", "time_reversal_image",
 ]

@@ -16,7 +16,8 @@ built-in water medium without --config; any key can be overridden with
 for multiples of the derived critical wavenumber.  Files go to --out.
 Exit status: 0 all declared checks pass, 1 a check failed, 2 configuration
 error or refused input (a medium without a finite wavefront speed, a phantom
-wider than the grid, three real roots on the imaging path), 64 usage error.
+wider than the grid, three real roots on the imaging path, theta T beyond
+double range, an unwritable --out), 64 usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from . import experiments
 from .experiments import ConfigError, ExperimentConfig, Report
-from .kernels import ComplexRegimeError
+from .kernels import ComplexRegimeError, ScaleOverflowError
 from .medium import UnphysicalMediumError
 from .transform import PhantomSupportError
 
@@ -39,10 +40,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_USAGE = 64
 
-_SUBCOMMANDS = (
-    "roots", "coeffs", "kernels", "reconstruct", "sweep-kappa", "resolution",
-    "report",
-)
+_DISPATCH = {
+    "roots": experiments.run_roots,
+    "coeffs": experiments.run_coeffs,
+    "kernels": experiments.run_kernel_tables,
+    "reconstruct": experiments.run_reconstruction,
+    "sweep-kappa": experiments.run_kappa_sweep,
+    "resolution": experiments.run_resolution_study,
+}
+_SUBCOMMANDS = (*_DISPATCH, "report")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,6 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()      # built once; --set's append copies its default
+
+
 def _assemble_config(args) -> ExperimentConfig:
     if args.config is not None:
         mapping = experiments.read_config_mapping(args.config)
@@ -75,20 +84,9 @@ def _assemble_config(args) -> ExperimentConfig:
     return experiments.config_from_mapping(mapping, args.out)
 
 
-_DISPATCH = {
-    "roots": experiments.run_roots,
-    "coeffs": experiments.run_coeffs,
-    "kernels": experiments.run_kernel_tables,
-    "reconstruct": experiments.run_reconstruction,
-    "sweep-kappa": experiments.run_kappa_sweep,
-    "resolution": experiments.run_resolution_study,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems (unknown subcommand, bad flags);
         # map those to 64 and keep 0 for --help
@@ -100,7 +98,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnphysicalMediumError, PhantomSupportError, ComplexRegimeError) as exc:
+    except (UnphysicalMediumError, PhantomSupportError, ComplexRegimeError,
+            ScaleOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _print_summary(rep)

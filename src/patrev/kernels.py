@@ -53,7 +53,6 @@ __all__ = [
     "zeta_arrays",
     "multiplier_grid",
     "eta0_hat",
-    "eta0_grid",
     "dc_constant",
     "kernel_table",
 ]
@@ -201,14 +200,10 @@ def zeta_arrays(medium: Medium, k, T: float, d: int = 3):
     return _zeta_pieces(_real_products(medium, k, T), T, d)
 
 
-def eta0_grid(medium: Medium, k, d: int = 3) -> np.ndarray:
-    """Small-wavenumber kernel eta0_hat = 2 sum_j (A_j l_j)^2 / (2 pi)^{d/2}."""
-    return mode_products(medium, k).eta0_multiplier() / _norm(d)
-
-
 def eta0_hat(medium: Medium, k: float, d: int = 3) -> float:
-    """eta0_hat at one wavenumber, k = 0 included."""
-    return float(eta0_grid(medium, np.asarray([float(k)]), d)[0])
+    """Small-wavenumber kernel eta0_hat = 2 sum_j (A_j l_j)^2 / (2 pi)^{d/2}
+    at one wavenumber, k = 0 included."""
+    return float(mode_products(medium, np.asarray(float(k))).eta0_multiplier() / _norm(d))
 
 
 def dc_constant(medium: Medium) -> float:

@@ -1,4 +1,4 @@
-"""Gridded Fourier machinery: phantoms, spectral multipliers, wave evolution.
+"""Gridded Fourier machinery: phantoms, spectral multipliers, the image.
 
 Fields live on uniform, origin-centered periodic grids of 2^m samples per
 axis (d = 1, 2 or 3).  All propagation and imaging operators are diagonal in
@@ -12,9 +12,9 @@ grid point.  ``GridSpec.radial_table`` lists the distinct |k| of the
 real-FFT half spectrum (layout of ``np.fft.rfftn``: shape
 (n,)*(d-1) + (n//2+1,), FFT order on every axis, non-negative frequencies
 only on the last) together with an index per half-spectrum point
-(``slice(None)`` in 1-D); ``apply_multiplier``, ``forward_pressure`` and
-``time_reversal_image`` evaluate on that 1-D table, gather with the index
-and run one real-FFT round trip.  They evaluate it in
+(``slice(None)`` in 1-D); ``apply_multiplier`` and ``time_reversal_image``
+evaluate on that 1-D table, gather with the index and run one real-FFT
+round trip.  They evaluate it in
 blocks of 8192 |k| written into one table, so the ~20 temporaries of a root
 solve and its mode products (64 KB each) stay in a 2 MB L2 cache instead of
 streaming through memory: on a Xeon with 2 MB L2 per core the water table
@@ -59,7 +59,6 @@ __all__ = [
     "gaussian_phantom",
     "apply_multiplier",
     "propdelta_check",
-    "forward_pressure",
     "time_reversal_image",
 ]
 
@@ -165,7 +164,6 @@ class Field:
 
     grid: GridSpec
     samples: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if self.samples.shape != self.grid.shape():
@@ -214,7 +212,7 @@ def gaussian_phantom(grid: GridSpec, D: float) -> Field:
     r /= -4.0 * D
     np.exp(r, out=r)
     r *= (4.0 * math.pi * D) ** (-grid.dim / 2.0)
-    return Field(grid, r, label=f"gaussian D={D:.6g}")
+    return Field(grid, r)
 
 
 #: |k| per block of multiplier evaluation; see the module docstring
@@ -278,8 +276,7 @@ def _pass(fft: Callable, src: np.ndarray, dst: np.ndarray, axis: int, **kw) -> n
     return dst
 
 
-def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray | slice,
-                  label: str) -> Field:
+def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray | slice) -> Field:
     """F^{-1}{mult[index] F{fld}} by one real-FFT round trip.
 
     ``mult`` and ``index`` come from ``_radial_multiplier``.  The complex
@@ -298,7 +295,7 @@ def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray | slice,
         spec, spare = _pass(np.fft.ifft, spec, spare, axis), spec
     del spare
     out = _pass(np.fft.irfft, spec, np.empty(fld.grid.shape()), -1, n=n)
-    return Field(fld.grid, out, label=label)
+    return Field(fld.grid, out)
 
 
 def apply_multiplier(field: Field, multiplier: Callable[[np.ndarray], np.ndarray]) -> Field:
@@ -311,7 +308,7 @@ def apply_multiplier(field: Field, multiplier: Callable[[np.ndarray], np.ndarray
     is gathered onto the real-FFT half spectrum, so the output is real by
     construction.
     """
-    return _apply_radial(field, *_radial_multiplier(field.grid, multiplier), field.label)
+    return _apply_radial(field, *_radial_multiplier(field.grid, multiplier))
 
 
 def propdelta_check(field: Field, medium: Medium, T: float,
@@ -349,28 +346,11 @@ def propdelta_check(field: Field, medium: Medium, T: float,
 
 def _mode_sum(mp: kernels.ModeProducts, t: float) -> np.ndarray:
     """sum_j A_j lambda_j e^{-lambda_j t}, real since p2 e^{-lambda2 t} is the
-    conjugate of p1 e^{-lambda1 t}."""
+    conjugate of p1 e^{-lambda1 t}; minus it is the forward multiplier p_hat / phi_hat."""
     phase = mp.theta * t
     return mp.p0 * np.exp(-mp.lambda0 * t) + 2.0 * np.exp(-mp.mu * t) * (
         mp.p1_re * np.cos(phase) + mp.p1_im * np.sin(phase)
     )
-
-
-def forward_pressure(medium: Medium, phantom: Field, t: float) -> Field:
-    """Pressure p = F^{-1}{-phi_hat(k) sum_j A_j lambda_j e^{-lambda_j t}} at time t.
-
-    Reduces to F^{-1}{phi_hat cos(c0 k t)} for kappa1 = 0 and to
-    (tau1/tau0) phi as t -> 0+.  Re(lambda_j) >= 0 at every k for every
-    admissible medium: 0 < tau0 <= tau1 makes the cubic positive for
-    lambda < 0, so lambda0 > 0, and mu is a product of non-negative factors;
-    hence the forward factors never overflow.  The mode sum is a real radial
-    multiplier and is applied on the grid's radial table like the image.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    mult, index = _radial_multiplier(
-        phantom.grid, lambda kk: -_mode_sum(kernels.mode_products(medium, kk), t), medium)
-    return _apply_radial(phantom, mult, index, "forward pressure")
 
 
 def time_reversal_image(medium: Medium, phantom: Field, T: float,
@@ -393,10 +373,17 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
         I_hat = 2 [p0^2 + 2 Re(p1^2) + 2 |p1|^2 cos(2 theta T)] phi_hat,
 
     which is finite at any scale and equals ``kernels.multiplier_grid``.
-    Both are real and are evaluated on the grid's radial table.
+    Both are real and are evaluated on the grid's radial table.  Both need
+    theta T finite: theta^2 <= c0^2 k^2 / (tau0 lambda0) <= c_inf^2 k^2 as
+    lambda0 >= 1/tau1, and |k| <= sqrt(d) k_nyquist, so a ScaleOverflowError
+    refuses first when c_inf T sqrt(d) k_nyquist is not a finite double.
     """
     if T <= 0:
         raise ValueError("T must be positive")
+    grid = phantom.grid
+    if not math.isfinite(medium.c_inf * T * math.sqrt(grid.dim) * grid.nyquist):
+        raise kernels.ScaleOverflowError(
+            f"theta T is not a finite double at c_inf = {medium.c_inf:.6g} m/s, T = {T:.6g} s")
     if include_zeta3 and T / medium.tau0 > kernels.EXP_REAL_LIMIT:
         raise kernels.ScaleOverflowError(
             f"exp(Re lambda T) with Re lambda T = {T / medium.tau0:.3g} is not "
@@ -410,5 +397,4 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
             return 2.0 * _mode_sum(mp, T) * _mode_sum(mp, -T)
         return mp.multiplier(T)
 
-    mult, index = _radial_multiplier(phantom.grid, table, medium)
-    return _apply_radial(phantom, mult, index, "time reversal image")
+    return _apply_radial(phantom, *_radial_multiplier(grid, table, medium))

@@ -102,14 +102,49 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     (["reconstruct", "--set", "phantom_D_m2=10"], "exceeds half the extent"),
     (["report", "--set", "kappa1_m2_per_N=9e-9"], "three real roots"),
     (["resolution", "--set", "speed_m_per_s=1e200"], "no finite wavefront speed"),
+    # theta T overflows on the grid; L_m = 1e308 derives T = 4 L_m / c_inf = inf
+    (["reconstruct", "--set", "T_s=1e308"], "theta T is not a finite double"),
+    (["sweep-kappa", "--set", "T_s=1e308"], "theta T is not a finite double"),
+    (["report", "--set", "L_m=1e308"], "theta T is not a finite double"),
 ], ids=["unphysical_medium", "phantom_support", "complex_regime",
-        "overflowing_c2_rho_kappa1"])
+        "overflowing_c2_rho_kappa1", "overflowing_theta_T_reconstruct",
+        "overflowing_theta_T_sweep", "overflowing_theta_T_report"])
 def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # an existing file, a path below a file, and a CSV name taken by a directory
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    (tmp_path / "taken" / "roots.csv").mkdir(parents=True)
+    for argv in (["resolution", "--out", str(afile)],
+                 ["resolution", "--out", str(afile / "sub")],
+                 ["roots", "--set", "k_num=50", "--out", str(tmp_path / "taken")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_main_reuses_one_parser_without_sharing_overrides(tmp_path, monkeypatch, capsys):
+    # --set appends to a copy of the shared parser's default, so each call
+    # sees only its own overrides
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+    seen = []
+    assemble = cli._assemble_config
+    monkeypatch.setattr(cli, "_assemble_config",
+                        lambda args: seen.append(args.overrides) or assemble(args))
+    for overrides in (["--set", "tau1_s=2e-9"], ["--set", "tau1_s=3e-9"], []):
+        assert main(["resolution", *overrides, "--out", str(tmp_path)]) == 0
+    assert seen == [["tau1_s=2e-9"], ["tau1_s=3e-9"], []]
+    assert cli._PARSER.parse_args(["resolution"]).overrides == []
 
 
 def test_nonfinite_sup_value_fails_without_traceback(tmp_path, capsys):
@@ -285,5 +320,5 @@ def test_tool_argv_assembles(tmp_path, monkeypatch, argv):
     # a key or flag removed from the CLI fails here, not in the golden run or
     # the benchmark; the workloads name configs relative to the checkout
     monkeypatch.chdir(ROOT)
-    args = cli._build_parser().parse_args(argv + ["--out", str(tmp_path)])
+    args = cli._PARSER.parse_args(argv + ["--out", str(tmp_path)])
     assert cli._assemble_config(args).out_dir == tmp_path

@@ -70,8 +70,16 @@ def test_eta0_dc_value_and_flatness():
     norm = (2 * math.pi) ** 1.5
     assert norm * eta0_hat(WATER, 0.0, d=3) == pytest.approx(3.53125, rel=1e-12)
     ks = np.linspace(1e-5, 1.0, 300) * KC / 100.0
-    e0 = kernels.eta0_grid(WATER, ks, d=3) * norm
+    e0 = mode_products(WATER, ks).eta0_multiplier()
     assert np.max(np.abs(e0 / 3.53125 - 1.0)) <= 0.02
+
+
+@pytest.mark.parametrize("k_over_kc", [0.0, 0.01, 10.0])
+def test_eta0_hat_equals_the_array_value_bit_for_bit(k_over_kc):
+    # eta0_hat evaluates the mode products at a 0-d k; every step is elementwise
+    k = k_over_kc * KC
+    array = mode_products(WATER, np.asarray([k])).eta0_multiplier() / (2 * math.pi) ** 1.5
+    assert eta0_hat(WATER, k, d=3) == array[0]
 
 
 def test_small_k_multiplier_matches_dc():
@@ -439,4 +447,4 @@ def test_kernel_table_columns():
     assert np.all(np.isfinite(table["multiplier_no_zeta3"]))
     assert np.array_equal(table["multiplier_no_zeta3"],
                           kernels.multiplier_grid(WATER, ks, T_WATER))
-    assert np.array_equal(table["eta0"], kernels.eta0_grid(WATER, ks, d=3))
+    assert np.array_equal(table["eta0"], [eta0_hat(WATER, k, d=3) for k in ks])

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -13,7 +14,6 @@ from patrev.transform import (
     InteriorRegion,
     PhantomSupportError,
     apply_multiplier,
-    forward_pressure,
     gaussian_phantom,
     propdelta_check,
     time_reversal_image,
@@ -149,6 +149,12 @@ def _full_grid_route(phi, mult):
     return np.fft.ifftn(spec).real
 
 
+def _forward(medium, t):
+    """Forward pressure multiplier -sum_j A_j l_j e^{-l_j t}, the factor the
+    zeta3 pipeline uses, for ``apply_multiplier``."""
+    return lambda k: -transform._mode_sum(kernels.mode_products(medium, k), t)
+
+
 def _full_grid_forward(medium, t):
     """Reference forward multiplier -sum_j A_j l_j e^{-l_j t}, complex, with
     lambda_{1,2} = mu +- i theta and p2 = conj(p1)."""
@@ -192,7 +198,7 @@ def test_radial_route_equals_full_grid_route(grid, D):
         img = time_reversal_image(NONDIM, phi, T, include_zeta3=flag)
         ref = _full_grid_route(phi, _full_grid_image(NONDIM, T, flag))
         assert rel(img.samples, ref) <= 1e-12
-    fwd = forward_pressure(NONDIM, phi, T)
+    fwd = apply_multiplier(phi, _forward(NONDIM, T))
     assert rel(fwd.samples, _full_grid_route(phi, _full_grid_forward(NONDIM, T))) <= 1e-12
 
 
@@ -249,7 +255,7 @@ def test_propdelta_region_must_fit():
 def test_forward_pressure_dissipation_free_is_dalembert():
     phi = gaussian_phantom(DESK, D_DESK)
     t = 3.0
-    phat = np.fft.fftn(forward_pressure(LOSSLESS_1, phi, t).samples)
+    phat = np.fft.fftn(apply_multiplier(phi, _forward(LOSSLESS_1, t)).samples)
     kmag = DESK.k_magnitude()
     expected = np.fft.fftn(phi.samples) * np.cos(LOSSLESS_1.c0 * kmag * t)
     assert np.allclose(phat, expected, rtol=0, atol=1e-9 * np.max(np.abs(expected)))
@@ -258,7 +264,7 @@ def test_forward_pressure_dissipation_free_is_dalembert():
 def test_forward_pressure_small_time_limit():
     phi = gaussian_phantom(DESK, D_DESK)
     t = 1e-9
-    phat = np.fft.fftn(forward_pressure(NONDIM, phi, t).samples)
+    phat = np.fft.fftn(apply_multiplier(phi, _forward(NONDIM, t)).samples)
     expected = np.fft.fftn(phi.samples) * NONDIM.tau_ratio
     assert np.allclose(phat, expected, rtol=1e-6)
 
@@ -269,7 +275,7 @@ def test_forward_pressure_triangle_bound():
     impulse = np.zeros(DESK.shape())
     impulse[0] = 1.0
     phi = Field(DESK, impulse)
-    phat = np.fft.fftn(forward_pressure(NONDIM, phi, T_DESK).samples)
+    phat = np.fft.fftn(apply_multiplier(phi, _forward(NONDIM, T_DESK)).samples)
     mp = kernels.mode_products(NONDIM, DESK.k_magnitude())
     bound = np.abs(np.fft.fftn(phi.samples)) * (
         np.abs(mp.p0) + 2.0 * np.abs(mp.p1)
@@ -453,9 +459,6 @@ def _single_call(phi, mult):
 
 
 def _assert_operators_equal_single_call(phi, t):
-    def forward(k):
-        return -transform._mode_sum(kernels.mode_products(NONDIM, k), t)
-
     def image(k):
         return kernels.mode_products(NONDIM, k).multiplier(t)
 
@@ -466,7 +469,6 @@ def _assert_operators_equal_single_call(phi, t):
     def sine(k):
         return np.sin(NONDIM.c0 * k * t) ** 2
 
-    assert np.array_equal(forward_pressure(NONDIM, phi, t).samples, _single_call(phi, forward))
     assert np.array_equal(time_reversal_image(NONDIM, phi, t).samples,
                           _single_call(phi, image))
     assert np.array_equal(time_reversal_image(NONDIM, phi, t, include_zeta3=True).samples,
@@ -506,10 +508,9 @@ def test_blocked_refusal_counts_the_whole_table():
         kernels.mode_products(BAND_MEDIUM, k_table)
     assert f"at {np.count_nonzero(refused)} wavenumber(s)" in str(whole.value)
     phi = gaussian_phantom(RAGGED, 4.0)
-    for operator in (forward_pressure, time_reversal_image):
-        with pytest.raises(kernels.ComplexRegimeError) as refusal:
-            operator(BAND_MEDIUM, phi, 2.0)
-        assert str(refusal.value) == str(whole.value)
+    with pytest.raises(kernels.ComplexRegimeError) as refusal:
+        time_reversal_image(BAND_MEDIUM, phi, 2.0)
+    assert str(refusal.value) == str(whole.value)
 
 
 def test_blocked_zeta3_overflow_names_the_whole_table():
@@ -543,6 +544,26 @@ def test_zeta3_refusal_precedes_every_evaluation(monkeypatch):
     with pytest.raises(kernels.ComplexRegimeError):
         time_reversal_image(BAND_MEDIUM, phi, 700.0 * BAND_MEDIUM.tau0,
                             include_zeta3=True)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("grid", [DESK, GridSpec(dim=3, n_per_axis=16, extent=8.0)],
+                         ids=["1d", "3d"])
+def test_theta_T_refusal_precedes_every_evaluation(monkeypatch, grid):
+    # theta <= c_inf |k| <= c_inf sqrt(d) k_nyquist: past the refusal
+    # cos(2 theta T) is undefined on the table, and just below it the image
+    # is finite
+    calls = []
+    mode_products = kernels.mode_products
+    monkeypatch.setattr(kernels, "mode_products",
+                        lambda *args: calls.append(args) or mode_products(*args))
+    phi = gaussian_phantom(grid, 0.01)
+    T = sys.float_info.max / (LOSSLESS_1.c_inf * math.sqrt(grid.dim) * grid.nyquist)
+    for include_zeta3 in (False, True):
+        with pytest.raises(kernels.ScaleOverflowError, match="theta T is not a finite"):
+            time_reversal_image(LOSSLESS_1, phi, 1.01 * T, include_zeta3=include_zeta3)
+    assert calls == []
+    time_reversal_image(LOSSLESS_1, phi, 0.99 * T)
     assert len(calls) == 1
 
 
