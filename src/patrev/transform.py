@@ -23,11 +23,15 @@ one call, 40 ms in blocks of 4096 and 36-39 ms in blocks of 16384-65536.  A
 multiplier callable hence receives slices of the 1-D table of distinct |k|,
 not a grid-shaped array, and must be elementwise in k.
 
-The round trip runs the axis passes of rfftn/irfftn in their order; a 2-D or
-3-D pass of 2^20 elements or more (all of a 128^3 grid) transforms two slabs
-of its lines on two threads when two CPUs are usable, each line as in one
-numpy call, so outputs are bit-identical.  Smaller passes lose more to a
-thread start (~0.2 ms) than they gain (README has the measurements).
+The round trip is a forward half (``_forward``, the axis passes of rfftn)
+and an inverse half (``_inverse``, those of irfftn); the complex passes run
+in place.  Given an index box, the inverse runs only its axis-0 pass on every
+line and the later ones on the lines that reach the box.  A 2-D or 3-D pass
+of 2^20 elements or more (the full ones of a 128^3 grid) transforms two slabs
+of its lines on two threads when two CPUs are usable.  Each line is computed
+as in one numpy call, so outputs and box values are bit-identical to
+rfftn/irfftn.  Smaller passes lose more to a thread start (~0.2 ms) than they
+gain (README has the measurements).
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -219,28 +223,31 @@ def gaussian_phantom(grid: GridSpec, D: float) -> Field:
 _BLOCK = 8192
 
 
-def _radial_multiplier(grid: GridSpec, evaluate: Callable[[np.ndarray], np.ndarray],
-                       medium: Medium | None = None
-                       ) -> tuple[np.ndarray, np.ndarray | slice]:
-    """Finite real ``evaluate(k)`` on ``grid.radial_table()`` in _BLOCK
-    slices, and the table's index.  A ComplexRegimeError of one block
-    (``mode_products`` of ``medium``) is reworded to count every refused |k|
-    of the table; the rest is solved without raising, so it stays one refusal.
+def _radial_multipliers(grid: GridSpec, evaluates: list[Callable[[np.ndarray], np.ndarray]],
+                        medium: Medium | None = None
+                        ) -> tuple[list[np.ndarray], np.ndarray | slice]:
+    """Finite real ``evaluate(k)`` of each of ``evaluates`` on one
+    ``grid.radial_table()`` in _BLOCK slices, and the table's index.  A
+    ComplexRegimeError of one block (``mode_products`` of ``medium``) is
+    reworded to count every refused |k| of the table; the rest is solved
+    without raising, so it stays one refusal.
     """
     k_table, index = grid.radial_table()
-    mult = np.empty_like(k_table)
-    for start in range(0, k_table.size, _BLOCK):
-        block = mult[start:start + _BLOCK]
-        try:
-            block[...] = evaluate(k_table[start:start + _BLOCK])
-        except kernels.ComplexRegimeError as exc:
-            if medium is not None:
-                exc.args = kernels.regime_refusal(
-                    spectral.roots_grid(medium, k_table[start:])).args
-            raise
-        if not np.all(np.isfinite(block)):
-            raise ValueError("multiplier produced non-finite values on the grid")
-    return mult, index
+    mults = []
+    for evaluate in evaluates:
+        mults.append(mult := np.empty_like(k_table))
+        for start in range(0, k_table.size, _BLOCK):
+            block = mult[start:start + _BLOCK]
+            try:
+                block[...] = evaluate(k_table[start:start + _BLOCK])
+            except kernels.ComplexRegimeError as exc:
+                if medium is not None:
+                    exc.args = kernels.regime_refusal(
+                        spectral.roots_grid(medium, k_table[start:])).args
+                raise
+            if not np.all(np.isfinite(block)):
+                raise ValueError("multiplier produced non-finite values on the grid")
+    return mults, index
 
 
 #: pass size (lines x line length) from which two threads run it, usable CPUs
@@ -276,26 +283,38 @@ def _pass(fft: Callable, src: np.ndarray, dst: np.ndarray, axis: int, **kw) -> n
     return dst
 
 
-def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray | slice) -> Field:
-    """F^{-1}{mult[index] F{fld}} by one real-FFT round trip.
-
-    ``mult`` and ``index`` come from ``_radial_multiplier``.  The complex
-    passes write alternately into ``spec`` and ``spare``, and ``spare`` is
-    dropped before the real output is allocated, so two half spectra are
-    alive at a time, as with ``rfftn``/``irfftn``.
-    """
+def _forward(fld: Field) -> np.ndarray:
+    """Half spectrum ``np.fft.rfftn(fld.samples)``: ``rfft`` on the last axis,
+    then ``fft`` on axes d-2 ... 0, each complex pass in place."""
     d, n = fld.grid.dim, fld.grid.n_per_axis
     spec = _pass(np.fft.rfft, fld.samples,
                  np.empty((n,) * (d - 1) + (n // 2 + 1,), dtype=complex), -1)
-    spare = np.empty_like(spec) if d > 1 else None
     for axis in range(d - 2, -1, -1):
-        spec, spare = _pass(np.fft.fft, spec, spare, axis), spec
+        _pass(np.fft.fft, spec, spec, axis)
+    return spec
+
+
+def _inverse(spec: np.ndarray, mult: np.ndarray, index: np.ndarray | slice, n: int,
+             box: tuple[slice, ...] | None = None) -> np.ndarray:
+    """``np.fft.irfftn(spec * mult[index], s=(n,) * d)``, or its values on
+    ``box`` (one slice per axis); ``spec`` is overwritten.  The ``ifft`` on
+    axis 0 runs in place on every line, the pass on axis a > 0 only on the
+    lines whose indices on axes 0 ... a-1 lie in the box, so the box values
+    are bit-identical to the full inverse's.
+    """
+    box = box or (slice(None),) * spec.ndim
     spec *= mult[index]
-    for axis in range(d - 1):
-        spec, spare = _pass(np.fft.ifft, spec, spare, axis), spec
-    del spare
-    out = _pass(np.fft.irfft, spec, np.empty(fld.grid.shape()), -1, n=n)
-    return Field(fld.grid, out)
+    for axis in range(spec.ndim - 1):
+        spec = _pass(np.fft.ifft, spec, spec, axis)[(slice(None),) * axis + (box[axis],)]
+    out = _pass(np.fft.irfft, spec, np.empty(spec.shape[:-1] + (n,)), -1, n=n)
+    return out[..., box[-1]]
+
+
+def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray | slice) -> Field:
+    """F^{-1}{mult[index] F{fld}} by one real-FFT round trip on one half
+    spectrum; ``mult`` and ``index`` from ``_radial_multipliers``."""
+    n = fld.grid.n_per_axis
+    return Field(fld.grid, _inverse(_forward(fld), mult, index, n))
 
 
 def apply_multiplier(field: Field, multiplier: Callable[[np.ndarray], np.ndarray]) -> Field:
@@ -308,7 +327,8 @@ def apply_multiplier(field: Field, multiplier: Callable[[np.ndarray], np.ndarray
     is gathered onto the real-FFT half spectrum, so the output is real by
     construction.
     """
-    return _apply_radial(field, *_radial_multiplier(field.grid, multiplier))
+    (mult,), index = _radial_multipliers(field.grid, [multiplier])
+    return _apply_radial(field, mult, index)
 
 
 def propdelta_check(field: Field, medium: Medium, T: float,
@@ -378,15 +398,25 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     lambda0 >= 1/tau1, and |k| <= sqrt(d) k_nyquist, so a ScaleOverflowError
     refuses first when c_inf T sqrt(d) k_nyquist is not a finite double.
     """
+    table = _image_multiplier(medium, phantom.grid, T, include_zeta3)
+    (mult,), index = _radial_multipliers(phantom.grid, [table], medium)
+    return _apply_radial(phantom, mult, index)
+
+
+def _image_multiplier(medium: Medium, grid: GridSpec, T: float,
+                      include_zeta3: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """The multiplier of ``time_reversal_image`` as a function of |k|, after
+    its refusals, which need no evaluation.  The bounds are taken in Python
+    floats, which overflow to inf without a warning."""
+    c_inf, T, tau0 = float(medium.c_inf), float(T), float(medium.tau0)
     if T <= 0:
         raise ValueError("T must be positive")
-    grid = phantom.grid
-    if not math.isfinite(medium.c_inf * T * math.sqrt(grid.dim) * grid.nyquist):
+    if not math.isfinite(c_inf * T * math.sqrt(grid.dim) * grid.nyquist):
         raise kernels.ScaleOverflowError(
-            f"theta T is not a finite double at c_inf = {medium.c_inf:.6g} m/s, T = {T:.6g} s")
-    if include_zeta3 and T / medium.tau0 > kernels.EXP_REAL_LIMIT:
+            f"theta T is not a finite double at c_inf = {c_inf:.6g} m/s, T = {T:.6g} s")
+    if include_zeta3 and T / tau0 > kernels.EXP_REAL_LIMIT:
         raise kernels.ScaleOverflowError(
-            f"exp(Re lambda T) with Re lambda T = {T / medium.tau0:.3g} is not "
+            f"exp(Re lambda T) with Re lambda T = {T / tau0:.3g} is not "
             "representable; the exact reversed pipeline is only computable "
             "at nondimensional scale (use include_zeta3=False)"
         )
@@ -397,4 +427,4 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
             return 2.0 * _mode_sum(mp, T) * _mode_sum(mp, -T)
         return mp.multiplier(T)
 
-    return _apply_radial(phantom, *_radial_multiplier(grid, table, medium))
+    return table

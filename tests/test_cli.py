@@ -181,6 +181,16 @@ def test_refused_report_leaves_no_tables(tmp_path, capsys):
     assert sorted(out.glob("roots_*")) + sorted(out.glob("amplitudes_*")) == []
 
 
+def test_scale_refused_report_leaves_no_tables(tmp_path, capsys):
+    # T = 4 L / c_inf is infinite: the reconstruction's theta T refusal comes
+    # before the kernel tables write a CSV
+    out = tmp_path / "out"
+    assert main(["report", "--set", "grid_n=4096", "--set", "L_m=1e308",
+                 "--out", str(out)]) == 2
+    assert "theta T is not a finite double" in capsys.readouterr().err
+    assert sorted(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("override", ["k_spacing=log", "kappa1_m2_per_N=9e-9"])
 def test_roots_residual_check_passes(tmp_path, capsys, override):
     # log spacing reaches down to 1e-5 kc, and tau0/tau1 = 0.047 crosses

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,61 @@ def test_reconstruction_3d_matches_full_grid_formulas(tmp_path, medium_overrides
     assert rep.passed
     assert rep.csv_paths == []
     assert not (tmp_path / "out" / "reconstruction_profile.csv").exists()
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("dim, n", [("2", "64"), ("3", "16")], ids=["64^2", "16^3"])
+def test_support_route_matches_whole_image_route(request, tmp_path, dim, n, threaded):
+    # one spectrum and box inverses on the support give the entries of the
+    # whole images of time_reversal_image and apply_multiplier, bit for bit
+    if threaded:
+        request.getfixturevalue("two_threads")
+    cfg = water_cfg(tmp_path, grid_dim=dim, grid_n=n, phantom_D_m2="0.125")
+    rep = run_reconstruction(cfg)
+    for name, value in _full_grid_reconstruction_entries(cfg).items():
+        assert rep.entry(name).value == value, name
+
+
+@pytest.mark.parametrize("overrides, error", [
+    # the three-real-root band of tau0/tau1 = 0.047 lies at 0.95 ... 1.21 k_c,
+    # inside this grid's |k|; L_m = 1e308 makes T infinite
+    ({"kappa1_m2_per_N": "9e-9", "grid_extent_m": "1e-5", "phantom_D_m2": "1e-13"},
+     kernels.ComplexRegimeError),
+    ({"L_m": "1e308", "phantom_D_m2": "0.125"}, kernels.ScaleOverflowError),
+], ids=["complex_regime", "scale_overflow"])
+@pytest.mark.parametrize("dim, n", [("2", "64"), ("3", "16")], ids=["64^2", "16^3"])
+def test_support_route_refuses_as_time_reversal_image(tmp_path, overrides, error, dim, n):
+    cfg = water_cfg(tmp_path, grid_dim=dim, grid_n=n, **overrides)
+    phantom = transform.gaussian_phantom(cfg.grid, cfg.phantom_D(cfg.medium))
+    with pytest.raises(error) as reference:
+        transform.time_reversal_image(cfg.medium, phantom, cfg.resolve_T(cfg.medium))
+    with pytest.raises(error) as refusal:
+        run_reconstruction(cfg)
+    assert str(refusal.value) == str(reference.value)
+
+
+_WATER_128_CUBED = {"grid_dim": "3", "grid_n": "128", "phantom_D_m2": "0.03125"}
+
+
+def test_3d_reconstruction_threads_only_the_full_passes(monkeypatch, thread_starts, tmp_path):
+    # the three forward passes and the full axis-0 pass of each of the two
+    # inverses; the pruned passes run on the caller
+    monkeypatch.setattr(transform, "_CPUS", 2)
+    run_reconstruction(water_cfg(tmp_path, **_WATER_128_CUBED))
+    assert len(thread_starts) == 5
+
+
+def test_3d_reconstruction_live_peak(tmp_path):
+    # one spectrum, and the phantom dropped before the inverses: 51 MiB,
+    # where two whole round trips took 67 MiB
+    cfg = water_cfg(tmp_path, **_WATER_128_CUBED)
+    tracemalloc.start()
+    try:
+        run_reconstruction(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
 
 
 def test_reconstruction_smoother_phantom_is_better(tmp_path):

@@ -567,14 +567,20 @@ def test_theta_T_refusal_precedes_every_evaluation(monkeypatch, grid):
     assert len(calls) == 1
 
 
+def test_scale_refusals_take_numpy_scalars():
+    # the bounds are formed in Python floats, so a float64 T that overflows
+    # them is refused rather than raising a RuntimeWarning (an error here)
+    phi = gaussian_phantom(GridSpec(dim=3, n_per_axis=16, extent=8.0), 0.01)
+    for include_zeta3 in (False, True):
+        with pytest.raises(kernels.ScaleOverflowError, match="theta T is not a finite"):
+            time_reversal_image(LOSSLESS_1, phi, np.float64(sys.float_info.max),
+                                include_zeta3=include_zeta3)
+    # theta T finite, T / tau0 = 2e309 is not
+    with pytest.raises(kernels.ScaleOverflowError, match="Re lambda T = inf"):
+        time_reversal_image(WATER, phi, np.float64(1e300), include_zeta3=True)
+
+
 # -- two-thread axis passes ----------------------------------------------------
-
-
-@pytest.fixture
-def two_threads(monkeypatch):
-    """Every pass of more than one line splits over two threads."""
-    monkeypatch.setattr(transform, "_THREADED_SIZE", 0)
-    monkeypatch.setattr(transform, "_CPUS", 2)
 
 
 @pytest.mark.parametrize("threaded", [False, True])
@@ -596,12 +602,33 @@ def test_passes_equal_library_round_trip(request, grid, threaded):
     _assert_operators_equal_single_call(phi, 2.0)
 
 
-class _CountingThread(threading.Thread):
-    started = 0
+#: per axis (up to three), as functions of n
+_BOXES = {
+    "centred": lambda n: [slice(n // 2 - 3, n // 2 + 4)] * 3,
+    "off_centre": lambda n: [slice(1, 6), slice(n - 5, n), slice(0, 2)],
+    "single_sample": lambda n: [slice(n // 2 + 1, n // 2 + 2), slice(3, 4), slice(n - 1, n)],
+    "full_axes": lambda n: [slice(0, n), slice(2, 9), slice(0, n)],
+    "whole_grid": lambda n: [slice(0, n)] * 3,
+}
 
-    def start(self):
-        type(self).started += 1
-        super().start()
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("box", sorted(_BOXES))
+@pytest.mark.parametrize("grid", [GridSpec(dim=2, n_per_axis=32, extent=16.0),
+                                  GridSpec(dim=3, n_per_axis=16, extent=16.0)],
+                         ids=["2d", "3d"])
+def test_box_inverse_equals_full_inverse_on_the_box(request, grid, box, threaded):
+    if threaded:
+        request.getfixturevalue("two_threads")
+    n = grid.n_per_axis
+    box = tuple(_BOXES[box](n)[:grid.dim])
+    phi = Field(grid, np.random.default_rng(n).standard_normal(grid.shape()))
+    k_table, index = grid.radial_table()
+    mult = np.cos(k_table)
+    spec = transform._forward(phi)
+    full = transform._inverse(spec.copy(), mult, index, n)
+    assert np.array_equal(full, _single_call(phi, np.cos))
+    assert np.array_equal(transform._inverse(spec, mult, index, n, box), full[box])
 
 
 @pytest.mark.parametrize("grid, size, cpus, threads", [
@@ -615,15 +642,13 @@ class _CountingThread(threading.Thread):
     (GridSpec(dim=3, n_per_axis=16, extent=8.0), 0, 2, 6),
     (GridSpec(dim=1, n_per_axis=2 ** 21, extent=8.0), None, 2, 0),
 ])
-def test_threads_start_only_for_large_passes_and_two_cpus(monkeypatch, grid, size,
-                                                          cpus, threads):
-    _CountingThread.started = 0
-    monkeypatch.setattr(transform.threading, "Thread", _CountingThread)
+def test_threads_start_only_for_large_passes_and_two_cpus(monkeypatch, thread_starts,
+                                                          grid, size, cpus, threads):
     monkeypatch.setattr(transform, "_CPUS", cpus)
     if size is not None:
         monkeypatch.setattr(transform, "_THREADED_SIZE", size)
     apply_multiplier(Field(grid, np.zeros(grid.shape())), lambda k: 1.0)
-    assert _CountingThread.started == threads
+    assert len(thread_starts) == threads
 
 
 @pytest.mark.usefixtures("two_threads")
