@@ -15,9 +15,9 @@ built-in water medium without --config; any key can be overridden with
 --set key=value (flags > file > defaults), and k_max takes the suffix "kc"
 for multiples of the derived critical wavenumber.  Files go to --out.
 Exit status: 0 all declared checks pass, 1 a check failed, 2 configuration
-error or refused input (a medium without a finite wavefront speed, a phantom
-wider than the grid, three real roots on the imaging path, theta T beyond
-double range, an unwritable --out), 64 usage error.
+error or refused input (an unphysical medium, a phantom wider than the grid or
+with a peak beyond double range, three real roots on the imaging path, theta
+T beyond double range, an unwritable --out), 64 usage error.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ Outputs are deterministic: fixed grids, no randomness, no timestamps, full
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -470,12 +471,27 @@ def _support_mask(phi: np.ndarray) -> np.ndarray:
     return phi >= SUPPORT_LEVEL * float(np.max(phi))
 
 
+def _support_box(g: np.ndarray, scale: float, d: int) -> tuple[tuple, np.ndarray]:
+    """Support box of the phantom scale g x ... x g and the phantom on it: it
+    peaks at scale (g = 1 at the origin) and a rounded product is monotone in
+    each factor, so every axis has the box of the central line g scale."""
+    line = np.flatnonzero(_support_mask(g * scale))
+    box = (slice(line[0], line[-1] + 1),) * d
+    return box, functools.reduce(np.multiply.outer, [g[box[0]]] * d) * scale
+
+
 def _rel_linf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+    """||a - b|| / ||b||, in units of max|b| where a squared norm overflows."""
+    with np.errstate(over="ignore"):
+        num, den = np.linalg.norm(a - b), np.linalg.norm(b)
+    if math.isinf(num) or math.isinf(den):
+        unit = float(np.max(np.abs(b)))
+        num, den = np.linalg.norm((a - b) / unit), np.linalg.norm(b / unit)
+    return float(num / den)
 
 
 def run_reconstruction(cfg: ExperimentConfig) -> Report:
@@ -485,29 +501,29 @@ def run_reconstruction(cfg: ExperimentConfig) -> Report:
     D = cfg.phantom_D(medium)
     rep = Report("reconstruction")
 
-    phantom = transform.gaussian_phantom(cfg.grid, D)
-    mask = _support_mask(phantom.samples)
-    phi = phantom.samples[mask]
-
     def eta0(kk):
         return kernels.mode_products(medium, kk).eta0_multiplier()
 
     if cfg.grid.dim == 1:   # the profile CSV needs the whole images
+        phantom = transform.gaussian_phantom(cfg.grid, D)
+        mask = _support_mask(phantom.samples)
+        phi = phantom.samples[mask]
         profile = [transform.time_reversal_image(medium, phantom, T).samples]
         image = profile[-1][mask]
         profile.append(transform.apply_multiplier(phantom, eta0).samples)
         image_eta0 = profile[-1][mask]
-    else:   # only the support is read: one table, one spectrum, two box inverses
-        image_multiplier = transform._image_multiplier(medium, cfg.grid, T)
-        mults, index = transform._radial_multipliers(cfg.grid, [image_multiplier, eta0],
-                                                     medium)
-        spec = transform._forward(phantom)
-        del phantom     # 16 MiB at 128^3, freed before the inverses allocate
-        n = cfg.grid.n_per_axis
-        box = tuple(slice(i.min(), i.max() + 1)     # np.nonzero(mask) is 15x slower
-                    for i in np.unravel_index(np.flatnonzero(mask), mask.shape))
-        image = transform._inverse(spec.copy(), mults[0], index, n, box)[mask[box]]
-        image_eta0 = transform._inverse(spec, mults[1], index, n, box)[mask[box]]
+    else:   # only the support is read: no whole phantom, two box inverses
+        d, n = cfg.grid.dim, cfg.grid.n_per_axis
+        g, scale = transform._gaussian_factor(cfg.grid, D)
+        mults, index = transform._radial_multipliers(
+            cfg.grid, [transform._image_multiplier(medium, cfg.grid, T), eta0], medium)
+        box, phi_box = _support_box(g, scale, d)
+        mask = _support_mask(phi_box)
+        phi = phi_box[mask]
+        spec = transform._gaussian_spectrum(g, scale, d)
+        image = transform._inverse(spec * mults[0][index], n, box)[mask]
+        spec *= mults[1][index]
+        image_eta0 = transform._inverse(spec, n, box)[mask]
     gain = kernels.dc_constant(medium)
     oracle = gain * phi
 

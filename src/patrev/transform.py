@@ -4,34 +4,28 @@ Fields live on uniform, origin-centered periodic grids of 2^m samples per
 axis (d = 1, 2 or 3).  All propagation and imaging operators are diagonal in
 k and radial, so everything reduces to FFT round trips with radial
 multipliers; a real, radial multiplier applied to a real field returns a real
-field up to round-off, which is checked by the tests (Parseval and
-imaginary-residue contracts).
+field up to round-off (the tests check Parseval and the imaginary residue).
 
-Multipliers are therefore evaluated once per distinct |k|, not once per
-grid point.  ``GridSpec.radial_table`` lists the distinct |k| of the
-real-FFT half spectrum (layout of ``np.fft.rfftn``: shape
-(n,)*(d-1) + (n//2+1,), FFT order on every axis, non-negative frequencies
-only on the last) together with an index per half-spectrum point
-(``slice(None)`` in 1-D); ``apply_multiplier`` and ``time_reversal_image``
-evaluate on that 1-D table, gather with the index and run one real-FFT
-round trip.  They evaluate it in
-blocks of 8192 |k| written into one table, so the ~20 temporaries of a root
-solve and its mode products (64 KB each) stay in a 2 MB L2 cache instead of
-streaming through memory: on a Xeon with 2 MB L2 per core the water table
-of 2^20 points (524289 |k|) took 35 ms in blocks of 8192 against 72 ms in
-one call, 40 ms in blocks of 4096 and 36-39 ms in blocks of 16384-65536.  A
-multiplier callable hence receives slices of the 1-D table of distinct |k|,
-not a grid-shaped array, and must be elementwise in k.
+Multipliers are evaluated once per distinct |k|: ``GridSpec.radial_table``
+lists the distinct |k| of the real-FFT half spectrum (the layout of
+``np.fft.rfftn``) with an index per half-spectrum point (``slice(None)`` in
+1-D).  A multiplier callable receives consecutive slices of that 1-D table,
+so it must be elementwise in k: blocks of 8192 |k| keep the ~20 temporaries
+of a root solve in a 2 MB L2 cache (35 ms against 72 ms in one call for the
+2^20-point water table on a Xeon; README has the sweep).
 
 The round trip is a forward half (``_forward``, the axis passes of rfftn)
 and an inverse half (``_inverse``, those of irfftn); the complex passes run
-in place.  Given an index box, the inverse runs only its axis-0 pass on every
-line and the later ones on the lines that reach the box.  A 2-D or 3-D pass
-of 2^20 elements or more (the full ones of a 128^3 grid) transforms two slabs
-of its lines on two threads when two CPUs are usable.  Each line is computed
-as in one numpy call, so outputs and box values are bit-identical to
-rfftn/irfftn.  Smaller passes lose more to a thread start (~0.2 ms) than they
-gain (README has the measurements).
+in place.  Given an index box, the inverse runs its axis-0 pass on every
+line and the later ones only on the lines that reach the box.  A 2-D or 3-D
+pass of 2^20 elements or more transforms two slabs of its lines on two
+threads when two CPUs are usable; smaller ones lose more to a thread start
+(~0.2 ms) than they gain.  Each line is computed as in one numpy call, so
+outputs and box values are bit-identical to rfftn/irfftn.
+
+The Gaussian phantom is its peak times one factor g per axis and the DFT is
+separable, so ``_gaussian_spectrum`` forms its half spectrum from 1-D
+transforms of g; the 2-D/3-D reconstruction runs no forward pass.
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -42,6 +36,7 @@ is emitted when that margin is violated.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -73,12 +68,6 @@ class PhantomSupportError(ValueError):
 
 class GridAliasingWarning(UserWarning):
     """Outgoing shells wrap around the periodic grid back into the region."""
-
-
-def _outer_sum(vectors: list[np.ndarray]) -> np.ndarray:
-    """sum_i v_i broadcast with v_i along axis i, added in axis order."""
-    d = len(vectors)
-    return sum(v.reshape((-1,) + (1,) * (d - 1 - i)) for i, v in enumerate(vectors))
 
 
 @dataclass(frozen=True)
@@ -116,15 +105,12 @@ class GridSpec:
         """sqrt(sum_i ax_i^2) on the full grid, with ax along every axis."""
         if self.dim == 1:
             return np.abs(ax)
-        total = _outer_sum([ax * ax] * self.dim)
+        total = functools.reduce(np.add.outer, [ax * ax] * self.dim)
         return np.sqrt(total, out=total)
 
     def radius(self) -> np.ndarray:
         """|x| on the full grid."""
         return self._magnitude(self.axis_coords())
-
-    def _k_axis(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.n_per_axis, d=self.spacing)
 
     def k_magnitude(self) -> np.ndarray:
         """|k| on the full grid in FFT layout [1/m].
@@ -133,7 +119,7 @@ class GridSpec:
         ``radial_table`` and the radial route against, and a benchmark
         tracer target.
         """
-        return self._magnitude(self._k_axis())
+        return self._magnitude(2.0 * math.pi * np.fft.fftfreq(self.n_per_axis, self.spacing))
 
     def radial_table(self) -> tuple[np.ndarray, np.ndarray | slice]:
         """Distinct |k| of the real-FFT half spectrum and an index into them.
@@ -152,7 +138,7 @@ class GridSpec:
         if d == 1:
             return 2.0 * math.pi * (np.arange(half) * step), slice(None)
         m = (np.arange(n) + n // 2) % n - n // 2
-        q = _outer_sum([m * m] * (d - 1) + [np.arange(half) ** 2])
+        q = functools.reduce(np.add.outer, [m * m] * (d - 1) + [np.arange(half) ** 2])
         occupied = np.zeros(d * (n // 2) ** 2 + 1, dtype=bool)
         occupied[q] = True
         rank = np.cumsum(occupied) - 1
@@ -201,22 +187,37 @@ def gaussian_phantom(grid: GridSpec, D: float) -> Field:
 
     D is the squared-length scale [m^2]; the standard deviation is
     sqrt(2 D).  The support (6 sigma) must fit inside half the extent so the
-    discrete integral equals 1 to 1e-6.
+    discrete integral equals 1 to 1e-6.  In 2-D and 3-D phi is the peak times
+    the outer product of d axis factors, the closed form to round-off.
     """
+    g, scale = _gaussian_factor(grid, D)
+    phi = g if grid.dim == 1 else functools.reduce(np.multiply.outer, [g] * grid.dim)
+    phi *= scale
+    return Field(grid, phi)
+
+
+def _gaussian_factor(grid: GridSpec, D: float) -> tuple[np.ndarray, float]:
+    """Axis factor g = exp(-x^2 / (4 D)) (1 at the origin; an overflow of
+    x^2 / (4 D) gives exp(-inf) = 0 exactly) and peak (4 pi D)^{-d/2} of
+    ``gaussian_phantom``, after its refusals."""
+    D = float(D)
     if not D > 0:
         raise ValueError("D must be positive")
     sigma = math.sqrt(2.0 * D)
     if 6.0 * sigma > grid.extent / 2.0:
-        raise PhantomSupportError(
-            f"6 sigma = {6 * sigma:.6g} m exceeds half the extent "
-            f"({grid.extent / 2:.6g} m)"
-        )
-    r = grid.radius()      # in place: -(r^2) / (4 D) = r^2 / (-4 D) exactly
-    r *= r
-    r /= -4.0 * D
-    np.exp(r, out=r)
-    r *= (4.0 * math.pi * D) ** (-grid.dim / 2.0)
-    return Field(grid, r)
+        raise PhantomSupportError(f"6 sigma = {6 * sigma:.6g} m exceeds half the extent "
+                                  f"({grid.extent / 2:.6g} m)")
+    try:
+        scale = (4.0 * math.pi * D) ** (-grid.dim / 2.0)
+    except OverflowError:
+        raise PhantomSupportError(f"the peak (4 pi D)^(-{grid.dim}/2) at D = {D:.6g} m^2 "
+                                  "is not a finite double") from None
+    g = np.abs(grid.axis_coords())      # in place: -(x^2) / (4 D) = x^2 / (-4 D) exactly
+    g *= g
+    with np.errstate(over="ignore"):
+        g /= -4.0 * D
+    np.exp(g, out=g)
+    return g, scale
 
 
 #: |k| per block of multiplier evaluation; see the module docstring
@@ -294,16 +295,21 @@ def _forward(fld: Field) -> np.ndarray:
     return spec
 
 
-def _inverse(spec: np.ndarray, mult: np.ndarray, index: np.ndarray | slice, n: int,
-             box: tuple[slice, ...] | None = None) -> np.ndarray:
-    """``np.fft.irfftn(spec * mult[index], s=(n,) * d)``, or its values on
-    ``box`` (one slice per axis); ``spec`` is overwritten.  The ``ifft`` on
-    axis 0 runs in place on every line, the pass on axis a > 0 only on the
-    lines whose indices on axes 0 ... a-1 lie in the box, so the box values
-    are bit-identical to the full inverse's.
+def _gaussian_spectrum(g: np.ndarray, scale: float, d: int) -> np.ndarray:
+    """``_forward`` of the phantom scale g x ... x g (d >= 2) to round-off: the
+    DFT is separable, so fft(g) on axes 0 ... d-2 times rfft(g) scale on the last."""
+    return functools.reduce(np.multiply.outer, [np.fft.fft(g)] * (d - 1)
+                            + [np.fft.rfft(g) * scale])
+
+
+def _inverse(spec: np.ndarray, n: int, box: tuple[slice, ...] | None = None) -> np.ndarray:
+    """``np.fft.irfftn(spec, s=(n,) * d)``, or its values on ``box`` (one
+    slice per axis); ``spec`` is overwritten.  The ``ifft`` on axis 0 runs in
+    place on every line, the pass on axis a > 0 only on the lines whose
+    indices on axes 0 ... a-1 lie in the box, so the box values are
+    bit-identical to the full inverse's.
     """
     box = box or (slice(None),) * spec.ndim
-    spec *= mult[index]
     for axis in range(spec.ndim - 1):
         spec = _pass(np.fft.ifft, spec, spec, axis)[(slice(None),) * axis + (box[axis],)]
     out = _pass(np.fft.irfft, spec, np.empty(spec.shape[:-1] + (n,)), -1, n=n)
@@ -313,19 +319,17 @@ def _inverse(spec: np.ndarray, mult: np.ndarray, index: np.ndarray | slice, n: i
 def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray | slice) -> Field:
     """F^{-1}{mult[index] F{fld}} by one real-FFT round trip on one half
     spectrum; ``mult`` and ``index`` from ``_radial_multipliers``."""
-    n = fld.grid.n_per_axis
-    return Field(fld.grid, _inverse(_forward(fld), mult, index, n))
+    spec = _forward(fld)
+    spec *= mult[index]
+    return Field(fld.grid, _inverse(spec, fld.grid.n_per_axis))
 
 
 def apply_multiplier(field: Field, multiplier: Callable[[np.ndarray], np.ndarray]) -> Field:
     """Apply a radial spectral multiplier: F^{-1}{ multiplier(|k|) F{field} }.
 
-    The multiplier callable receives consecutive slices of the 1-D array of
-    distinct |k| of the grid (``GridSpec.radial_table``), not a grid-shaped
-    array, so it must be elementwise in k; it must return finite real values
-    (or a scalar) on each.  The result
-    is gathered onto the real-FFT half spectrum, so the output is real by
-    construction.
+    The multiplier receives consecutive slices of the 1-D table of distinct
+    |k| (``GridSpec.radial_table``), so it must be elementwise in k and return
+    finite real values (or a scalar); the output is real by construction.
     """
     (mult,), index = _radial_multipliers(field.grid, [multiplier])
     return _apply_radial(field, mult, index)

@@ -106,15 +106,35 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     (["reconstruct", "--set", "T_s=1e308"], "theta T is not a finite double"),
     (["sweep-kappa", "--set", "T_s=1e308"], "theta T is not a finite double"),
     (["report", "--set", "L_m=1e308"], "theta T is not a finite double"),
+    # the peak (4 pi D)^{-d/2} of the phantom is not a double
+    (["reconstruct", "--set", "grid_dim=3", "--set", "grid_n=16",
+      "--set", "phantom_D_m2=1e-300"], "is not a finite double"),
+    (["reconstruct", "--set", "grid_dim=2", "--set", "grid_n=16",
+      "--set", "phantom_D_m2=5e-324"], "is not a finite double"),
 ], ids=["unphysical_medium", "phantom_support", "complex_regime",
         "overflowing_c2_rho_kappa1", "overflowing_theta_T_reconstruct",
-        "overflowing_theta_T_sweep", "overflowing_theta_T_report"])
+        "overflowing_theta_T_sweep", "overflowing_theta_T_report",
+        "overflowing_phantom_peak_3d", "overflowing_phantom_peak_2d"])
 def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--set", "phantom_D_m2=5e-324"],
+    ["reconstruct", "--set", "grid_dim=3", "--set", "grid_n=16", "--set", "phantom_D_m2=1e-200"],
+], ids=["1d_subnormal_D", "3d_peak_7e298"])
+def test_tiny_phantom_runs_without_warnings(tmp_path, capsys, argv):
+    # a phantom of one nonzero sample: x^2 / (-4 D) overflows to -inf off the
+    # origin and ||phi||^2 overflows, neither of them an error
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report_reconstruction.txt").read_text()
+    assert "\noverall_pass = true\n" in report
+    l2 = float(report.split("err_l2_vs_gain_phi.value = ")[1].split()[0])
+    assert 0.0 < l2 < 0.02
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ from patrev import kernels, transform
 from patrev.medium import water_params
 from patrev.experiments import (
     _CSV_BLOCK_ROWS,
+    _support_box,
+    _support_mask,
     ConfigError,
     ExperimentConfig,
     Report,
@@ -230,7 +233,7 @@ def test_reconstruction_3d_matches_full_grid_formulas(tmp_path, medium_overrides
     expected = _full_grid_reconstruction_entries(cfg)
     assert ("err_linf_identity" in expected) == (cfg.raw.kappa1 == 0.0)
     for name, value in expected.items():
-        assert rep.entry(name).value == value, name
+        assert rep.entry(name).value == pytest.approx(value, rel=0, abs=1e-14), name
     assert rep.passed
     assert rep.csv_paths == []
     assert not (tmp_path / "out" / "reconstruction_profile.csv").exists()
@@ -239,14 +242,54 @@ def test_reconstruction_3d_matches_full_grid_formulas(tmp_path, medium_overrides
 @pytest.mark.parametrize("threaded", [False, True])
 @pytest.mark.parametrize("dim, n", [("2", "64"), ("3", "16")], ids=["64^2", "16^3"])
 def test_support_route_matches_whole_image_route(request, tmp_path, dim, n, threaded):
-    # one spectrum and box inverses on the support give the entries of the
-    # whole images of time_reversal_image and apply_multiplier, bit for bit
+    # the factor-built spectrum and box inverses on the support give the
+    # entries of the whole images of time_reversal_image and apply_multiplier;
+    # the spectra differ by round-off
     if threaded:
         request.getfixturevalue("two_threads")
     cfg = water_cfg(tmp_path, grid_dim=dim, grid_n=n, phantom_D_m2="0.125")
     rep = run_reconstruction(cfg)
     for name, value in _full_grid_reconstruction_entries(cfg).items():
-        assert rep.entry(name).value == value, name
+        assert rep.entry(name).value == pytest.approx(value, rel=0, abs=1e-14), name
+
+
+@pytest.mark.parametrize("D_over_h2", [1e-3, 0.1, 1.0, 10.0, 100.0, 1e4])
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_support_box_equals_whole_phantom_support(dim, n, D_over_h2):
+    # box, mask and phi from the axis factor alone equal those of the whole
+    # phantom, bit for bit, for boxes from one sample to the whole grid (the
+    # largest D lies beyond the support check, so the whole phantom is the
+    # outer product that gaussian_phantom forms)
+    grid = transform.GridSpec(dim=dim, n_per_axis=n, extent=16.0)
+    D = D_over_h2 * grid.spacing ** 2
+    x = grid.axis_coords()
+    g, scale = np.exp(x * x / (-4.0 * D)), (4.0 * np.pi * D) ** (-dim / 2.0)
+    whole = functools.reduce(np.multiply.outer, [g] * dim) * scale
+    if 6.0 * (2.0 * D) ** 0.5 <= grid.extent / 2.0:
+        assert np.array_equal(transform._gaussian_factor(grid, D)[0], g)
+        assert np.array_equal(transform.gaussian_phantom(grid, D).samples, whole)
+    whole_mask = _support_mask(whole)
+    box, phi = _support_box(g, scale, dim)
+    assert box == tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(whole_mask))
+    assert np.array_equal(phi, whole[box])
+    assert np.array_equal(_support_mask(phi), whole_mask[box])
+    width = {1e-3: 1, 1e4: n}.get(D_over_h2)
+    assert width is None or box[0].stop - box[0].start == width
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"kappa1_m2_per_N": "9e-9", "grid_extent_m": "1e-5"}, kernels.ComplexRegimeError),
+    ({"L_m": "1e308"}, kernels.ScaleOverflowError),
+], ids=["complex_regime", "scale_overflow"])
+@pytest.mark.parametrize("D", ["1", "1e-300"], ids=["wide", "peak_overflow"])
+def test_support_route_refuses_the_phantom_first(tmp_path, overrides, error, D):
+    cfg = water_cfg(tmp_path, grid_dim="3", grid_n="16", phantom_D_m2=D, **overrides)
+    with pytest.raises(transform.PhantomSupportError):
+        run_reconstruction(cfg)
+    with pytest.raises(error):      # the medium and T alone are refused
+        run_reconstruction(water_cfg(tmp_path, grid_dim="3", grid_n="16",
+                                     phantom_D_m2="1e-13", **overrides))
 
 
 @pytest.mark.parametrize("overrides, error", [
@@ -271,16 +314,16 @@ _WATER_128_CUBED = {"grid_dim": "3", "grid_n": "128", "phantom_D_m2": "0.03125"}
 
 
 def test_3d_reconstruction_threads_only_the_full_passes(monkeypatch, thread_starts, tmp_path):
-    # the three forward passes and the full axis-0 pass of each of the two
-    # inverses; the pruned passes run on the caller
+    # the full axis-0 pass of each of the two inverses; the spectrum is built
+    # from 1-D transforms and the pruned passes run on the caller
     monkeypatch.setattr(transform, "_CPUS", 2)
     run_reconstruction(water_cfg(tmp_path, **_WATER_128_CUBED))
-    assert len(thread_starts) == 5
+    assert len(thread_starts) == 2
 
 
 def test_3d_reconstruction_live_peak(tmp_path):
-    # one spectrum, and the phantom dropped before the inverses: 51 MiB,
-    # where two whole round trips took 67 MiB
+    # no whole phantom and one spectrum: 49 MiB, where two whole round trips
+    # took 67 MiB
     cfg = water_cfg(tmp_path, **_WATER_128_CUBED)
     tracemalloc.start()
     try:

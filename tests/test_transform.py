@@ -60,9 +60,45 @@ def test_gaussian_phantom_2d_normalization():
 @pytest.mark.parametrize("grid", [GridSpec(dim=1, n_per_axis=4096, extent=40.0),
                                   GridSpec(dim=3, n_per_axis=32, extent=40.0)])
 def test_gaussian_phantom_is_the_closed_form_bit_for_bit(grid):
+    # 1-D is the closed form; 3-D is the product of one factor per axis, and
+    # the radial closed form to round-off
+    peak = (4.0 * math.pi * 1.5) ** (-grid.dim / 2.0)
     r = grid.radius()
-    ref = (4.0 * math.pi * 1.5) ** (-grid.dim / 2.0) * np.exp(-(r * r) / (4.0 * 1.5))
-    assert np.array_equal(gaussian_phantom(grid, 1.5).samples, ref)
+    radial = peak * np.exp(-(r * r) / (4.0 * 1.5))
+    samples = gaussian_phantom(grid, 1.5).samples
+    if grid.dim == 1:
+        assert np.array_equal(samples, radial)
+        return
+    x = grid.axis_coords()
+    g = np.exp(-(x * x) / (4.0 * 1.5))
+    assert np.array_equal(samples, g[:, None, None] * g[None, :, None] * g[None, None, :] * peak)
+    assert np.max(np.abs(samples - radial)) <= 1e-15 * peak
+
+
+@pytest.mark.parametrize("D", [1e-300, 1e-250])
+def test_gaussian_phantom_refuses_a_peak_beyond_doubles(D):
+    # (4 pi D)^{-3/2} overflows, so the phantom has no peak to scale by
+    with pytest.raises(PhantomSupportError, match="is not a finite double"):
+        gaussian_phantom(GridSpec(dim=3, n_per_axis=16, extent=1.0), D)
+
+
+def test_gaussian_phantom_of_subnormal_D_is_a_single_spike():
+    # x^2 / (-4 D) overflows to -inf off the origin, whose exp is 0 exactly
+    grid = GridSpec(dim=1, n_per_axis=16, extent=1.0)
+    samples = gaussian_phantom(grid, 5e-324).samples
+    assert np.flatnonzero(samples).tolist() == [8]
+    assert samples[8] == (4.0 * math.pi * 5e-324) ** -0.5
+
+
+@pytest.mark.parametrize("grid", [GridSpec(dim=2, n_per_axis=64, extent=16.0),
+                                  GridSpec(dim=3, n_per_axis=32, extent=16.0)])
+@pytest.mark.parametrize("D", [0.001, 0.05, 0.5])
+def test_gaussian_spectrum_equals_forward_transform(grid, D):
+    g, scale = transform._gaussian_factor(grid, D)
+    spec = transform._gaussian_spectrum(g, scale, grid.dim)
+    reference = transform._forward(gaussian_phantom(grid, D))
+    assert spec.shape == reference.shape
+    assert np.max(np.abs(spec - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 def test_gaussian_support_check():
@@ -626,9 +662,10 @@ def test_box_inverse_equals_full_inverse_on_the_box(request, grid, box, threaded
     k_table, index = grid.radial_table()
     mult = np.cos(k_table)
     spec = transform._forward(phi)
-    full = transform._inverse(spec.copy(), mult, index, n)
+    spec *= mult[index]
+    full = transform._inverse(spec.copy(), n)
     assert np.array_equal(full, _single_call(phi, np.cos))
-    assert np.array_equal(transform._inverse(spec, mult, index, n, box), full[box])
+    assert np.array_equal(transform._inverse(spec, n, box), full[box])
 
 
 @pytest.mark.parametrize("grid, size, cpus, threads", [
