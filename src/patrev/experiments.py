@@ -14,7 +14,6 @@ Outputs are deterministic: fixed grids, no randomness, no timestamps, full
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -65,7 +64,6 @@ RESOLUTION_CLAIM_M = 0.036e-3
 #: reconstruction acceptance: relative L-inf on the phantom support
 RECONSTRUCTION_TOL = 0.02
 SWEEP_FINAL_TOL = 0.005
-SUPPORT_LEVEL = 0.01
 
 
 class ConfigError(ValueError):
@@ -467,19 +465,6 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
     return rep
 
 
-def _support_mask(phi: np.ndarray) -> np.ndarray:
-    return phi >= SUPPORT_LEVEL * float(np.max(phi))
-
-
-def _support_box(g: np.ndarray, scale: float, d: int) -> tuple[tuple, np.ndarray]:
-    """Support box of the phantom scale g x ... x g and the phantom on it: it
-    peaks at scale (g = 1 at the origin) and a rounded product is monotone in
-    each factor, so every axis has the box of the central line g scale."""
-    line = np.flatnonzero(_support_mask(g * scale))
-    box = (slice(line[0], line[-1] + 1),) * d
-    return box, functools.reduce(np.multiply.outer, [g[box[0]]] * d) * scale
-
-
 def _rel_linf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -504,26 +489,9 @@ def run_reconstruction(cfg: ExperimentConfig) -> Report:
     def eta0(kk):
         return kernels.mode_products(medium, kk).eta0_multiplier()
 
-    if cfg.grid.dim == 1:   # the profile CSV needs the whole images
-        phantom = transform.gaussian_phantom(cfg.grid, D)
-        mask = _support_mask(phantom.samples)
-        phi = phantom.samples[mask]
-        profile = [transform.time_reversal_image(medium, phantom, T).samples]
-        image = profile[-1][mask]
-        profile.append(transform.apply_multiplier(phantom, eta0).samples)
-        image_eta0 = profile[-1][mask]
-    else:   # only the support is read: no whole phantom, two box inverses
-        d, n = cfg.grid.dim, cfg.grid.n_per_axis
-        g, scale = transform._gaussian_factor(cfg.grid, D)
-        mults, index = transform._radial_multipliers(
-            cfg.grid, [transform._image_multiplier(medium, cfg.grid, T), eta0], medium)
-        box, phi_box = _support_box(g, scale, d)
-        mask = _support_mask(phi_box)
-        phi = phi_box[mask]
-        spec = transform._gaussian_spectrum(g, scale, d)
-        image = transform._inverse(spec * mults[0][index], n, box)[mask]
-        spec *= mults[1][index]
-        image_eta0 = transform._inverse(spec, n, box)[mask]
+    phi_box, mask, images = transform._gaussian_images(cfg.grid, D, medium, T, eta0)
+    phi = phi_box[mask]
+    image, image_eta0 = (im[mask] for im in images)
     gain = kernels.dc_constant(medium)
     oracle = gain * phi
 
@@ -538,25 +506,22 @@ def run_reconstruction(cfg: ExperimentConfig) -> Report:
         rep.check_below("err_linf_identity", _rel_linf(image, phi), 1e-3,
                         provenance="definition")
 
-    if cfg.grid.dim == 1:
-        x = cfg.grid.axis_coords()
+    if cfg.grid.dim == 1:   # the 1-D box is the whole line
         rep.csv_paths.append(write_csv(
             cfg.out_dir / "reconstruction_profile.csv",
             [f"1-D reconstruction, T = {T:.17g}, D = {D:.17g}"],
             ["x_m", "phi", "image", "image_eta0", "gain_phi"],
-            [x, phantom.samples, *profile, gain * phantom.samples],
+            [cfg.grid.axis_coords(), phi_box, *images, gain * phi_box],
         ))
     return rep
 
 
-def _sweep_errors(medium: Medium, phantom: transform.Field, T: float) -> tuple[float, float]:
-    """Relative L-inf and L2 image error on the phantom support.  The caller
-    keeps the phantom until the next one replaces it: freeing it here too made
-    glibc trim and re-fault the heap every medium (115k vs 80k minor faults)."""
-    mask = _support_mask(phantom.samples)
-    phi = phantom.samples[mask]
-    image = transform.time_reversal_image(
-        medium, phantom, T, include_zeta3=False).samples[mask]
+def _sweep_errors(cfg: ExperimentConfig, medium: Medium) -> tuple[float, float]:
+    """Relative L-inf and L2 image error on the phantom support; the arrays
+    of one medium are freed on return, before the next medium's are built."""
+    phi, mask, (image,) = transform._gaussian_images(
+        cfg.grid, cfg.phantom_D(medium), medium, cfg.resolve_T(medium))
+    phi, image = phi[mask], image[mask]
     return _rel_linf(image, phi), _rel_l2(image, phi)
 
 
@@ -565,15 +530,15 @@ def run_kappa_sweep(cfg: ExperimentConfig) -> Report:
 
     The error must decrease strictly and reach 0.5% at the weakest
     dissipation, the grid-level form of the kappa1 -> 0 convergence of the
-    imaging functional.
+    imaging functional.  Every medium's image takes the reconstruction's route,
+    ``transform._gaussian_images``; one medium's arrays are alive at a time.
     """
     rep = Report("kappa_sweep")
     kappas, errs_linf, errs_l2, gains = [], [], [], []
     for j in range(6):
         kappa_j = cfg.raw.kappa1 * 2.0 ** (-j)
         medium = derive_medium(replace(cfg.raw, kappa1=kappa_j))
-        phantom = transform.gaussian_phantom(cfg.grid, cfg.phantom_D(medium))
-        err_linf, err_l2 = _sweep_errors(medium, phantom, cfg.resolve_T(medium))
+        err_linf, err_l2 = _sweep_errors(cfg, medium)
         kappas.append(kappa_j)
         errs_linf.append(err_linf)
         errs_l2.append(err_l2)

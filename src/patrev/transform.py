@@ -23,9 +23,9 @@ threads when two CPUs are usable; smaller ones lose more to a thread start
 (~0.2 ms) than they gain.  Each line is computed as in one numpy call, so
 outputs and box values are bit-identical to rfftn/irfftn.
 
-The Gaussian phantom is its peak times one factor g per axis and the DFT is
-separable, so ``_gaussian_spectrum`` forms its half spectrum from 1-D
-transforms of g; the 2-D/3-D reconstruction runs no forward pass.
+The Gaussian phantom is the outer product of one factor per axis (the peak on
+the last) and the DFT is separable, so ``_gaussian_images``, the image route
+of the reconstruction and the kappa1 sweep in every dimension, runs no forward pass.
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -187,19 +187,16 @@ def gaussian_phantom(grid: GridSpec, D: float) -> Field:
 
     D is the squared-length scale [m^2]; the standard deviation is
     sqrt(2 D).  The support (6 sigma) must fit inside half the extent so the
-    discrete integral equals 1 to 1e-6.  In 2-D and 3-D phi is the peak times
-    the outer product of d axis factors, the closed form to round-off.
+    discrete integral equals 1 to 1e-6.  phi is the outer product of its axis
+    factors, the closed form to round-off (exactly in 1-D).
     """
-    g, scale = _gaussian_factor(grid, D)
-    phi = g if grid.dim == 1 else functools.reduce(np.multiply.outer, [g] * grid.dim)
-    phi *= scale
-    return Field(grid, phi)
+    return Field(grid, functools.reduce(np.multiply.outer, _gaussian_factors(grid, D)))
 
 
-def _gaussian_factor(grid: GridSpec, D: float) -> tuple[np.ndarray, float]:
-    """Axis factor g = exp(-x^2 / (4 D)) (1 at the origin; an overflow of
-    x^2 / (4 D) gives exp(-inf) = 0 exactly) and peak (4 pi D)^{-d/2} of
-    ``gaussian_phantom``, after its refusals."""
+def _gaussian_factors(grid: GridSpec, D: float) -> list[np.ndarray]:
+    """Axis factors of ``gaussian_phantom``, after its refusals: g =
+    exp(-x^2 / (4 D)) (1 at the origin; an overflow of x^2 / (4 D) gives
+    exp(-inf) = 0 exactly) on axes 0 ... d-2, g (4 pi D)^{-d/2} on the last."""
     D = float(D)
     if not D > 0:
         raise ValueError("D must be positive")
@@ -207,17 +204,23 @@ def _gaussian_factor(grid: GridSpec, D: float) -> tuple[np.ndarray, float]:
     if 6.0 * sigma > grid.extent / 2.0:
         raise PhantomSupportError(f"6 sigma = {6 * sigma:.6g} m exceeds half the extent "
                                   f"({grid.extent / 2:.6g} m)")
+    # |x| <= extent / 2, and 4 pi D < (extent / 2)^2 by the support check
+    if not math.isfinite((grid.extent / 2.0) * (grid.extent / 2.0)):
+        raise PhantomSupportError(f"x^2 at |x| = {grid.extent / 2:.6g} m "
+                                  "is not a finite double")
     try:
         scale = (4.0 * math.pi * D) ** (-grid.dim / 2.0)
     except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
         raise PhantomSupportError(f"the peak (4 pi D)^(-{grid.dim}/2) at D = {D:.6g} m^2 "
-                                  "is not a finite double") from None
+                                  "is not a finite double > 0")
     g = np.abs(grid.axis_coords())      # in place: -(x^2) / (4 D) = x^2 / (-4 D) exactly
     g *= g
     with np.errstate(over="ignore"):
         g /= -4.0 * D
     np.exp(g, out=g)
-    return g, scale
+    return [g] * (grid.dim - 1) + [g * scale]
 
 
 #: |k| per block of multiplier evaluation; see the module docstring
@@ -295,11 +298,12 @@ def _forward(fld: Field) -> np.ndarray:
     return spec
 
 
-def _gaussian_spectrum(g: np.ndarray, scale: float, d: int) -> np.ndarray:
-    """``_forward`` of the phantom scale g x ... x g (d >= 2) to round-off: the
-    DFT is separable, so fft(g) on axes 0 ... d-2 times rfft(g) scale on the last."""
-    return functools.reduce(np.multiply.outer, [np.fft.fft(g)] * (d - 1)
-                            + [np.fft.rfft(g) * scale])
+def _gaussian_spectrum(factors: list[np.ndarray]) -> np.ndarray:
+    """``_forward`` of the phantom reduce(np.multiply.outer, factors): the DFT
+    is separable, so fft of each factor on axes 0 ... d-2 times rfft of the
+    last; bit for bit in 1-D, where it is rfft alone, to round-off otherwise."""
+    return functools.reduce(np.multiply.outer, [np.fft.fft(f) for f in factors[:-1]]
+                            + [np.fft.rfft(factors[-1])])
 
 
 def _inverse(spec: np.ndarray, n: int, box: tuple[slice, ...] | None = None) -> np.ndarray:
@@ -432,3 +436,39 @@ def _image_multiplier(medium: Medium, grid: GridSpec, T: float,
         return mp.multiplier(T)
 
     return table
+
+
+#: the phantom support: its samples at this fraction of the peak or above
+SUPPORT_LEVEL = 0.01
+
+
+def _support_box(factors: list[np.ndarray]) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Support box of the phantom reduce(np.multiply.outer, factors), and the
+    phantom and its support mask on it.  It peaks where the last factor does
+    and rounded products are monotone in each factor, so that factor's support
+    spans the box on axes 0 ... d-2; the last axis, inverted on the box's lines
+    anyway, stays whole (the 1-D box is the whole line)."""
+    level = SUPPORT_LEVEL * float(np.max(factors[-1]))
+    line = np.flatnonzero(factors[-1] >= level)
+    core = slice(line[0], line[-1] + 1)
+    phi = functools.reduce(np.multiply.outer, [f[core] for f in factors[:-1]] + factors[-1:])
+    return (core,) * (len(factors) - 1) + (slice(None),), phi, phi >= level
+
+
+def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
+                     *extra: Callable[[np.ndarray], np.ndarray]
+                     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Phantom ``gaussian_phantom(grid, D)``, its support mask and its images
+    on the support box: ``time_reversal_image(medium, phantom, T)``, then
+    F^{-1}{m(|k|) F{phi}} for each m of ``extra``; one radial table, the
+    closed-form spectrum, no forward pass, and the phantom's refusals first."""
+    n = grid.n_per_axis
+    factors = _gaussian_factors(grid, D)
+    # before the table's arrays: after them the 128^3 peak RSS read 8 MiB higher
+    box, phi, mask = _support_box(factors)
+    mults, index = _radial_multipliers(grid, [_image_multiplier(medium, grid, T), *extra],
+                                       medium)
+    spec = _gaussian_spectrum(factors)
+    images = [_inverse(spec * mult[index], n, box) for mult in mults[:-1]]
+    spec *= mults[-1][index]
+    return phi, mask, images + [_inverse(spec, n, box)]

@@ -111,10 +111,21 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
       "--set", "phantom_D_m2=1e-300"], "is not a finite double"),
     (["reconstruct", "--set", "grid_dim=2", "--set", "grid_n=16",
       "--set", "phantom_D_m2=5e-324"], "is not a finite double"),
+    # ... or underflows to 0, which made every error 0/0
+    (["reconstruct", "--set", "grid_dim=3", "--set", "grid_n=16",
+      "--set", "grid_extent_m=1e150", "--set", "phantom_D_m2=1e297"],
+     "is not a finite double > 0"),
+    # x^2 overflows at the grid edge (the phantom read 0 there, or 0 everywhere
+    # once 4 pi D overflowed too)
+    (["reconstruct", "--set", "grid_n=16", "--set", "grid_extent_m=1e160",
+      "--set", "phantom_D_m2=3e307"], "x^2 at |x| = 5e+159 m is not a finite double"),
+    (["reconstruct", "--set", "grid_n=16", "--set", "grid_extent_m=1e155",
+      "--set", "phantom_D_m2=1e307"], "x^2 at |x| = 5e+154 m is not a finite double"),
 ], ids=["unphysical_medium", "phantom_support", "complex_regime",
         "overflowing_c2_rho_kappa1", "overflowing_theta_T_reconstruct",
         "overflowing_theta_T_sweep", "overflowing_theta_T_report",
-        "overflowing_phantom_peak_3d", "overflowing_phantom_peak_2d"])
+        "overflowing_phantom_peak_3d", "overflowing_phantom_peak_2d",
+        "underflowing_phantom_peak_3d", "overflowing_x2_and_4piD", "overflowing_x2"])
 def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2

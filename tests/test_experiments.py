@@ -1,15 +1,14 @@
 import functools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from patrev import kernels, transform
-from patrev.medium import water_params
+from patrev.medium import derive_medium, water_params
 from patrev.experiments import (
     _CSV_BLOCK_ROWS,
-    _support_box,
-    _support_mask,
     ConfigError,
     ExperimentConfig,
     Report,
@@ -239,43 +238,92 @@ def test_reconstruction_3d_matches_full_grid_formulas(tmp_path, medium_overrides
     assert not (tmp_path / "out" / "reconstruction_profile.csv").exists()
 
 
+def _full_grid_sweep_entries(cfg) -> dict[str, float]:
+    """Error entries of run_kappa_sweep from whole-grid arrays."""
+    entries = {}
+    for j in range(6):
+        medium = derive_medium(replace(cfg.raw, kappa1=cfg.raw.kappa1 * 2.0 ** (-j)))
+        phantom = transform.gaussian_phantom(cfg.grid, cfg.phantom_D(medium))
+        image = transform.time_reversal_image(medium, phantom, cfg.resolve_T(medium)).samples
+        phi = phantom.samples
+        mask = phi >= 0.01 * float(np.max(phi))
+        entries[f"err_linf_j{j}"] = float(np.max(np.abs(image[mask] - phi[mask]))
+                                          / np.max(phi[mask]))
+    return entries
+
+
 @pytest.mark.parametrize("threaded", [False, True])
-@pytest.mark.parametrize("dim, n", [("2", "64"), ("3", "16")], ids=["64^2", "16^3"])
-def test_support_route_matches_whole_image_route(request, tmp_path, dim, n, threaded):
+@pytest.mark.parametrize("dim, n, runner, reference", [
+    pytest.param("2", "64", run_reconstruction, _full_grid_reconstruction_entries, id="64^2"),
+    pytest.param("3", "16", run_reconstruction, _full_grid_reconstruction_entries, id="16^3"),
+    pytest.param("2", "64", run_kappa_sweep, _full_grid_sweep_entries, id="64^2-sweep"),
+    pytest.param("3", "16", run_kappa_sweep, _full_grid_sweep_entries, id="16^3-sweep"),
+])
+def test_support_route_matches_whole_image_route(request, tmp_path, dim, n, runner,
+                                                 reference, threaded):
     # the factor-built spectrum and box inverses on the support give the
-    # entries of the whole images of time_reversal_image and apply_multiplier;
-    # the spectra differ by round-off
+    # entries of the whole images of time_reversal_image and apply_multiplier
+    # (the sweep: of time_reversal_image per medium); the spectra differ by
+    # round-off
     if threaded:
         request.getfixturevalue("two_threads")
     cfg = water_cfg(tmp_path, grid_dim=dim, grid_n=n, phantom_D_m2="0.125")
-    rep = run_reconstruction(cfg)
-    for name, value in _full_grid_reconstruction_entries(cfg).items():
+    rep = runner(cfg)
+    for name, value in reference(cfg).items():
         assert rep.entry(name).value == pytest.approx(value, rel=0, abs=1e-14), name
+
+
+@pytest.mark.parametrize("runner, image_sets", [(run_reconstruction, 1), (run_kappa_sweep, 6)],
+                         ids=["reconstruction", "sweep"])
+@pytest.mark.parametrize("dim, n", [("1", "4096"), ("2", "64"), ("3", "16")])
+def test_image_sets_take_the_one_route(monkeypatch, tmp_path, dim, n, runner, image_sets):
+    # one radial table per image set and no forward transform, in every
+    # dimension: the 1-D reconstruction built two tables and ran two
+    # forward passes
+    tables = []
+    radial_table = transform.GridSpec.radial_table
+
+    def counted(grid):
+        tables.append(grid)
+        return radial_table(grid)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the Field route was taken")
+
+    monkeypatch.setattr(transform.GridSpec, "radial_table", counted)
+    for name in ("_forward", "gaussian_phantom", "time_reversal_image", "apply_multiplier"):
+        monkeypatch.setattr(transform, name, refused)
+    runner(water_cfg(tmp_path, grid_dim=dim, grid_n=n, phantom_D_m2="0.125"))
+    assert len(tables) == image_sets
 
 
 @pytest.mark.parametrize("D_over_h2", [1e-3, 0.1, 1.0, 10.0, 100.0, 1e4])
 @pytest.mark.parametrize("n", [2, 4, 16, 64])
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_support_box_equals_whole_phantom_support(dim, n, D_over_h2):
-    # box, mask and phi from the axis factor alone equal those of the whole
+    # box, mask and phi from the axis factors alone equal those of the whole
     # phantom, bit for bit, for boxes from one sample to the whole grid (the
     # largest D lies beyond the support check, so the whole phantom is the
-    # outer product that gaussian_phantom forms)
+    # outer product that gaussian_phantom forms); the last axis, and so the
+    # 1-D box, is whole
     grid = transform.GridSpec(dim=dim, n_per_axis=n, extent=16.0)
     D = D_over_h2 * grid.spacing ** 2
     x = grid.axis_coords()
     g, scale = np.exp(x * x / (-4.0 * D)), (4.0 * np.pi * D) ** (-dim / 2.0)
-    whole = functools.reduce(np.multiply.outer, [g] * dim) * scale
+    factors = [g] * (dim - 1) + [g * scale]
+    whole = functools.reduce(np.multiply.outer, factors)
     if 6.0 * (2.0 * D) ** 0.5 <= grid.extent / 2.0:
-        assert np.array_equal(transform._gaussian_factor(grid, D)[0], g)
+        for built, expected in zip(transform._gaussian_factors(grid, D), factors, strict=True):
+            assert np.array_equal(built, expected)
         assert np.array_equal(transform.gaussian_phantom(grid, D).samples, whole)
-    whole_mask = _support_mask(whole)
-    box, phi = _support_box(g, scale, dim)
-    assert box == tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(whole_mask))
+    whole_mask = whole >= transform.SUPPORT_LEVEL * np.max(whole)
+    box, phi, mask = transform._support_box(factors)
+    support = [slice(i.min(), i.max() + 1) for i in np.nonzero(whole_mask)]
+    assert box == (*support[:-1], slice(None))
     assert np.array_equal(phi, whole[box])
-    assert np.array_equal(_support_mask(phi), whole_mask[box])
+    assert np.array_equal(mask, whole_mask[box])
     width = {1e-3: 1, 1e4: n}.get(D_over_h2)
-    assert width is None or box[0].stop - box[0].start == width
+    assert width is None or support[0].stop - support[0].start == width
 
 
 @pytest.mark.parametrize("overrides, error", [
@@ -332,6 +380,19 @@ def test_3d_reconstruction_live_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 60 * 2**20
+
+
+def test_sweep_live_peak(tmp_path):
+    # one medium's arrays at a time: 7.25 MiB at 2^18, where keeping the last
+    # medium's phantom, mask and image through the next call took 11.5 MiB
+    cfg = water_cfg(tmp_path, grid_n=str(2 ** 18))
+    tracemalloc.start()
+    try:
+        run_kappa_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
 
 
 def test_reconstruction_smoother_phantom_is_better(tmp_path):

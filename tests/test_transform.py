@@ -60,8 +60,8 @@ def test_gaussian_phantom_2d_normalization():
 @pytest.mark.parametrize("grid", [GridSpec(dim=1, n_per_axis=4096, extent=40.0),
                                   GridSpec(dim=3, n_per_axis=32, extent=40.0)])
 def test_gaussian_phantom_is_the_closed_form_bit_for_bit(grid):
-    # 1-D is the closed form; 3-D is the product of one factor per axis, and
-    # the radial closed form to round-off
+    # 1-D is the closed form; 3-D is the product of one factor per axis, the
+    # peak on the last, and the radial closed form to round-off
     peak = (4.0 * math.pi * 1.5) ** (-grid.dim / 2.0)
     r = grid.radius()
     radial = peak * np.exp(-(r * r) / (4.0 * 1.5))
@@ -71,7 +71,7 @@ def test_gaussian_phantom_is_the_closed_form_bit_for_bit(grid):
         return
     x = grid.axis_coords()
     g = np.exp(-(x * x) / (4.0 * 1.5))
-    assert np.array_equal(samples, g[:, None, None] * g[None, :, None] * g[None, None, :] * peak)
+    assert np.array_equal(samples, g[:, None, None] * g[None, :, None] * (g * peak)[None, None, :])
     assert np.max(np.abs(samples - radial)) <= 1e-15 * peak
 
 
@@ -91,12 +91,14 @@ def test_gaussian_phantom_of_subnormal_D_is_a_single_spike():
 
 
 @pytest.mark.parametrize("grid", [GridSpec(dim=2, n_per_axis=64, extent=16.0),
-                                  GridSpec(dim=3, n_per_axis=32, extent=16.0)])
+                                  GridSpec(dim=3, n_per_axis=32, extent=16.0),
+                                  GridSpec(dim=1, n_per_axis=4096, extent=16.0)])
 @pytest.mark.parametrize("D", [0.001, 0.05, 0.5])
 def test_gaussian_spectrum_equals_forward_transform(grid, D):
-    g, scale = transform._gaussian_factor(grid, D)
-    spec = transform._gaussian_spectrum(g, scale, grid.dim)
+    spec = transform._gaussian_spectrum(transform._gaussian_factors(grid, D))
     reference = transform._forward(gaussian_phantom(grid, D))
+    if grid.dim == 1:   # rfft of the one factor is the forward transform itself
+        assert np.array_equal(spec, reference)
     assert spec.shape == reference.shape
     assert np.max(np.abs(spec - reference)) <= 1e-14 * np.max(np.abs(reference))
 
