@@ -17,7 +17,8 @@ for multiples of the derived critical wavenumber.  Files go to --out.
 Exit status: 0 all declared checks pass, 1 a check failed, 2 configuration
 error or refused input (an unphysical medium, a phantom wider than the grid or
 with a peak beyond double range, three real roots on the imaging path, theta
-T beyond double range, an unwritable --out), 64 usage error.
+T beyond double range, a k grid whose roots are not finite doubles, an
+unwritable --out), 64 usage error.
 """
 
 from __future__ import annotations

@@ -337,10 +337,26 @@ def _roots_columns(medium: Medium, grid: spectral.RootsGrid) -> list[np.ndarray]
             grid.real_c_regime.astype(int), spectral.scaled_residuals(medium, grid)]
 
 
+def _k_grid_roots(cfg: ExperimentConfig, medium: Medium) -> spectral.RootsGrid:
+    """Roots over the configured k grid.  A grid that reaches wavenumbers
+    where they are not finite doubles (Cardano's root loses every digit from
+    about 1e30 k_c) is refused as a ConfigError; the NaN roots of the exact
+    triple root (C = 0) are the runs' to report."""
+    ks = cfg.k_grid(medium)
+    with np.errstate(all="ignore"):
+        grid = spectral.roots_grid(medium, ks)
+    finite = np.isfinite(grid.lambda0) & np.isfinite(grid.mu) & np.isfinite(grid.theta)
+    if not np.all(finite | (grid.big_c == 0)):
+        raise ConfigError(
+            f"the k grid [{ks.min():.6g}, {ks.max():.6g}] 1/m reaches wavenumbers "
+            "where the dispersion roots are not finite doubles; lower k_max and k_min")
+    return grid
+
+
 def run_roots(cfg: ExperimentConfig) -> Report:
     """Roots table over the configured k grid and its cubic-residual check."""
     medium = cfg.medium
-    columns = _roots_columns(medium, spectral.roots_grid(medium, cfg.k_grid(medium)))
+    columns = _roots_columns(medium, _k_grid_roots(cfg, medium))
     rep = Report("roots")
     rep.csv_paths.append(write_csv(
         cfg.out_dir / "roots.csv", [f"dispersion cubic roots, kc = {medium.k_c:.17g}"],
@@ -354,7 +370,7 @@ def run_coeffs(cfg: ExperimentConfig) -> Report:
     """Mode weights over the configured k grid and their moment-residual check;
     rows where the weights are undefined (k = 0, the triple root) are left out."""
     medium = cfg.medium
-    grid = spectral.roots_grid(medium, cfg.k_grid(medium))
+    grid = _k_grid_roots(cfg, medium)
     a0, a1, a2, degen = spectral.amplitudes_grid(medium, grid)
     keep = ~degen
     if not np.any(keep):
@@ -525,6 +541,12 @@ def _sweep_errors(cfg: ExperimentConfig, medium: Medium) -> tuple[float, float]:
     return _rel_linf(image, phi), _rel_l2(image, phi)
 
 
+def _sweep_media(cfg: ExperimentConfig) -> list[Medium]:
+    """The configured medium with kappa1 halved 0 ... 5 times."""
+    return [derive_medium(replace(cfg.raw, kappa1=cfg.raw.kappa1 * 2.0 ** (-j)))
+            for j in range(6)]
+
+
 def run_kappa_sweep(cfg: ExperimentConfig) -> Report:
     """Image error against the phantom for halving compressibilities.
 
@@ -535,11 +557,9 @@ def run_kappa_sweep(cfg: ExperimentConfig) -> Report:
     """
     rep = Report("kappa_sweep")
     kappas, errs_linf, errs_l2, gains = [], [], [], []
-    for j in range(6):
-        kappa_j = cfg.raw.kappa1 * 2.0 ** (-j)
-        medium = derive_medium(replace(cfg.raw, kappa1=kappa_j))
+    for medium in _sweep_media(cfg):
         err_linf, err_l2 = _sweep_errors(cfg, medium)
-        kappas.append(kappa_j)
+        kappas.append(medium.kappa1)
         errs_linf.append(err_linf)
         errs_l2.append(err_l2)
         gains.append(kernels.dc_constant(medium))
@@ -584,9 +604,13 @@ def run_resolution_study(cfg: ExperimentConfig) -> Report:
 
 
 def run_all(cfg: ExperimentConfig) -> list[Report]:
-    """Full battery in a fixed order.  The reconstruction's scale refusals
-    come first, so a report they refuse writes no table."""
-    transform._image_multiplier(cfg.medium, cfg.grid, cfg.resolve_T(cfg.medium))
+    """Full battery in a fixed order.  The refusals of every image that need
+    no evaluation (the phantom's, then the scale's, as in the image route)
+    come first, for each sweep medium, the first of which is the
+    reconstruction's, so a report they refuse writes no file."""
+    for medium in _sweep_media(cfg):
+        transform._phantom_peak(cfg.grid, cfg.phantom_D(medium))
+        transform._image_multiplier(medium, cfg.grid, cfg.resolve_T(medium))
     return [
         run_water_constants(cfg),
         run_kernel_tables(cfg),

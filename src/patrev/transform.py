@@ -7,25 +7,28 @@ multipliers; a real, radial multiplier applied to a real field returns a real
 field up to round-off (the tests check Parseval and the imaginary residue).
 
 Multipliers are evaluated once per distinct |k|: ``GridSpec.radial_table``
-lists the distinct |k| of the real-FFT half spectrum (the layout of
-``np.fft.rfftn``) with an index per half-spectrum point (``slice(None)`` in
-1-D).  A multiplier callable receives consecutive slices of that 1-D table,
-so it must be elementwise in k: blocks of 8192 |k| keep the ~20 temporaries
-of a root solve in a 2 MB L2 cache (35 ms against 72 ms in one call for the
-2^20-point water table on a Xeon; README has the sweep).
+lists the distinct |k| of the non-negative frequencies with an index of
+shape ``(n//2+1,) * d`` (``slice(None)`` in 1-D, where that is the real-FFT
+half spectrum).  A multiplier callable receives consecutive slices of that
+1-D table, so it must be elementwise in k: blocks of 8192 |k| keep the ~20
+temporaries of a root solve in a 2 MB L2 cache (35 ms against 72 ms in one
+call for the 2^20-point water table on a Xeon; README has the sweep).
 
-The round trip is a forward half (``_forward``, the axis passes of rfftn)
-and an inverse half (``_inverse``, those of irfftn); the complex passes run
-in place.  Given an index box, the inverse runs its axis-0 pass on every
-line and the later ones only on the lines that reach the box.  A 2-D or 3-D
-pass of 2^20 elements or more transforms two slabs of its lines on two
-threads when two CPUs are usable; smaller ones lose more to a thread start
-(~0.2 ms) than they gain.  Each line is computed as in one numpy call, so
-outputs and box values are bit-identical to rfftn/irfftn.
+The public operators run numpy's real-FFT round trip, ``rfftn`` then
+``irfftn``, with the index folded onto the negative frequencies of axes
+0 ... d-2 (frequencies i and n - i share |k|).
 
-The Gaussian phantom is the outer product of one factor per axis (the peak on
-the last) and the DFT is separable, so ``_gaussian_images``, the image route
-of the reconstruction and the kappa1 sweep in every dimension, runs no forward pass.
+``_gaussian_images``, the image route of the reconstruction and the kappa1
+sweep in every dimension, runs no forward pass and no complex one.  The
+Gaussian phantom is the outer product of one factor per axis (the peak on
+the last), and the DFT is separable.  A factor is grid-centred, so it is
+circularly even and its DFT is real and even to round-off; times a radial
+multiplier, the spectrum is even on every axis but the last.  So the
+inverse takes the non-negative frequencies only: a real ``irfft`` per
+leading axis, that axis's factor multiplied in just before its pass, then
+the last factor's complex ``rfft`` and one ``irfft``.  Each pass keeps only
+the lines that reach the phantom's support box.  In 1-D that is ``rfft``,
+the multiplier, ``irfft``.
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -38,8 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -122,23 +123,23 @@ class GridSpec:
         return self._magnitude(2.0 * math.pi * np.fft.fftfreq(self.n_per_axis, self.spacing))
 
     def radial_table(self) -> tuple[np.ndarray, np.ndarray | slice]:
-        """Distinct |k| of the real-FFT half spectrum and an index into them.
+        """Distinct |k| of the non-negative frequencies and an index into them.
 
         Returns ``(k_table, index)``: ``k_table`` is the strictly increasing
         1-D array of distinct |k| [1/m], and ``k_table[index]`` equals
-        ``k_magnitude()[..., :n//2+1]``, the half spectrum of ``np.fft.rfftn``
-        (exactly in 1-D, where ``index`` is ``slice(None)``; to round-off
+        ``k_magnitude()`` on the octant of frequencies 0 ... n/2 of every
+        axis (exactly in 1-D, where ``index`` is ``slice(None)`` and the
+        octant is the half spectrum of ``np.fft.rfft``; to round-off
         otherwise).  On the periodic lattice
         |k|^2 = (2 pi / extent)^2 q with integer q = sum_i m_i^2 <= d (n/2)^2,
         so the distinct values are found by marking the occupied q.
         """
         n, d = self.n_per_axis, self.dim
-        half = n // 2 + 1
+        m = np.arange(n // 2 + 1)
         step = 1.0 / (n * self.spacing)     # fftfreq's, so 1-D |k| match k_magnitude()
         if d == 1:
-            return 2.0 * math.pi * (np.arange(half) * step), slice(None)
-        m = (np.arange(n) + n // 2) % n - n // 2
-        q = functools.reduce(np.add.outer, [m * m] * (d - 1) + [np.arange(half) ** 2])
+            return 2.0 * math.pi * (m * step), slice(None)
+        q = functools.reduce(np.add.outer, [m * m] * d)
         occupied = np.zeros(d * (n // 2) ** 2 + 1, dtype=bool)
         occupied[q] = True
         rank = np.cumsum(occupied) - 1
@@ -198,6 +199,18 @@ def _gaussian_factors(grid: GridSpec, D: float) -> list[np.ndarray]:
     exp(-x^2 / (4 D)) (1 at the origin; an overflow of x^2 / (4 D) gives
     exp(-inf) = 0 exactly) on axes 0 ... d-2, g (4 pi D)^{-d/2} on the last."""
     D = float(D)
+    scale = _phantom_peak(grid, D)
+    g = np.abs(grid.axis_coords())      # in place: -(x^2) / (4 D) = x^2 / (-4 D) exactly
+    g *= g
+    with np.errstate(over="ignore"):
+        g /= -4.0 * D
+    np.exp(g, out=g)
+    return [g] * (grid.dim - 1) + [g * scale]
+
+
+def _phantom_peak(grid: GridSpec, D: float) -> float:
+    """The peak (4 pi D)^{-d/2} of ``gaussian_phantom``, after its refusals,
+    which need no array."""
     if not D > 0:
         raise ValueError("D must be positive")
     sigma = math.sqrt(2.0 * D)
@@ -215,12 +228,7 @@ def _gaussian_factors(grid: GridSpec, D: float) -> list[np.ndarray]:
     if not 0.0 < scale < math.inf:
         raise PhantomSupportError(f"the peak (4 pi D)^(-{grid.dim}/2) at D = {D:.6g} m^2 "
                                   "is not a finite double > 0")
-    g = np.abs(grid.axis_coords())      # in place: -(x^2) / (4 D) = x^2 / (-4 D) exactly
-    g *= g
-    with np.errstate(over="ignore"):
-        g /= -4.0 * D
-    np.exp(g, out=g)
-    return [g] * (grid.dim - 1) + [g * scale]
+    return scale
 
 
 #: |k| per block of multiplier evaluation; see the module docstring
@@ -254,78 +262,18 @@ def _radial_multipliers(grid: GridSpec, evaluates: list[Callable[[np.ndarray], n
     return mults, index
 
 
-#: pass size (lines x line length) from which two threads run it, usable CPUs
-_THREADED_SIZE = 2 ** 20
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-
-
-def _pass(fft: Callable, src: np.ndarray, dst: np.ndarray, axis: int, **kw) -> np.ndarray:
-    """``fft(src, axis=axis, out=dst, **kw)``, returning ``dst``.  From
-    _THREADED_SIZE elements on, with two CPUs, half the lines run on a worker
-    thread that is always joined, its exception re-raised here."""
-    if src.ndim == 1 or src.size < _THREADED_SIZE or _CPUS < 2:
-        return fft(src, axis=axis, out=dst, **kw)
-    split = -1 if axis == 0 else 0
-    (src0, src1), (dst0, dst1) = (np.array_split(a, 2, axis=split) for a in (src, dst))
-    failed = []
-
-    def work():
-        try:
-            fft(src0, axis=axis, out=dst0, **kw)
-        except BaseException as exc:
-            failed.append(exc)
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        fft(src1, axis=axis, out=dst1, **kw)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-    return dst
-
-
-def _forward(fld: Field) -> np.ndarray:
-    """Half spectrum ``np.fft.rfftn(fld.samples)``: ``rfft`` on the last axis,
-    then ``fft`` on axes d-2 ... 0, each complex pass in place."""
-    d, n = fld.grid.dim, fld.grid.n_per_axis
-    spec = _pass(np.fft.rfft, fld.samples,
-                 np.empty((n,) * (d - 1) + (n // 2 + 1,), dtype=complex), -1)
-    for axis in range(d - 2, -1, -1):
-        _pass(np.fft.fft, spec, spec, axis)
-    return spec
-
-
-def _gaussian_spectrum(factors: list[np.ndarray]) -> np.ndarray:
-    """``_forward`` of the phantom reduce(np.multiply.outer, factors): the DFT
-    is separable, so fft of each factor on axes 0 ... d-2 times rfft of the
-    last; bit for bit in 1-D, where it is rfft alone, to round-off otherwise."""
-    return functools.reduce(np.multiply.outer, [np.fft.fft(f) for f in factors[:-1]]
-                            + [np.fft.rfft(factors[-1])])
-
-
-def _inverse(spec: np.ndarray, n: int, box: tuple[slice, ...] | None = None) -> np.ndarray:
-    """``np.fft.irfftn(spec, s=(n,) * d)``, or its values on ``box`` (one
-    slice per axis); ``spec`` is overwritten.  The ``ifft`` on axis 0 runs in
-    place on every line, the pass on axis a > 0 only on the lines whose
-    indices on axes 0 ... a-1 lie in the box, so the box values are
-    bit-identical to the full inverse's.
-    """
-    box = box or (slice(None),) * spec.ndim
-    for axis in range(spec.ndim - 1):
-        spec = _pass(np.fft.ifft, spec, spec, axis)[(slice(None),) * axis + (box[axis],)]
-    out = _pass(np.fft.irfft, spec, np.empty(spec.shape[:-1] + (n,)), -1, n=n)
-    return out[..., box[-1]]
-
-
 def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray | slice) -> Field:
-    """F^{-1}{mult[index] F{fld}} by one real-FFT round trip on one half
-    spectrum; ``mult`` and ``index`` from ``_radial_multipliers``."""
-    spec = _forward(fld)
+    """F^{-1}{mult[index] F{fld}} by numpy's real-FFT round trip; ``mult``
+    and ``index`` from ``_radial_multipliers``, the index folded onto the
+    half spectrum (frequency i of axes 0 ... d-2 takes the |k| of min(i, n - i))."""
+    grid = fld.grid
+    n, d = grid.n_per_axis, grid.dim
+    spec = np.fft.rfftn(fld.samples)
+    if d > 1:
+        fold = np.minimum(np.arange(n), n - np.arange(n))
+        index = index[np.ix_(*[fold] * (d - 1), np.arange(n // 2 + 1))]
     spec *= mult[index]
-    return Field(fld.grid, _inverse(spec, fld.grid.n_per_axis))
+    return Field(grid, np.fft.irfftn(spec, s=grid.shape(), axes=range(d)))
 
 
 def apply_multiplier(field: Field, multiplier: Callable[[np.ndarray], np.ndarray]) -> Field:
@@ -455,20 +403,42 @@ def _support_box(factors: list[np.ndarray]) -> tuple[tuple, np.ndarray, np.ndarr
     return (core,) * (len(factors) - 1) + (slice(None),), phi, phi >= level
 
 
+def _leading_inverse(spec: np.ndarray, leading: list[np.ndarray], n: int,
+                     box: tuple[slice, ...]) -> np.ndarray:
+    """Inverse passes of axes 0 ... d-2 of a real spectrum ``spec`` on the
+    non-negative frequencies, even on those axes: ``leading[a]`` is
+    multiplied in on axis a (in place) just before that axis's ``irfft``, and
+    the pass keeps the box's lines.  A pass computes each line as the whole
+    pass does, so the box values are bit-identical to the whole grid's."""
+    for axis, factor in enumerate(leading):
+        spec *= factor.reshape((-1,) + (1,) * (spec.ndim - 1 - axis))
+        spec = np.fft.irfft(spec, n, axis=axis)[(slice(None),) * axis + (box[axis],)]
+    return spec
+
+
 def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
                      *extra: Callable[[np.ndarray], np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Phantom ``gaussian_phantom(grid, D)``, its support mask and its images
     on the support box: ``time_reversal_image(medium, phantom, T)``, then
     F^{-1}{m(|k|) F{phi}} for each m of ``extra``; one radial table, the
-    closed-form spectrum, no forward pass, and the phantom's refusals first."""
+    factors' spectra, no forward pass of the phantom, and the phantom's
+    refusals first."""
     n = grid.n_per_axis
     factors = _gaussian_factors(grid, D)
-    # before the table's arrays: after them the 128^3 peak RSS read 8 MiB higher
     box, phi, mask = _support_box(factors)
     mults, index = _radial_multipliers(grid, [_image_multiplier(medium, grid, T), *extra],
                                        medium)
-    spec = _gaussian_spectrum(factors)
-    images = [_inverse(spec * mult[index], n, box) for mult in mults[:-1]]
-    spec *= mults[-1][index]
-    return phi, mask, images + [_inverse(spec, n, box)]
+    # real and even to round-off: the factors are grid-centred
+    leading = [np.fft.rfft(f).real for f in factors[:-1]]
+    last = np.fft.rfft(factors[-1])
+    images = []
+    for mult in mults:
+        spec = _leading_inverse(mult[index], leading, n, box)
+        if leading or mult is not mults[-1]:
+            spec = spec * last
+        else:           # 1-D, the last image: in place, one half spectrum fewer
+            last *= spec
+            spec = last
+        images.append(np.fft.irfft(spec, n))
+    return phi, mask, images

@@ -83,17 +83,26 @@ def test_coeffs_all_degenerate_grid_exits_2(tmp_path, water_cfg_file, capsys):
     # c0 tau1 = 1e-317 and 0: k_c = 2/(c0 tau1) is not a double
     (["resolution", "--set", "tau1_s=1e-320"], "gives k_c = inf"),
     (["resolution", "--set", "speed_m_per_s=1e-320"], "c0 tau1 = 0 gives k_c = inf"),
+    # the roots stop being finite doubles from about 1e30 k_c
+    (["roots", "--set", "k_max=1e150kc"], "the k grid [0, 1.94365e+156] 1/m reaches"),
+    (["roots", "--set", "k_spacing=log", "--set", "k_min=1e300"],
+     "the k grid [1.94365e+07, 1e+300] 1/m reaches"),
+    (["coeffs", "--set", "k_max=1e150kc"], "the k grid [0, 1.94365e+156] 1/m reaches"),
 ], ids=["log_zero_k_max", "roots_negative_k_max", "negative_k_min",
         "coeffs_negative_k_max", "infinite_k_min", "infinite_k_max",
         "infinite_kappa1", "infinite_rho", "infinite_tau1", "zero_L", "negative_L",
         "infinite_L", "infinite_T", "infinite_extent", "negative_phantom_D",
-        "subnormal_tau1", "subnormal_speed"])
+        "subnormal_tau1", "subnormal_speed", "roots_huge_k_max", "roots_huge_log_k_min",
+        "coeffs_huge_k_max"])
 def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
-    code = main(argv + ["--out", str(tmp_path / "out")])
+    # the suite turns warnings into errors, so a RuntimeWarning fails here too
+    out = tmp_path / "out"
+    code = main(argv + ["--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert message in err
+    assert err.startswith("config error: ") and message in err
     assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -121,17 +130,26 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
       "--set", "phantom_D_m2=3e307"], "x^2 at |x| = 5e+159 m is not a finite double"),
     (["reconstruct", "--set", "grid_n=16", "--set", "grid_extent_m=1e155",
       "--set", "phantom_D_m2=1e307"], "x^2 at |x| = 5e+154 m is not a finite double"),
+    # a report refused by its reconstruction, after the kernel tables ran
+    (["report", "--set", "phantom_D_m2=1"], "exceeds half the extent"),
+    # ... or by its sweep, after the reconstruction ran: D = (500/k_c)^2
+    # grows as kappa1 halves
+    (["report", "--set", "grid_extent_m=0.005", "--set", "grid_n=4096"],
+     "exceeds half the extent (0.0025 m)"),
 ], ids=["unphysical_medium", "phantom_support", "complex_regime",
         "overflowing_c2_rho_kappa1", "overflowing_theta_T_reconstruct",
         "overflowing_theta_T_sweep", "overflowing_theta_T_report",
         "overflowing_phantom_peak_3d", "overflowing_phantom_peak_2d",
-        "underflowing_phantom_peak_3d", "overflowing_x2_and_4piD", "overflowing_x2"])
+        "underflowing_phantom_peak_3d", "overflowing_x2_and_4piD", "overflowing_x2",
+        "report_phantom_support", "report_sweep_phantom_support"])
 def test_refused_input_exits_2(tmp_path, capsys, argv, message):
-    code = main(argv + ["--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main(argv + ["--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -252,22 +252,22 @@ def _full_grid_sweep_entries(cfg) -> dict[str, float]:
     return entries
 
 
-@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("dissipation_free", [False, True])
 @pytest.mark.parametrize("dim, n, runner, reference", [
     pytest.param("2", "64", run_reconstruction, _full_grid_reconstruction_entries, id="64^2"),
     pytest.param("3", "16", run_reconstruction, _full_grid_reconstruction_entries, id="16^3"),
     pytest.param("2", "64", run_kappa_sweep, _full_grid_sweep_entries, id="64^2-sweep"),
     pytest.param("3", "16", run_kappa_sweep, _full_grid_sweep_entries, id="16^3-sweep"),
 ])
-def test_support_route_matches_whole_image_route(request, tmp_path, dim, n, runner,
-                                                 reference, threaded):
-    # the factor-built spectrum and box inverses on the support give the
-    # entries of the whole images of time_reversal_image and apply_multiplier
-    # (the sweep: of time_reversal_image per medium); the spectra differ by
-    # round-off
-    if threaded:
-        request.getfixturevalue("two_threads")
-    cfg = water_cfg(tmp_path, grid_dim=dim, grid_n=n, phantom_D_m2="0.125")
+def test_support_route_matches_whole_image_route(tmp_path, dim, n, runner, reference,
+                                                 dissipation_free):
+    # the real passes on the non-negative frequencies and the support give
+    # the entries of the whole images of time_reversal_image and
+    # apply_multiplier (the sweep: of time_reversal_image per medium); the
+    # spectra differ by round-off.  Without dissipation the reconstruction
+    # also checks err_linf_identity
+    media = {"kappa1_m2_per_N": "0"} if dissipation_free else {}
+    cfg = water_cfg(tmp_path, grid_dim=dim, grid_n=n, phantom_D_m2="0.125", **media)
     rep = runner(cfg)
     for name, value in reference(cfg).items():
         assert rep.entry(name).value == pytest.approx(value, rel=0, abs=1e-14), name
@@ -291,7 +291,7 @@ def test_image_sets_take_the_one_route(monkeypatch, tmp_path, dim, n, runner, im
         raise AssertionError("the Field route was taken")
 
     monkeypatch.setattr(transform.GridSpec, "radial_table", counted)
-    for name in ("_forward", "gaussian_phantom", "time_reversal_image", "apply_multiplier"):
+    for name in ("gaussian_phantom", "time_reversal_image", "apply_multiplier", "_apply_radial"):
         monkeypatch.setattr(transform, name, refused)
     runner(water_cfg(tmp_path, grid_dim=dim, grid_n=n, phantom_D_m2="0.125"))
     assert len(tables) == image_sets
@@ -361,17 +361,26 @@ def test_support_route_refuses_as_time_reversal_image(tmp_path, overrides, error
 _WATER_128_CUBED = {"grid_dim": "3", "grid_n": "128", "phantom_D_m2": "0.03125"}
 
 
-def test_3d_reconstruction_threads_only_the_full_passes(monkeypatch, thread_starts, tmp_path):
-    # the full axis-0 pass of each of the two inverses; the spectrum is built
-    # from 1-D transforms and the pruned passes run on the caller
-    monkeypatch.setattr(transform, "_CPUS", 2)
+def test_3d_reconstruction_runs_real_passes_only(monkeypatch, tmp_path):
+    # an rfft of each of the three axis factors, then per image (two) an
+    # irfft per axis on the lines that reach the box: no complex pass and no
+    # whole-grid transform
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(a, *args, name=name, fft=getattr(np.fft, name), **kwargs):
+            calls.append((name, np.shape(a)))
+            return fft(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
     run_reconstruction(water_cfg(tmp_path, **_WATER_128_CUBED))
-    assert len(thread_starts) == 2
+    assert [name for name, _ in calls] == ["rfft"] * 3 + ["irfft"] * 6
+    box = calls[4][1][0]
+    assert [shape for _, shape in calls[3:6]] == [(65, 65, 65), (box, 65, 65), (box, box, 65)]
 
 
 def test_3d_reconstruction_live_peak(tmp_path):
-    # no whole phantom and one spectrum: 49 MiB, where two whole round trips
-    # took 67 MiB
+    # no whole phantom and no half spectrum, only octants and box lines:
+    # 14.7 MiB, where the complex half spectrum and box inverses took 49.8 MiB
+    # and two whole round trips 67 MiB
     cfg = water_cfg(tmp_path, **_WATER_128_CUBED)
     tracemalloc.start()
     try:
@@ -379,7 +388,7 @@ def test_3d_reconstruction_live_peak(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 60 * 2**20
+    assert peak < 20 * 2**20
 
 
 def test_sweep_live_peak(tmp_path):

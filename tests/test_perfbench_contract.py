@@ -42,24 +42,52 @@ def test_blocked_refusal_is_counted_once():
     assert totals["refusal:kernels.ComplexRegimeError"] == 1
 
 
-def test_traced_3d_image_is_unchanged_and_restored(monkeypatch):
-    # every pass runs one half on a worker thread while the tracer wraps the
-    # np.fft functions: the bytes must not change and every binding must be
-    # restored
-    monkeypatch.setattr(transform, "_THREADED_SIZE", 0)
-    monkeypatch.setattr(transform, "_CPUS", 2)
-    grid = transform.GridSpec(dim=3, n_per_axis=16, extent=16.0)
-    phantom = transform.gaussian_phantom(grid, 0.25)
-    medium = nondimensional_medium(0.5)
-    untraced = transform.time_reversal_image(medium, phantom, 2.0)
+def _traced(call):
+    """``call()`` under an installed tracer: its result, the tracer, and the
+    identity snapshot taken before the install."""
     before = spans.snapshot()
     tracer = spans.Tracer()
     tracer.install()
     try:
-        traced = transform.time_reversal_image(medium, phantom, 2.0)
+        result = call()
     finally:
         tracer.uninstall()
+    return result, tracer, before
+
+
+def test_traced_3d_image_is_unchanged_and_restored():
+    # the tracer wraps the np.fft functions that transform calls through its
+    # np binding: the bytes must not change and every binding must be restored
+    grid = transform.GridSpec(dim=3, n_per_axis=16, extent=16.0)
+    phantom = transform.gaussian_phantom(grid, 0.25)
+    medium = nondimensional_medium(0.5)
+    untraced = transform.time_reversal_image(medium, phantom, 2.0)
+    traced, tracer, before = _traced(
+        lambda: transform.time_reversal_image(medium, phantom, 2.0))
     assert np.array_equal(traced.samples, untraced.samples)
     assert spans.snapshot_diff(before, spans.snapshot()) == []
-    # rfft, fft on axes 1 and 0, ifft on axes 0 and 1, irfft: two halves each
-    assert tracer.request_totals(0)["transform.fft.calls"] == 12
+    # numpy's rfftn and irfftn
+    assert tracer.request_totals(0)["transform.fft.calls"] == 2
+
+
+def test_traced_3d_gaussian_images_count_their_passes():
+    # the image route calls its FFTs through transform.np too: an rfft per
+    # axis factor, then an irfft per axis for each of the two images, real
+    # ones on the h^3 octant and the lines of the b-wide support box
+    grid = transform.GridSpec(dim=3, n_per_axis=16, extent=16.0)
+    medium = nondimensional_medium(0.5)
+
+    def images():
+        return transform._gaussian_images(grid, 0.25, medium, 2.0, np.cos)
+
+    untraced = images()
+    traced, tracer, before = _traced(images)
+    for a, b in zip([*untraced[:2], *untraced[2]], [*traced[:2], *traced[2]], strict=True):
+        assert np.array_equal(a, b)
+    assert spans.snapshot_diff(before, spans.snapshot()) == []
+    totals = tracer.request_totals(0)
+    assert totals["transform.fft.calls"] == 3 + 2 * 3
+    n, h, b = 16, 9, 5      # bytes read and written, float64 but the last pass's input
+    per_image = (8 * (h * h * h + n * h * h) + 8 * (b * h * h + b * n * h)
+                 + 16 * b * b * h + 8 * b * b * n)
+    assert totals["transform.fft.bytes"] == 3 * (8 * n + 16 * h) + 2 * per_image

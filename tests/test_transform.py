@@ -1,6 +1,6 @@
+import functools
 import math
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -95,12 +95,34 @@ def test_gaussian_phantom_of_subnormal_D_is_a_single_spike():
                                   GridSpec(dim=1, n_per_axis=4096, extent=16.0)])
 @pytest.mark.parametrize("D", [0.001, 0.05, 0.5])
 def test_gaussian_spectrum_equals_forward_transform(grid, D):
-    spec = transform._gaussian_spectrum(transform._gaussian_factors(grid, D))
-    reference = transform._forward(gaussian_phantom(grid, D))
+    # on the non-negative frequencies the phantom's spectrum is the product
+    # of the leading factors' real spectra and the last factor's rfft
+    *leading, last = transform._gaussian_factors(grid, D)
+    spec = functools.reduce(np.multiply.outer,
+                            [np.fft.rfft(f).real for f in leading] + [np.fft.rfft(last)])
+    reference = np.fft.rfftn(gaussian_phantom(grid, D).samples)
+    reference = reference[(slice(grid.n_per_axis // 2 + 1),) * grid.dim]
     if grid.dim == 1:   # rfft of the one factor is the forward transform itself
         assert np.array_equal(spec, reference)
     assert spec.shape == reference.shape
     assert np.max(np.abs(spec - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 64, 128])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_leading_factor_spectra_are_real_and_even(dim, n):
+    # the premise of the image route: a grid-centred factor is circularly
+    # even, so its DFT is real and F[n - k] = F[k] to round-off, for D from
+    # the smallest the phantom's peak admits (subnormal D overflows it) to
+    # the support limit 6 sigma = extent / 2
+    grid = GridSpec(dim=dim, n_per_axis=n, extent=1.0)
+    limit = (grid.extent / 12.0) ** 2 / 2.0
+    for D in ({2: 1e-300, 3: 1e-200}[dim], 1e-20, 1e-6, 1e-4, limit):
+        for f in transform._gaussian_factors(grid, D)[:-1]:
+            F = np.fft.fft(f)
+            top = np.max(np.abs(F))
+            assert np.max(np.abs(F.imag)) <= 1e-15 * top
+            assert np.max(np.abs(F[n - np.arange(1, n)] - F[1:])) <= 1e-15 * top
 
 
 def test_gaussian_support_check():
@@ -165,17 +187,19 @@ def test_multiplier_must_be_finite():
     (GridSpec(dim=3, n_per_axis=2, extent=1.0), 4),
 ])
 def test_radial_table_matches_grid(grid, size):
-    # n = 2 has only the Nyquist frequency, which np.fft.fftfreq makes
-    # negative; the table must still hold |k|
+    # the index covers frequencies 0 ... n/2 of every axis; n = 2 has only
+    # the Nyquist frequency, which np.fft.fftfreq makes negative, and the
+    # table must still hold |k|
     n = grid.n_per_axis
     k_table, index = grid.radial_table()
     assert k_table[0] == 0.0 and np.all(np.diff(k_table) > 0)
-    full = grid.k_magnitude()[..., : n // 2 + 1]
+    octant = grid.k_magnitude()[(slice(n // 2 + 1),) * grid.dim]
     if grid.dim == 1:
-        assert np.array_equal(k_table[index], full)
+        assert index == slice(None)
+        assert np.array_equal(k_table[index], octant)
     else:
-        assert index.shape == (n,) * (grid.dim - 1) + (n // 2 + 1,)
-        np.testing.assert_allclose(k_table[index], full, rtol=1e-15, atol=0.0)
+        assert index.shape == (n // 2 + 1,) * grid.dim
+        np.testing.assert_allclose(k_table[index], octant, rtol=1e-15, atol=0.0)
         assert np.unique(index).size == k_table.size
     if size is not None:
         assert k_table.size == size
@@ -486,17 +510,23 @@ BAND_MEDIUM = nondimensional_medium(0.1)
 
 def _single_call(phi, mult):
     """Reference: np.fft.rfftn, the multiplier evaluated on the whole radial
-    table in one call and gathered, ifft on axes 0 ... d-2 and irfft on the
-    last axis, all on one thread."""
-    k_table, index = phi.grid.radial_table()
+    table in one call and gathered on the half spectrum (the frequency
+    m = fftfreq(n)[i] * n of a leading axis at octant row |m|), ifft on axes
+    0 ... d-2 and irfft on the last axis."""
+    grid = phi.grid
+    n = grid.n_per_axis
+    k_table, index = grid.radial_table()
+    if grid.dim > 1:
+        m = np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)
+        index = index[np.ix_(*[m] * (grid.dim - 1), np.arange(n // 2 + 1))]
     spec = np.fft.rfftn(phi.samples)
     spec *= np.broadcast_to(mult(k_table), k_table.shape)[index]
-    for axis in range(phi.grid.dim - 1):
+    for axis in range(grid.dim - 1):
         spec = np.fft.ifft(spec, axis=axis)
-    return np.fft.irfft(spec, n=phi.grid.n_per_axis, axis=-1)
+    return np.fft.irfft(spec, n=n, axis=-1)
 
 
-def _assert_operators_equal_single_call(phi, t):
+def _assert_operators_equal_single_call(phi, t, zeta3_options=(False, True)):
     def image(k):
         return kernels.mode_products(NONDIM, k).multiplier(t)
 
@@ -507,10 +537,10 @@ def _assert_operators_equal_single_call(phi, t):
     def sine(k):
         return np.sin(NONDIM.c0 * k * t) ** 2
 
-    assert np.array_equal(time_reversal_image(NONDIM, phi, t).samples,
-                          _single_call(phi, image))
-    assert np.array_equal(time_reversal_image(NONDIM, phi, t, include_zeta3=True).samples,
-                          _single_call(phi, pipeline))
+    for include_zeta3 in zeta3_options:
+        assert np.array_equal(
+            time_reversal_image(NONDIM, phi, t, include_zeta3=include_zeta3).samples,
+            _single_call(phi, pipeline if include_zeta3 else image))
     assert np.array_equal(apply_multiplier(phi, sine).samples, _single_call(phi, sine))
 
 
@@ -618,10 +648,10 @@ def test_scale_refusals_take_numpy_scalars():
         time_reversal_image(WATER, phi, np.float64(1e300), include_zeta3=True)
 
 
-# -- two-thread axis passes ----------------------------------------------------
+# -- the round trips ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("include_zeta3", [False, True])
 @pytest.mark.parametrize("grid", [
     GridSpec(dim=2, n_per_axis=2, extent=16.0),
     GridSpec(dim=2, n_per_axis=4, extent=16.0),
@@ -630,14 +660,12 @@ def test_scale_refusals_take_numpy_scalars():
     GridSpec(dim=3, n_per_axis=4, extent=16.0),
     GridSpec(dim=3, n_per_axis=16, extent=16.0),
 ])
-def test_passes_equal_library_round_trip(request, grid, threaded):
-    # a random field has no symmetry that could hide a swapped or misrouted
-    # slab; n = 2 and 4 give slabs of one and two lines
-    if threaded:
-        request.getfixturevalue("two_threads")
+def test_passes_equal_library_round_trip(grid, include_zeta3):
+    # a random field has no symmetry that could hide a misfolded index:
+    # frequencies i and n - i of a leading axis must take one |k|
     phi = Field(grid, np.random.default_rng(grid.dim * grid.n_per_axis)
                 .standard_normal(grid.shape()))
-    _assert_operators_equal_single_call(phi, 2.0)
+    _assert_operators_equal_single_call(phi, 2.0, (include_zeta3,))
 
 
 #: per axis (up to three), as functions of n
@@ -650,75 +678,49 @@ _BOXES = {
 }
 
 
-@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("gaussian", [False, True])
 @pytest.mark.parametrize("box", sorted(_BOXES))
 @pytest.mark.parametrize("grid", [GridSpec(dim=2, n_per_axis=32, extent=16.0),
                                   GridSpec(dim=3, n_per_axis=16, extent=16.0)],
                          ids=["2d", "3d"])
-def test_box_inverse_equals_full_inverse_on_the_box(request, grid, box, threaded):
-    if threaded:
-        request.getfixturevalue("two_threads")
-    n = grid.n_per_axis
-    box = tuple(_BOXES[box](n)[:grid.dim])
-    phi = Field(grid, np.random.default_rng(n).standard_normal(grid.shape()))
-    k_table, index = grid.radial_table()
-    mult = np.cos(k_table)
-    spec = transform._forward(phi)
-    spec *= mult[index]
-    full = transform._inverse(spec.copy(), n)
-    assert np.array_equal(full, _single_call(phi, np.cos))
-    assert np.array_equal(transform._inverse(spec, n, box), full[box])
+def test_box_inverse_equals_full_inverse_on_the_box(grid, box, gaussian):
+    # the leading passes on the box's lines give the whole passes' values on
+    # the box bit for bit, for random data and for a Gaussian's radial octant
+    # and factor spectra; the whole passes, the last factor and irfft are
+    # irfftn of the even extension to round-off
+    n, d, h = grid.n_per_axis, grid.dim, grid.n_per_axis // 2 + 1
+    box = tuple(_BOXES[box](n)[:d - 1])
+    if gaussian:
+        k_table, index = grid.radial_table()
+        octant = np.cos(k_table)[index]
+        *leading, last = (np.fft.rfft(f) for f in transform._gaussian_factors(grid, 0.25))
+        leading = [f.real for f in leading]
+    else:
+        rng = np.random.default_rng(n)
+        octant = rng.standard_normal((h,) * d)
+        leading = [rng.standard_normal(h) for _ in range(d - 1)]
+        last = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    full = transform._leading_inverse(octant.copy(), leading, n, (slice(None),) * (d - 1))
+    assert np.array_equal(transform._leading_inverse(octant.copy(), leading, n, box),
+                          full[box])
+    spec = functools.reduce(np.multiply.outer, leading + [last]) * octant
+    fold = np.minimum(np.arange(n), n - np.arange(n))
+    whole = np.fft.irfftn(spec[np.ix_(*[fold] * (d - 1), np.arange(h))], s=grid.shape(),
+                          axes=range(d))
+    image = np.fft.irfft(full * last, n)
+    assert np.max(np.abs(image - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
-@pytest.mark.parametrize("grid, size, cpus, threads", [
-    # 6 passes per 3-D round trip, 4 per 2-D one; the rfft pass of a 2-D
-    # 1024^2 grid is the only one of that grid with 2^20 elements
-    (GridSpec(dim=3, n_per_axis=128, extent=8.0), None, 2, 6),
-    (GridSpec(dim=3, n_per_axis=128, extent=8.0), None, 1, 0),
-    (GridSpec(dim=2, n_per_axis=1024, extent=8.0), None, 2, 1),
-    (GridSpec(dim=2, n_per_axis=256, extent=8.0), None, 2, 0),
-    (GridSpec(dim=3, n_per_axis=16, extent=8.0), None, 2, 0),
-    (GridSpec(dim=3, n_per_axis=16, extent=8.0), 0, 2, 6),
-    (GridSpec(dim=1, n_per_axis=2 ** 21, extent=8.0), None, 2, 0),
-])
-def test_threads_start_only_for_large_passes_and_two_cpus(monkeypatch, thread_starts,
-                                                          grid, size, cpus, threads):
-    monkeypatch.setattr(transform, "_CPUS", cpus)
-    if size is not None:
-        monkeypatch.setattr(transform, "_THREADED_SIZE", size)
-    apply_multiplier(Field(grid, np.zeros(grid.shape())), lambda k: 1.0)
-    assert len(thread_starts) == threads
-
-
-@pytest.mark.usefixtures("two_threads")
-@pytest.mark.parametrize("failing_half", ["worker", "caller"])
-def test_failed_pass_half_reaches_the_caller(monkeypatch, failing_half):
-    caller = threading.current_thread()
-    real_ifft = np.fft.ifft
-
-    def ifft(a, *args, **kwargs):
-        on_worker = threading.current_thread() is not caller
-        if on_worker == (failing_half == "worker"):
-            raise FloatingPointError(failing_half)
-        return real_ifft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "ifft", ifft)
-    phi = gaussian_phantom(GridSpec(dim=3, n_per_axis=16, extent=16.0), 0.25)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match=failing_half):
-        apply_multiplier(phi, lambda k: 1.0)
-    assert threading.active_count() == before
-
-
-@pytest.mark.usefixtures("two_threads")
 def test_refusal_on_3d_grid_starts_no_pass(monkeypatch):
     passes = []
-    monkeypatch.setattr(transform, "_pass", lambda *args, **kwargs: passes.append(args))
-    before = threading.active_count()
+    for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, lambda *args, name=name, **kwargs: passes.append(name))
     grid = GridSpec(dim=3, n_per_axis=16, extent=8.0)
     phi = gaussian_phantom(grid, 0.01)
     with pytest.raises(kernels.ComplexRegimeError):
         time_reversal_image(nondimensional_medium(0.02), phi, T_DESK)
     with pytest.raises(kernels.ScaleOverflowError):
         time_reversal_image(WATER, phi, T_WATER, include_zeta3=True)
-    assert passes == [] and threading.active_count() == before
+    with pytest.raises(kernels.ComplexRegimeError):
+        transform._gaussian_images(grid, 0.01, nondimensional_medium(0.02), T_DESK)
+    assert passes == []
