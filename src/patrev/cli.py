@@ -13,18 +13,24 @@ Subcommands map onto the experiment runners:
 Configuration comes from a key=value file (see configs/water.cfg), or the
 built-in water medium without --config; any key can be overridden with
 --set key=value (flags > file > defaults), and k_max takes the suffix "kc"
-for multiples of the derived critical wavenumber.  Files go to --out.
+for multiples of the derived critical wavenumber.  Files go to --out, all or
+none: a run writes into a .staging-* directory inside --out, and its files move
+into --out, reports last, once it returns.  A refusal, crash or interrupt
+leaves --out as it was; only a SIGKILL can leave the .staging-* directory.
 Exit status: 0 all declared checks pass, 1 a check failed, 2 configuration
 error or refused input (an unphysical medium, a phantom wider than the grid or
-with a peak beyond double range, three real roots on the imaging path, theta
-T beyond double range, a k grid whose roots are not finite doubles, an
-unwritable --out), 64 usage error.
+with a width or peak beyond double range, three real roots on the imaging
+path, theta T beyond double range, a k grid whose roots are not finite
+doubles, an unwritable --out), 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,21 +114,28 @@ def main(argv=None) -> int:
 
 
 def _run(subcommand: str, cfg: ExperimentConfig) -> Report:
-    """Run one subcommand and write its report files; returns the report."""
+    """Run one subcommand in a staging directory inside --out, then move its
+    files into --out, the report*.txt files last; returns the report."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if subcommand != "report":
-        rep = _DISPATCH[subcommand](cfg)
-        rep.write(cfg.out_dir / f"report_{rep.title}.txt")
-        return rep
-    combined = Report("combined")
-    for rep in experiments.run_all(cfg):
-        rep.write(cfg.out_dir / f"report_{rep.title}.txt")
-        combined.entries.extend(
-            replace(e, name=f"{rep.title}.{e.name}") for e in rep.entries
-        )
-        combined.csv_paths.extend(rep.csv_paths)
-    combined.write(cfg.out_dir / "report.txt")
-    return combined
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=cfg.out_dir))
+    try:
+        staged = replace(cfg, out_dir=stage)
+        reps = (experiments.run_all(staged) if subcommand == "report"
+                else [_DISPATCH[subcommand](staged)])
+        for r in reps:
+            r.csv_paths = [cfg.out_dir / p.name for p in r.csv_paths]
+            r.write(stage / f"report_{r.title}.txt")
+        rep = reps[0]
+        if subcommand == "report":
+            rep = Report("combined", [replace(e, name=f"{r.title}.{e.name}")
+                                      for r in reps for e in r.entries],
+                         [p for r in reps for p in r.csv_paths])
+            rep.write(stage / "report.txt")
+        for name in sorted(os.listdir(stage), key=lambda n: (n.endswith(".txt"), n)):
+            os.replace(stage / name, cfg.out_dir / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return rep
 
 
 def _print_summary(rep: Report):

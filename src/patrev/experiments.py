@@ -204,7 +204,8 @@ class ExperimentConfig:
     def phantom_D(self, medium: Medium) -> float:
         if self.phantom_D_m2 is not None:
             return self.phantom_D_m2
-        return (500.0 / medium.k_c) ** 2
+        width = 500.0 / medium.k_c     # squared by a product: inf, not OverflowError
+        return width * width
 
     def k_grid(self, medium: Medium) -> np.ndarray:
         kmax = self.k_max_over_kc * medium.k_c
@@ -407,8 +408,6 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
     T = cfg.resolve_T(medium)
     rep = Report("kernel_tables")
 
-    # every table is built before any is written: a refusal leaves none
-    tables = []
     for mult, tag in ((10.0, "10kc"), (100.0, "100kc")):
         ks = np.linspace(0.0, mult * medium.k_c, cfg.k_num)
         grid = spectral.roots_grid(medium, ks)
@@ -420,12 +419,12 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
             a1k = np.where(at_zero, 0.5j / medium.c0, a1 * ks)
             a2k = np.where(at_zero, -0.5j / medium.c0, a2 * ks)
         a0k = a0 * ks
-        tables.append((
+        rep.csv_paths.append(write_csv(
             cfg.out_dir / f"roots_{tag}.csv",
             [f"roots over [0, {mult:g} kc], kc = {medium.k_c:.17g}"],
             _ROOTS_NAMES, _roots_columns(medium, grid),
         ))
-        tables.append((
+        rep.csv_paths.append(write_csv(
             cfg.out_dir / f"amplitudes_{tag}.csv",
             [f"amplitude curves over [0, {mult:g} kc]"],
             ["k", "re_a0_k", "im_a0_k", "re_a1_k", "im_a1_k", "re_a2_k",
@@ -438,7 +437,7 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
         # and the sup checks below fail the run
         with np.errstate(over="ignore", invalid="ignore"):
             table = kernels.kernel_table(medium, ks, T, d=3)
-        tables.append((
+        rep.csv_paths.append(write_csv(
             cfg.out_dir / f"kernels_{tag}.csv",
             [f"kernel curves over [0, {mult:g} kc], T = {T:.17g}"],
             list(table.keys()),
@@ -477,7 +476,6 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
     )
     theta_over_k = grid.theta.real / ks
     rep.record("theta_over_k_plateau_m_per_s", float(theta_over_k[-1]))
-    rep.csv_paths += [write_csv(*spec) for spec in tables]
     return rep
 
 
@@ -604,13 +602,7 @@ def run_resolution_study(cfg: ExperimentConfig) -> Report:
 
 
 def run_all(cfg: ExperimentConfig) -> list[Report]:
-    """Full battery in a fixed order.  The refusals of every image that need
-    no evaluation (the phantom's, then the scale's, as in the image route)
-    come first, for each sweep medium, the first of which is the
-    reconstruction's, so a report they refuse writes no file."""
-    for medium in _sweep_media(cfg):
-        transform._phantom_peak(cfg.grid, cfg.phantom_D(medium))
-        transform._image_multiplier(medium, cfg.grid, cfg.resolve_T(medium))
+    """Full battery in a fixed order."""
     return [
         run_water_constants(cfg),
         run_kernel_tables(cfg),

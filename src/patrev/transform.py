@@ -199,20 +199,8 @@ def _gaussian_factors(grid: GridSpec, D: float) -> list[np.ndarray]:
     exp(-x^2 / (4 D)) (1 at the origin; an overflow of x^2 / (4 D) gives
     exp(-inf) = 0 exactly) on axes 0 ... d-2, g (4 pi D)^{-d/2} on the last."""
     D = float(D)
-    scale = _phantom_peak(grid, D)
-    g = np.abs(grid.axis_coords())      # in place: -(x^2) / (4 D) = x^2 / (-4 D) exactly
-    g *= g
-    with np.errstate(over="ignore"):
-        g /= -4.0 * D
-    np.exp(g, out=g)
-    return [g] * (grid.dim - 1) + [g * scale]
-
-
-def _phantom_peak(grid: GridSpec, D: float) -> float:
-    """The peak (4 pi D)^{-d/2} of ``gaussian_phantom``, after its refusals,
-    which need no array."""
     if not D > 0:
-        raise ValueError("D must be positive")
+        raise PhantomSupportError(f"the phantom width D = {D:.6g} m^2 is not positive")
     sigma = math.sqrt(2.0 * D)
     if 6.0 * sigma > grid.extent / 2.0:
         raise PhantomSupportError(f"6 sigma = {6 * sigma:.6g} m exceeds half the extent "
@@ -228,7 +216,12 @@ def _phantom_peak(grid: GridSpec, D: float) -> float:
     if not 0.0 < scale < math.inf:
         raise PhantomSupportError(f"the peak (4 pi D)^(-{grid.dim}/2) at D = {D:.6g} m^2 "
                                   "is not a finite double > 0")
-    return scale
+    g = np.abs(grid.axis_coords())      # in place: -(x^2) / (4 D) = x^2 / (-4 D) exactly
+    g *= g
+    with np.errstate(over="ignore"):
+        g /= -4.0 * D
+    np.exp(g, out=g)
+    return [g] * (grid.dim - 1) + [g * scale]
 
 
 #: |k| per block of multiplier evaluation; see the module docstring
@@ -362,7 +355,7 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
 def _image_multiplier(medium: Medium, grid: GridSpec, T: float,
                       include_zeta3: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """The multiplier of ``time_reversal_image`` as a function of |k|, after
-    its refusals, which need no evaluation.  The bounds are taken in Python
+    its refusals of T and of the scale.  The bounds are taken in Python
     floats, which overflow to inf without a warning."""
     c_inf, T, tau0 = float(medium.c_inf), float(T), float(medium.tau0)
     if T <= 0:

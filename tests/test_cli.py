@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from patrev import cli
+from patrev import cli, experiments
 from patrev.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -136,12 +136,28 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     # grows as kappa1 halves
     (["report", "--set", "grid_extent_m=0.005", "--set", "grid_n=4096"],
      "exceeds half the extent (0.0025 m)"),
+    # ... or by three real roots on the reconstruction's radial table, at
+    # 0.884-0.894 k_c, between the kernel tables' k grids
+    (["report", "--set", "kappa1_m2_per_N=4e-9", "--set", "k_num=50",
+      "--set", "grid_extent_m=0.01", "--set", "grid_n=16384"],
+     "three real roots at 71 wavenumber(s)"),
+    # the reference width D0 = (500/k_c)^2 underflows to 0 or overflows
+    (["reconstruct", "--set", "tau1_s=1e-300", "--set", "grid_n=64"],
+     "the phantom width D = 0 m^2 is not positive"),
+    (["sweep-kappa", "--set", "tau1_s=1e-300", "--set", "grid_n=64"],
+     "the phantom width D = 0 m^2 is not positive"),
+    (["reconstruct", "--set", "tau1_s=1e300", "--set", "grid_n=64"],
+     "6 sigma = inf m exceeds half the extent"),
+    (["sweep-kappa", "--set", "tau1_s=1e300", "--set", "grid_n=64"],
+     "6 sigma = inf m exceeds half the extent"),
 ], ids=["unphysical_medium", "phantom_support", "complex_regime",
         "overflowing_c2_rho_kappa1", "overflowing_theta_T_reconstruct",
         "overflowing_theta_T_sweep", "overflowing_theta_T_report",
         "overflowing_phantom_peak_3d", "overflowing_phantom_peak_2d",
         "underflowing_phantom_peak_3d", "overflowing_x2_and_4piD", "overflowing_x2",
-        "report_phantom_support", "report_sweep_phantom_support"])
+        "report_phantom_support", "report_sweep_phantom_support",
+        "report_reconstruction_complex_regime", "underflowing_D0_reconstruct",
+        "underflowing_D0_sweep", "overflowing_D0_reconstruct", "overflowing_D0_sweep"])
 def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     code = main(argv + ["--out", str(out)])
@@ -177,6 +193,37 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # the CSVs are published before the report that names them
+    assert [p.name for p in (tmp_path / "taken").iterdir()] == ["roots.csv"]
+
+
+def test_refused_report_keeps_existing_out(tmp_path, capsys):
+    # a refused run neither replaces nor adds an entry, a staging directory
+    # included
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "roots_10kc.csv").write_bytes(b"k\n1\n")
+    (out / "report.txt").write_bytes(b"title = combined\n")
+    assert main(["report", "--set", "kappa1_m2_per_N=4e-9", "--set", "k_num=50",
+                 "--set", "grid_extent_m=0.01", "--set", "grid_n=16384",
+                 "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt", "roots_10kc.csv"]
+    assert (out / "roots_10kc.csv").read_bytes() == b"k\n1\n"
+    assert (out / "report.txt").read_bytes() == b"title = combined\n"
+
+
+def test_crashed_run_leaves_out_empty(tmp_path, monkeypatch):
+    # an uncaught exception after a CSV was written leaves neither the CSV
+    # nor the staging directory
+    def crash(cfg):
+        experiments.write_csv(cfg.out_dir / "roots.csv", [], ["k"], [[1.0]])
+        raise RuntimeError("crash")
+
+    monkeypatch.setitem(cli._DISPATCH, "roots", crash)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="crash"):
+        main(["roots", "--out", str(out)])
+    assert list(out.iterdir()) == []
 
 
 def test_main_reuses_one_parser_without_sharing_overrides(tmp_path, monkeypatch, capsys):
@@ -216,23 +263,32 @@ def test_files_land_in_out(tmp_path, monkeypatch, capsys):
     assert main(["roots", "--config", str(cfg), "--out", "o1"]) == 2
     assert "unknown config keys: out_dir" in capsys.readouterr().err
     assert main(["roots", "--set", "k_num=50", "--out", "o2"]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["o2", "with_out_dir.cfg"]
+    assert main(["report", "--set", "grid_n=4096", "--set", "k_num=64", "--out", "o3"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o2", "o3", "with_out_dir.cfg"]
+    # exactly the run's files: no staging directory is left behind
     assert sorted(p.name for p in (tmp_path / "o2").iterdir()) == [
         "report_roots.txt", "roots.csv"]
     assert "csv = o2/roots.csv\n" in (tmp_path / "o2" / "report_roots.txt").read_text()
+    assert sorted(p.name for p in (tmp_path / "o3").iterdir()) == [
+        "amplitudes_100kc.csv", "amplitudes_10kc.csv", "kappa_sweep.csv",
+        "kernels_100kc.csv", "kernels_10kc.csv", "reconstruction_profile.csv",
+        "report.txt", "report_kappa_sweep.txt", "report_kernel_tables.txt",
+        "report_reconstruction.txt", "report_resolution_study.txt",
+        "report_water_constants.txt", "roots_100kc.csv", "roots_10kc.csv"]
+    assert "csv = o3/kappa_sweep.csv\n" in (tmp_path / "o3" / "report.txt").read_text()
 
 
 def test_refused_report_leaves_no_tables(tmp_path, capsys):
     # tau0/tau1 = 0.047 refuses in the kernel tables, after the roots and
-    # amplitudes of the same k grid are computed
+    # amplitudes of the same k grid are staged
     out = tmp_path / "out"
     assert main(["report", "--set", "kappa1_m2_per_N=9e-9", "--out", str(out)]) == 2
     assert sorted(out.glob("roots_*")) + sorted(out.glob("amplitudes_*")) == []
 
 
 def test_scale_refused_report_leaves_no_tables(tmp_path, capsys):
-    # T = 4 L / c_inf is infinite: the reconstruction's theta T refusal comes
-    # before the kernel tables write a CSV
+    # T = 4 L / c_inf is infinite: the kernel tables are staged (with NaN
+    # kernels), and the reconstruction's theta T refusal discards them
     out = tmp_path / "out"
     assert main(["report", "--set", "grid_n=4096", "--set", "L_m=1e308",
                  "--out", str(out)]) == 2
