@@ -303,7 +303,7 @@ def run_water_constants(cfg: ExperimentConfig) -> Report:
     lam0_inf, mu_inf = spectral.asymptotic_limits(medium)
     rep.record("lambda0_limit_per_s", lam0_inf, provenance="definition")
     rep.record("mu_limit_per_s", mu_inf, provenance="definition")
-    roots = spectral.cardano_roots(medium, 1000.0 * medium.k_c)
+    roots = _k_grid_roots(medium, np.asarray(1000.0 * medium.k_c))
     if cfg.raw == water_params():
         rep.check("tau0_s", medium.tau0, WATER_TAU0_REF, TAU0_TOL, "reference")
         rep.check("lambda0_at_1000kc_per_s", roots.lambda0.real,
@@ -338,12 +338,12 @@ def _roots_columns(medium: Medium, grid: spectral.RootsGrid) -> list[np.ndarray]
             grid.real_c_regime.astype(int), spectral.scaled_residuals(medium, grid)]
 
 
-def _k_grid_roots(cfg: ExperimentConfig, medium: Medium) -> spectral.RootsGrid:
-    """Roots over the configured k grid.  A grid that reaches wavenumbers
-    where they are not finite doubles (Cardano's root loses every digit from
-    about 1e30 k_c) is refused as a ConfigError; the NaN roots of the exact
-    triple root (C = 0) are the runs' to report."""
-    ks = cfg.k_grid(medium)
+def _k_grid_roots(medium: Medium, ks: np.ndarray) -> spectral.RootsGrid:
+    """Roots over a k grid.  A grid that reaches wavenumbers where they are
+    not finite doubles (Cardano's root loses every digit from about 1e30 k_c,
+    and a medium whose c0^2 k^2 or tau coefficients leave double range loses
+    them all) is refused as a ConfigError; the NaN roots of the exact triple
+    root (C = 0) are the runs' to report."""
     with np.errstate(all="ignore"):
         grid = spectral.roots_grid(medium, ks)
     finite = np.isfinite(grid.lambda0) & np.isfinite(grid.mu) & np.isfinite(grid.theta)
@@ -357,7 +357,7 @@ def _k_grid_roots(cfg: ExperimentConfig, medium: Medium) -> spectral.RootsGrid:
 def run_roots(cfg: ExperimentConfig) -> Report:
     """Roots table over the configured k grid and its cubic-residual check."""
     medium = cfg.medium
-    columns = _roots_columns(medium, _k_grid_roots(cfg, medium))
+    columns = _roots_columns(medium, _k_grid_roots(medium, cfg.k_grid(medium)))
     rep = Report("roots")
     rep.csv_paths.append(write_csv(
         cfg.out_dir / "roots.csv", [f"dispersion cubic roots, kc = {medium.k_c:.17g}"],
@@ -371,7 +371,7 @@ def run_coeffs(cfg: ExperimentConfig) -> Report:
     """Mode weights over the configured k grid and their moment-residual check;
     rows where the weights are undefined (k = 0, the triple root) are left out."""
     medium = cfg.medium
-    grid = _k_grid_roots(cfg, medium)
+    grid = _k_grid_roots(medium, cfg.k_grid(medium))
     a0, a1, a2, degen = spectral.amplitudes_grid(medium, grid)
     keep = ~degen
     if not np.any(keep):
@@ -410,7 +410,7 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
 
     for mult, tag in ((10.0, "10kc"), (100.0, "100kc")):
         ks = np.linspace(0.0, mult * medium.k_c, cfg.k_num)
-        grid = spectral.roots_grid(medium, ks)
+        grid = _k_grid_roots(medium, ks)
         a0, a1, a2, _ = spectral.amplitudes_grid(medium, grid)
         # A_j k; at k = 0, where lambda1 = lambda2 = 0, A1 k and A2 k are
         # defined by their limits +-i/(2 c0), while A0 k = 0 comes out exact
@@ -446,7 +446,7 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
 
     # growth orders on [kc, 1e3 kc]; sup values are recorded and must be finite
     ks = np.logspace(0.0, 3.0, 200) * medium.k_c
-    grid = spectral.roots_grid(medium, ks)
+    grid = _k_grid_roots(medium, ks)
     a0, a1, a2, _ = spectral.amplitudes_grid(medium, grid)
     sup_a0k2 = float(np.max(np.abs(a0) * ks**2))
     sup_a1k = float(np.max(np.abs(a1) * ks))
@@ -581,11 +581,22 @@ def run_resolution_study(cfg: ExperimentConfig) -> Report:
 
     The formula chain k_c -> D0 = (500/k_c)^2 -> sigma = sqrt(2 D0) is checked
     as identities; the quoted 0.036 mm resolution differs from the chain by a
-    factor of ~10 and is recorded, not asserted.
+    factor of ~10 and is recorded, not asserted.  A D0 or band-limit exponent
+    beyond double range is refused, as the reconstruction refuses that phantom.
     """
     medium = cfg.medium
     rep = Report("resolution_study")
-    d0 = (500.0 / medium.k_c) ** 2
+    width = 500.0 / medium.k_c
+    d0 = width * width          # a product: inf or 0, not OverflowError
+    # band limit of the reference phantom: D0 (kc/100)^2 = 25 exactly
+    try:
+        exponent = d0 * (medium.k_c / 100.0) ** 2
+    except OverflowError:
+        exponent = math.inf
+    if not (0.0 < d0 < math.inf and exponent < math.inf):
+        raise transform.PhantomSupportError(
+            "the reference width D0 = (500/k_c)^2, or D0 (k_c/100)^2, is not a "
+            f"finite double > 0 at k_c = {medium.k_c:.6g} 1/m")
     sigma = math.sqrt(2.0 * d0)
     rep.record("k_c_per_m", medium.k_c, provenance="definition")
     rep.check("D0_m2", d0, (500.0 / medium.k_c) ** 2, 1e-12, "definition")
@@ -593,8 +604,6 @@ def run_resolution_study(cfg: ExperimentConfig) -> Report:
               "definition")
     rep.record("claimed_resolution_m", RESOLUTION_CLAIM_M, provenance="reference")
     rep.record("sigma_over_claim", sigma / RESOLUTION_CLAIM_M)
-    # band limit of the reference phantom: D0 (kc/100)^2 = 25 exactly
-    exponent = d0 * (medium.k_c / 100.0) ** 2
     rep.check("bandlimit_exponent", exponent, 25.0, 1e-12, "definition")
     rep.record("spectral_ratio_at_kc_over_100", math.exp(-exponent),
                provenance="definition")

@@ -30,7 +30,10 @@ sum_j p_j lambda_j^{m-1} = a_m, the same home the A_j tables read.  Every
 array is accurate to round-off down to k = 0, where mu = theta = 0,
 p0 = 1 - tau1/tau0 and p1 = -1/2 come out of the same formulas, with no
 substituted limit.  Where Delta1^2 < 4 Delta0^3 the cubic has three real
-roots and no conjugate pair, so the imaging path refuses.
+roots and no conjugate pair, so the imaging path refuses: ``mode_products``
+at each k it solves, and the image before any evaluation, on the band of
+``spectral.three_root_band`` (none for tau0/tau1 >= 1/9).  ``regime_refusal``
+is the one home of that refusal's message.
 """
 
 from __future__ import annotations
@@ -137,21 +140,21 @@ def mode_products(medium: Medium, k) -> ModeProducts:
     pair decomposition, and with it every imaging multiplier, is undefined there.
     """
     grid = spectral.roots_grid(medium, k)
-    if (refusal := regime_refusal(grid)) is not None:
-        raise refusal
+    bad = ~grid.real_c_regime | ((grid.delta0 == 0) & (grid.delta1 == 0))
+    if np.any(bad):
+        raise regime_refusal(grid.k[bad])
     return ModeProducts(grid.k, grid.lambda0, grid.mu, grid.theta,
                         *spectral.pair_products(medium, grid))
 
 
-def regime_refusal(grid: spectral.RootsGrid) -> ComplexRegimeError | None:
-    """The refusal of ``mode_products`` on a roots grid, counting every k with
-    three real roots (or the triple root), or None when it serves them all."""
-    bad = grid.k[~grid.real_c_regime | ((grid.delta0 == 0) & (grid.delta1 == 0))]
+def regime_refusal(k: np.ndarray) -> ComplexRegimeError:
+    """The refusal of the imaging path at the wavenumbers ``k`` (non-empty)
+    where the cubic has three real roots or the triple root."""
     return ComplexRegimeError(
-        f"three real roots at {bad.size} wavenumber(s), e.g. "
-        f"k = {bad.flat[0]:.6g}; the real-valued kernel decomposition "
+        f"three real roots at {k.size} wavenumber(s), e.g. "
+        f"k = {k.flat[0]:.6g}; the real-valued kernel decomposition "
         "is undefined for this medium"
-    ) if bad.size else None
+    )
 
 
 def _norm(d: int) -> float:

@@ -40,6 +40,7 @@ All functions are pure; grid evaluation is vectorized and deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "DegenerateRootsError",
     "cardano_roots",
     "roots_grid",
+    "three_root_band",
     "moment_targets",
     "pair_products",
     "amplitudes",
@@ -129,8 +131,12 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
     d1 = 2.0 + 9.0 * t0 * (3.0 * t0 - t1) * ck2
     # disc = d1^2 - 4 d0^3 expanded in ck2: both terms tend to 4 as k -> 0,
     # and their difference 108 t0^2 ck2 would drown in their rounding
-    q1 = 3.0 * (3.0 * t0 - t1) ** 2 - 4.0 * t1 * t1
-    disc = 27.0 * t0 * t0 * ck2 * (4.0 + ck2 * (q1 + 4.0 * t0 * t1**3 * ck2))
+    try:
+        q1 = 3.0 * (3.0 * t0 - t1) ** 2 - 4.0 * t1 * t1
+        q2 = 4.0 * t0 * t1**3
+    except OverflowError:       # tau beyond double range: the roots are not finite
+        q1 = q2 = math.inf
+    disc = 27.0 * t0 * t0 * ck2 * (4.0 + ck2 * (q1 + q2 * ck2))
     regime = disc >= 0
     # Cardano's real root with the real cube root; the sign of d1 keeps the
     # sum free of cancellation, so C = 0 only at the triple root.  Entries
@@ -164,6 +170,26 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
     if any_band:
         theta = np.where(regime, theta, 1j * theta)     # theta^2 < 0 there
     return RootsGrid(k, lam0, mu, theta, d0, d1, big_c, regime, ck2, pair)
+
+
+def three_root_band(medium: Medium) -> tuple[float, float] | None:
+    """The open |k| band (k_lo, k_hi) where the cubic has three real roots
+    (``roots_grid``'s disc < 0), or None where it has none.
+
+    It depends on r = tau0/tau1 alone.  With s = (c0 tau1 k)^2 = 4 (k/k_c)^2,
+    disc < 0 exactly where 4 r s^2 + b s + 4 < 0, b = 27 r^2 - 18 r - 1.  Its
+    discriminant q = b^2 - 64 r = (1 - 9 r)^3 (1 - r) is positive only for
+    r < 1/9, where b < 0: water (r = 0.47) has no band.  The roots
+    s_lo = 8 / (-b + sqrt(q)) and s_hi = (-b + sqrt(q)) / (8 r) are free of
+    cancellation and overflow nowhere (k_hi may be inf).  The edges are
+    within an ulp; the flag's own round-off is larger, by 1/sqrt(q).
+    """
+    r = float(medium.tau0) / float(medium.tau1)
+    if not 9.0 * r < 1.0:
+        return None
+    root = -(27.0 * r - 18.0) * r + 1.0 + math.sqrt((1.0 - 9.0 * r) ** 3 * (1.0 - r))
+    half_kc = 0.5 * float(medium.k_c)
+    return half_kc * math.sqrt(8.0 / root), half_kc * math.sqrt(root / (8.0 * r))
 
 
 def cardano_roots(medium: Medium, k: float) -> RootsGrid:

@@ -228,28 +228,17 @@ def _gaussian_factors(grid: GridSpec, D: float) -> list[np.ndarray]:
 _BLOCK = 8192
 
 
-def _radial_multipliers(grid: GridSpec, evaluates: list[Callable[[np.ndarray], np.ndarray]],
-                        medium: Medium | None = None
+def _radial_multipliers(grid: GridSpec, evaluates: list[Callable[[np.ndarray], np.ndarray]]
                         ) -> tuple[list[np.ndarray], np.ndarray | slice]:
     """Finite real ``evaluate(k)`` of each of ``evaluates`` on one
-    ``grid.radial_table()`` in _BLOCK slices, and the table's index.  A
-    ComplexRegimeError of one block (``mode_products`` of ``medium``) is
-    reworded to count every refused |k| of the table; the rest is solved
-    without raising, so it stays one refusal.
-    """
+    ``grid.radial_table()`` in _BLOCK slices, and the table's index."""
     k_table, index = grid.radial_table()
     mults = []
     for evaluate in evaluates:
         mults.append(mult := np.empty_like(k_table))
         for start in range(0, k_table.size, _BLOCK):
             block = mult[start:start + _BLOCK]
-            try:
-                block[...] = evaluate(k_table[start:start + _BLOCK])
-            except kernels.ComplexRegimeError as exc:
-                if medium is not None:
-                    exc.args = kernels.regime_refusal(
-                        spectral.roots_grid(medium, k_table[start:])).args
-                raise
+            block[...] = evaluate(k_table[start:start + _BLOCK])
             if not np.all(np.isfinite(block)):
                 raise ValueError("multiplier produced non-finite values on the grid")
     return mults, index
@@ -334,10 +323,9 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     lambda0 + 2 mu = 1/tau0 with mu >= 0, so the largest Re lambda_j T of any
     table is lambda0(0) T = T/tau0, and the pipeline is refused with a
     ScaleOverflowError before any evaluation exactly when T/tau0 > 700; at
-    physical tissue scale T/tau0 ~ 1e6.  That refusal precedes the
-    three-real-root one.  Without the flag the relaxation-oscillation cross
-    terms are dropped and the remaining product reduces to
-    ``kernels.ModeProducts.multiplier``,
+    physical tissue scale T/tau0 ~ 1e6.  Without the flag the
+    relaxation-oscillation cross terms are dropped and the remaining product
+    reduces to ``kernels.ModeProducts.multiplier``,
 
         I_hat = 2 [p0^2 + 2 Re(p1^2) + 2 |p1|^2 cos(2 theta T)] phi_hat,
 
@@ -346,17 +334,20 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     theta T finite: theta^2 <= c0^2 k^2 / (tau0 lambda0) <= c_inf^2 k^2 as
     lambda0 >= 1/tau1, and |k| <= sqrt(d) k_nyquist, so a ScaleOverflowError
     refuses first when c_inf T sqrt(d) k_nyquist is not a finite double.
+    Last, still before any evaluation, a ComplexRegimeError counts the table
+    |k| on the three-real-root band (``spectral.three_root_band``).
     """
     table = _image_multiplier(medium, phantom.grid, T, include_zeta3)
-    (mult,), index = _radial_multipliers(phantom.grid, [table], medium)
+    (mult,), index = _radial_multipliers(phantom.grid, [table])
     return _apply_radial(phantom, mult, index)
 
 
 def _image_multiplier(medium: Medium, grid: GridSpec, T: float,
                       include_zeta3: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """The multiplier of ``time_reversal_image`` as a function of |k|, after
-    its refusals of T and of the scale.  The bounds are taken in Python
-    floats, which overflow to inf without a warning."""
+    its refusals of T, of the scale and of the three-real-root band on the
+    grid's radial table.  The bounds are taken in Python floats, which
+    overflow to inf without a warning."""
     c_inf, T, tau0 = float(medium.c_inf), float(T), float(medium.tau0)
     if T <= 0:
         raise ValueError("T must be positive")
@@ -369,6 +360,12 @@ def _image_multiplier(medium: Medium, grid: GridSpec, T: float,
             "representable; the exact reversed pipeline is only computable "
             "at nondimensional scale (use include_zeta3=False)"
         )
+    if (band := spectral.three_root_band(medium)) is not None:
+        k_table = grid.radial_table()[0]
+        refused = k_table[np.searchsorted(k_table, band[0], "right"):
+                          np.searchsorted(k_table, band[1], "left")]
+        if refused.size:
+            raise kernels.regime_refusal(refused)
 
     def table(kk):
         mp = kernels.mode_products(medium, kk)
@@ -420,8 +417,7 @@ def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
     n = grid.n_per_axis
     factors = _gaussian_factors(grid, D)
     box, phi, mask = _support_box(factors)
-    mults, index = _radial_multipliers(grid, [_image_multiplier(medium, grid, T), *extra],
-                                       medium)
+    mults, index = _radial_multipliers(grid, [_image_multiplier(medium, grid, T), *extra])
     # real and even to round-off: the factors are grid-centred
     leading = [np.fft.rfft(f).real for f in factors[:-1]]
     last = np.fft.rfft(factors[-1])

@@ -88,12 +88,33 @@ def test_coeffs_all_degenerate_grid_exits_2(tmp_path, water_cfg_file, capsys):
     (["roots", "--set", "k_spacing=log", "--set", "k_min=1e300"],
      "the k grid [1.94365e+07, 1e+300] 1/m reaches"),
     (["coeffs", "--set", "k_max=1e150kc"], "the k grid [0, 1.94365e+156] 1/m reaches"),
+    # c0^2 k^2 overflows (tau1 = 1e-300) or the cubic's tau coefficients do
+    # (tau1 = 1e300): the roots of every runner that tabulates them, the
+    # report's water constants at 1000 k_c first, are refused
+    (["roots", "--set", "tau1_s=1e-300", "--set", "k_num=50"],
+     "the k grid [0, 1.94365e+298] 1/m reaches"),
+    (["coeffs", "--set", "tau1_s=1e-300", "--set", "k_num=50"],
+     "the k grid [0, 1.94365e+298] 1/m reaches"),
+    (["kernels", "--set", "tau1_s=1e-300", "--set", "k_num=50"],
+     "the k grid [0, 1.94365e+298] 1/m reaches"),
+    (["report", "--set", "tau1_s=1e-300", "--set", "k_num=50", "--set", "grid_n=64"],
+     "the k grid [1.94365e+300, 1.94365e+300] 1/m reaches"),
+    (["roots", "--set", "tau1_s=1e300", "--set", "k_num=50"],
+     "the k grid [0, 1.94365e-302] 1/m reaches"),
+    (["coeffs", "--set", "tau1_s=1e300", "--set", "k_num=50"],
+     "the k grid [0, 1.94365e-302] 1/m reaches"),
+    (["kernels", "--set", "tau1_s=1e300", "--set", "k_num=50"],
+     "the k grid [0, 1.94365e-302] 1/m reaches"),
+    (["report", "--set", "tau1_s=1e300", "--set", "k_num=50", "--set", "grid_n=64"],
+     "the k grid [1.94365e-300, 1.94365e-300] 1/m reaches"),
 ], ids=["log_zero_k_max", "roots_negative_k_max", "negative_k_min",
         "coeffs_negative_k_max", "infinite_k_min", "infinite_k_max",
         "infinite_kappa1", "infinite_rho", "infinite_tau1", "zero_L", "negative_L",
         "infinite_L", "infinite_T", "infinite_extent", "negative_phantom_D",
         "subnormal_tau1", "subnormal_speed", "roots_huge_k_max", "roots_huge_log_k_min",
-        "coeffs_huge_k_max"])
+        "coeffs_huge_k_max", "roots_tiny_tau1", "coeffs_tiny_tau1", "kernels_tiny_tau1",
+        "report_tiny_tau1", "roots_huge_tau1", "coeffs_huge_tau1", "kernels_huge_tau1",
+        "report_huge_tau1"])
 def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     # the suite turns warnings into errors, so a RuntimeWarning fails here too
     out = tmp_path / "out"
@@ -150,6 +171,13 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
      "6 sigma = inf m exceeds half the extent"),
     (["sweep-kappa", "--set", "tau1_s=1e300", "--set", "grid_n=64"],
      "6 sigma = inf m exceeds half the extent"),
+    (["resolution", "--set", "tau1_s=1e-300"],
+     "D0 (k_c/100)^2, is not a finite double > 0 at k_c = 1.94365e+297 1/m"),
+    (["resolution", "--set", "tau1_s=1e300"],
+     "D0 (k_c/100)^2, is not a finite double > 0 at k_c = 1.94365e-303 1/m"),
+    # D0 is a subnormal double, and (k_c/100)^2 overflows
+    (["resolution", "--set", "tau1_s=1e-160"],
+     "D0 (k_c/100)^2, is not a finite double > 0 at k_c = 1.94365e+157 1/m"),
 ], ids=["unphysical_medium", "phantom_support", "complex_regime",
         "overflowing_c2_rho_kappa1", "overflowing_theta_T_reconstruct",
         "overflowing_theta_T_sweep", "overflowing_theta_T_report",
@@ -157,7 +185,9 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
         "underflowing_phantom_peak_3d", "overflowing_x2_and_4piD", "overflowing_x2",
         "report_phantom_support", "report_sweep_phantom_support",
         "report_reconstruction_complex_regime", "underflowing_D0_reconstruct",
-        "underflowing_D0_sweep", "overflowing_D0_reconstruct", "overflowing_D0_sweep"])
+        "underflowing_D0_sweep", "overflowing_D0_reconstruct", "overflowing_D0_sweep",
+        "underflowing_D0_resolution", "overflowing_D0_resolution",
+        "overflowing_exponent_resolution"])
 def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     code = main(argv + ["--out", str(out)])

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from patrev.spectral import (
     roots_grid,
     scaled_residuals,
     solve_vandermonde,
+    three_root_band,
 )
+from patrev.experiments import config_from_mapping, read_config_mapping
 
 WATER = derive_medium(water_params())
 KC = WATER.k_c
@@ -324,6 +327,75 @@ def test_band_weights_real_and_match_vandermonde(medium):
         v = solve_vandermonde(cardano_roots(medium, float(ks[i])), medium)
         for x, y in zip((a0[i], a1[i], a2[i]), v.as_tuple()):
             assert x == pytest.approx(y, rel=1e-12)
+
+
+# tau0/tau1 over (0, 1]: uniform, down to 1e-12, and around 1/9 (where the
+# band closes), the last ones on either side of it
+BAND_RATIOS = np.concatenate([np.linspace(0.0, 1.0, 201)[1:], np.logspace(-12, -1, 23),
+                              (1.0 + np.linspace(-1e-3, 1e-3, 21)) / 9.0])
+
+
+def test_three_root_band_matches_the_flag():
+    # the closed form and roots_grid's disc < 0 agree at every k, except
+    # within a few ulps of an edge, where round-off decides the flag.  The
+    # edges' condition number 1/sqrt(q), q = (1 - 9 r)^3 (1 - r), grows as
+    # the band closes at r = 1/9 (8 ulps at r = 0.085, 46 at 0.105); the k
+    # at and next to each edge are probed too
+    eps = np.finfo(float).eps
+    for ratio in BAND_RATIOS:
+        medium = nondimensional_medium(float(ratio))
+        band = three_root_band(medium)
+        k = np.linspace(0.0, 3.0, 4001) * medium.k_c
+        if band is not None:
+            assert 0.0 < band[0] < band[1]
+            r = medium.tau0 / medium.tau1
+            cond = 1.0 + ((1.0 - 9.0 * r) ** 3 * (1.0 - r)) ** -0.5
+            near_edge = 1.0 + eps * np.arange(-8, 9) * cond
+            k = np.concatenate([k, band[0] * near_edge, band[1] * near_edge])
+        flagged = ~roots_grid(medium, k).real_c_regime
+        inside = (np.zeros_like(flagged) if band is None
+                  else (k > band[0]) & (k < band[1]))
+        off = k[flagged != inside]
+        if off.size:
+            assert band is not None, ratio
+            dist = np.minimum(np.abs(off / band[0] - 1.0), np.abs(off / band[1] - 1.0))
+            assert np.all(dist <= 4.0 * eps * cond), ratio
+
+
+def test_three_root_band_edges_match_mpmath():
+    # the roots of 4 r s^2 + b s + 4 in 60 digits, with the unfactored
+    # q = b^2 - 64 r: the closed form is within 2 ulps of them
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    for ratio in BAND_RATIOS:
+        medium = nondimensional_medium(float(ratio))
+        band = three_root_band(medium)
+        if band is None:
+            continue
+        r = mpmath.mpf(medium.tau0) / mpmath.mpf(medium.tau1)
+        b = 27 * r * r - 18 * r - 1
+        sq = mpmath.sqrt(b * b - 64 * r)
+        for edge, s in zip(band, ((-b - sq) / (8 * r), (-b + sq) / (8 * r))):
+            exact = mpmath.mpf(medium.k_c) / 2 * mpmath.sqrt(s)
+            assert abs(edge / exact - 1) <= 2 * np.finfo(float).eps, ratio
+
+
+def test_three_root_band_exists_only_below_one_ninth():
+    for ratio in BAND_RATIOS:
+        band = three_root_band(nondimensional_medium(float(ratio)))
+        if ratio >= 1.0001 / 9.0:
+            assert band is None, ratio
+        elif ratio <= 0.9999 / 9.0:
+            assert band is not None, ratio
+    nondim_cfg = Path(__file__).resolve().parents[1] / "configs" / "nondim.cfg"
+    for medium in (WATER, LOSSLESS, nondimensional_medium(1.0),
+                   config_from_mapping(read_config_mapping(nondim_cfg), ".").medium):
+        assert three_root_band(medium) is None
+    # the measured edges at tau0/tau1 = 0.1: 0.883883-0.894427 k_c
+    lo, hi = three_root_band(nondimensional_medium(0.1))
+    kc = nondimensional_medium(0.1).k_c
+    assert lo / kc == pytest.approx(0.883883, abs=1e-6)
+    assert hi / kc == pytest.approx(0.894427, abs=1e-6)
 
 
 def test_growth_orders_on_grid():

@@ -506,6 +506,8 @@ RAGGED = GridSpec(dim=1, n_per_axis=1 << 15, extent=29000.0)
 # [1.7678, 1.7889]; on RAGGED they sit at table entries 8160-8256, across the
 # first block boundary
 BAND_MEDIUM = nondimensional_medium(0.1)
+# 464 distinct |k|, 7 of them on that band
+BAND_GRID_3D = GridSpec(dim=3, n_per_axis=32, extent=64.0)
 
 
 def _single_call(phi, mult):
@@ -579,6 +581,16 @@ def test_blocked_refusal_counts_the_whole_table():
     with pytest.raises(kernels.ComplexRegimeError) as refusal:
         time_reversal_image(BAND_MEDIUM, phi, 2.0)
     assert str(refusal.value) == str(whole.value)
+    # a 3-D table is not uniform in |k|: the band holds q = 325-332 but 327,
+    # which no sum of three squares reaches
+    k_table, _ = BAND_GRID_3D.radial_table()
+    assert np.count_nonzero(~spectral.roots_grid(BAND_MEDIUM, k_table).real_c_regime) == 7
+    with pytest.raises(kernels.ComplexRegimeError) as whole:
+        kernels.mode_products(BAND_MEDIUM, k_table)
+    assert "at 7 wavenumber(s)" in str(whole.value)
+    with pytest.raises(kernels.ComplexRegimeError) as refusal:
+        time_reversal_image(BAND_MEDIUM, gaussian_phantom(BAND_GRID_3D, 4.0), 2.0)
+    assert str(refusal.value) == str(whole.value)
 
 
 def test_blocked_zeta3_overflow_names_the_whole_table():
@@ -597,7 +609,8 @@ def test_blocked_zeta3_overflow_names_the_whole_table():
 
 def test_zeta3_refusal_precedes_every_evaluation(monkeypatch):
     # the largest Re lambda T of any table is T/tau0, so the refusal needs
-    # no mode products; on the three-real-root band it comes first too
+    # no mode products; on the three-real-root band it comes first too, and
+    # the band's own refusal needs none either
     calls = []
     mode_products = kernels.mode_products
     monkeypatch.setattr(kernels, "mode_products",
@@ -612,7 +625,35 @@ def test_zeta3_refusal_precedes_every_evaluation(monkeypatch):
     with pytest.raises(kernels.ComplexRegimeError):
         time_reversal_image(BAND_MEDIUM, phi, 700.0 * BAND_MEDIUM.tau0,
                             include_zeta3=True)
-    assert len(calls) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid", [RAGGED, BAND_GRID_3D], ids=["1d", "3d"])
+def test_band_refusal_precedes_every_evaluation(monkeypatch, grid):
+    # the band comes from tau0/tau1 alone: neither image route solves a root
+    # before it refuses
+    calls = []
+    for module, name in ((kernels, "mode_products"), (spectral, "roots_grid")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original: calls.append(args) or f(*args))
+    phi = gaussian_phantom(grid, 4.0)
+    for include_zeta3 in (False, True):
+        with pytest.raises(kernels.ComplexRegimeError, match="three real roots"):
+            time_reversal_image(BAND_MEDIUM, phi, 2.0, include_zeta3=include_zeta3)
+    with pytest.raises(kernels.ComplexRegimeError, match="three real roots"):
+        transform._gaussian_images(grid, 4.0, BAND_MEDIUM, 2.0, lambda k: 1.0)
+    assert calls == []
+
+
+def test_band_between_table_points_is_served():
+    # the band of tau0/tau1 = 0.1111 spans 3.1e-7 k_c, between two |k| of
+    # this table: the image evaluates and is finite
+    medium = nondimensional_medium(0.1111)
+    lo, hi = spectral.three_root_band(medium)
+    k_table, _ = RAGGED.radial_table()
+    assert np.searchsorted(k_table, lo) == np.searchsorted(k_table, hi)
+    image = time_reversal_image(medium, gaussian_phantom(RAGGED, 4.0), 2.0)
+    assert np.all(np.isfinite(image.samples))
 
 
 @pytest.mark.parametrize("grid", [DESK, GridSpec(dim=3, n_per_axis=16, extent=8.0)],
