@@ -20,8 +20,8 @@ leaves --out as it was; only a SIGKILL can leave the .staging-* directory.
 Exit status: 0 all declared checks pass, 1 a check failed, 2 configuration
 error or refused input (an unphysical medium, a phantom wider than the grid or
 with a width or peak beyond double range, three real roots on the imaging
-path, theta T beyond double range, a k grid whose roots are not finite
-doubles, an unwritable --out), 64 usage error.
+path, theta T beyond double range, a k grid or image whose roots are not
+finite doubles, an unwritable --out), 64 usage error.
 """
 
 from __future__ import annotations

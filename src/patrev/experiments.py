@@ -26,8 +26,6 @@ from .medium import (
     RawParams,
     UnphysicalMediumError,
     derive_medium,
-    raw_params_from_mapping,
-    read_key_value_file,
     water_params,
 )
 from . import kernels, spectral, transform
@@ -162,6 +160,12 @@ def write_csv(path, comments: Iterable[str], names: list[str],
     return path
 
 
+def _reference_D(medium: Medium) -> float:
+    """D0 = (500/k_c)^2 [m^2] by a product: inf or 0, not OverflowError."""
+    width = 500.0 / medium.k_c
+    return width * width
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment parameters, built by ``config_from_mapping``.
@@ -202,10 +206,7 @@ class ExperimentConfig:
         return 4.0 * self.L_m / medium.c_inf
 
     def phantom_D(self, medium: Medium) -> float:
-        if self.phantom_D_m2 is not None:
-            return self.phantom_D_m2
-        width = 500.0 / medium.k_c     # squared by a product: inf, not OverflowError
-        return width * width
+        return _reference_D(medium) if self.phantom_D_m2 is None else self.phantom_D_m2
 
     def k_grid(self, medium: Medium) -> np.ndarray:
         kmax = self.k_max_over_kc * medium.k_c
@@ -226,36 +227,43 @@ _DEFAULTS = {
     "k_spacing": "linear",
 }
 
+#: config key of each RawParams field, and the parser of its value
+_MEDIUM_KEYS = {
+    "tau1_s": ("tau1", float),
+    "kappa1_m2_per_N": ("kappa1", float),
+    "rho_kg_per_m3": ("rho", float),
+    "speed_m_per_s": ("speed", float),
+    "speed_kind": ("speed_kind", str),
+}
+
 
 def _water_mapping() -> dict[str, str]:
     """Medium keys of the built-in water parameter set."""
     raw = water_params()
-    return {
-        "tau1_s": repr(raw.tau1),
-        "kappa1_m2_per_N": repr(raw.kappa1),
-        "rho_kg_per_m3": repr(raw.rho),
-        "speed_m_per_s": repr(raw.speed),
-        "speed_kind": raw.speed_kind,
-    }
+    return {key: str(getattr(raw, name)) for key, (name, _) in _MEDIUM_KEYS.items()}
 
 
 def config_from_mapping(mapping: dict[str, str], out_dir) -> ExperimentConfig:
     """Assemble an ExperimentConfig from a key/value mapping over ``_DEFAULTS``.
 
     Every refusal of the configuration itself leaves here: unknown keys (so
-    typos in configs and --set overrides fail loudly) and unparsable or
-    out-of-range values as ConfigError, a medium without a finite wavefront
-    speed as UnphysicalMediumError.
+    typos in configs and --set overrides fail loudly), missing medium keys and
+    unparsable or out-of-range values as ConfigError, a medium without a
+    finite wavefront speed as UnphysicalMediumError.
     """
     merged = {**_DEFAULTS, **mapping}
-    unknown = set(merged) - {*_DEFAULTS, *_water_mapping(), "T_s", "phantom_D_m2"}
+    unknown = set(merged) - {*_DEFAULTS, *_MEDIUM_KEYS, "T_s", "phantom_D_m2"}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     k_max = merged["k_max"].strip()
     if not k_max.endswith("kc"):
         raise ConfigError("k_max must be given in units of kc, e.g. '10kc'")
+    missing = [key for key in _MEDIUM_KEYS if key not in merged]
+    if missing:
+        raise ConfigError(f"missing medium keys: {', '.join(missing)}")
     try:
-        raw = raw_params_from_mapping(merged)
+        raw = RawParams(**{name: parse(merged[key])
+                           for key, (name, parse) in _MEDIUM_KEYS.items()})
         return ExperimentConfig(
             raw=raw,
             medium=derive_medium(raw),
@@ -282,13 +290,24 @@ def config_from_mapping(mapping: dict[str, str], out_dir) -> ExperimentConfig:
 
 
 def read_config_mapping(path) -> dict[str, str]:
-    """Key/value mapping of a config file; read and parse errors become ConfigError."""
+    """Key/value mapping of a UTF-8 config file: one ``key = value`` per line,
+    ``#`` starts a comment; it and ``--set`` give the five ``_MEDIUM_KEYS``.
+    An unreadable or undecodable file, or a line without '=', is a ConfigError."""
     try:
-        return read_key_value_file(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:
+    except UnicodeDecodeError as exc:
         raise ConfigError(str(exc)) from exc
+    mapping = {}
+    for lineno, line in enumerate(lines, start=1):
+        key, eq, value = line.split("#", 1)[0].partition("=")
+        if eq:
+            mapping[key.strip()] = value.strip()
+        elif key.strip():
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+    return mapping
 
 
 # -- experiment runners --------------------------------------------------------
@@ -340,17 +359,15 @@ def _roots_columns(medium: Medium, grid: spectral.RootsGrid) -> list[np.ndarray]
 
 def _k_grid_roots(medium: Medium, ks: np.ndarray) -> spectral.RootsGrid:
     """Roots over a k grid.  A grid that reaches wavenumbers where they are
-    not finite doubles (Cardano's root loses every digit from about 1e30 k_c,
-    and a medium whose c0^2 k^2 or tau coefficients leave double range loses
-    them all) is refused as a ConfigError; the NaN roots of the exact triple
-    root (C = 0) are the runs' to report."""
+    not finite doubles is refused as a ConfigError naming the cause
+    (``spectral.nonfinite_roots``); the NaN roots of the exact triple root
+    (C = 0) are the runs' to report."""
     with np.errstate(all="ignore"):
         grid = spectral.roots_grid(medium, ks)
-    finite = np.isfinite(grid.lambda0) & np.isfinite(grid.mu) & np.isfinite(grid.theta)
-    if not np.all(finite | (grid.big_c == 0)):
+    if (why := spectral.nonfinite_roots(medium, grid)) is not None:
         raise ConfigError(
             f"the k grid [{ks.min():.6g}, {ks.max():.6g}] 1/m reaches wavenumbers "
-            "where the dispersion roots are not finite doubles; lower k_max and k_min")
+            f"where the dispersion roots are not finite doubles; {why}")
     return grid
 
 
@@ -586,8 +603,7 @@ def run_resolution_study(cfg: ExperimentConfig) -> Report:
     """
     medium = cfg.medium
     rep = Report("resolution_study")
-    width = 500.0 / medium.k_c
-    d0 = width * width          # a product: inf or 0, not OverflowError
+    d0 = _reference_D(medium)
     # band limit of the reference phantom: D0 (kc/100)^2 = 25 exactly
     try:
         exponent = d0 * (medium.k_c / 100.0) ** 2

@@ -72,11 +72,11 @@ class ComplexRegimeError(ValueError):
 
 
 class ScaleOverflowError(OverflowError):
-    """An exponentially large term does not fit a plain double.
+    """A term does not fit a plain double.
 
-    For the imaging multiplier this signals that the zeta3 term is not
-    representable at the requested physical scale and the small-wavenumber
-    kernel path must be used instead.
+    For the imaging multiplier this signals that the zeta3 term or theta T is
+    not representable at the requested physical scale, or that the
+    dispersion roots are not (``mode_products``).
     """
 
 
@@ -138,8 +138,13 @@ def mode_products(medium: Medium, k) -> ModeProducts:
 
     Raises ComplexRegimeError where the cubic has three real roots: the real
     pair decomposition, and with it every imaging multiplier, is undefined there.
+    Raises ScaleOverflowError first where the roots are not finite doubles
+    (``spectral.nonfinite_roots``).
     """
-    grid = spectral.roots_grid(medium, k)
+    with np.errstate(all="ignore"):     # roots that are not finite are refused
+        grid = spectral.roots_grid(medium, k)
+    if (why := spectral.nonfinite_roots(medium, grid)) is not None:
+        raise ScaleOverflowError(f"the dispersion roots are not finite doubles; {why}")
     bad = ~grid.real_c_regime | ((grid.delta0 == 0) & (grid.delta1 == 0))
     if np.any(bad):
         raise regime_refusal(grid.k[bad])

@@ -15,15 +15,14 @@ holds in the dissipation-free case ``kappa1 = 0`` and also whenever
 ``c0^2 rho kappa1`` is below double resolution (e.g. ``kappa1 = 1e-30`` at
 unit scale).  The general formulas cover both, so no code path branches on
 dissipation; only the reconstruction report's identity check keys on
-``tau0 == tau1``.  All quantities are SI.  ``Medium`` is immutable and safe
-to share across threads.
+``tau0 == tau1``.  All quantities are SI; ``Medium`` is immutable.  This is
+the physics only: config files and their key names belong to ``experiments``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 __all__ = [
     "SPEED_KINDS",
@@ -33,8 +32,6 @@ __all__ = [
     "derive_medium",
     "nondimensional_medium",
     "water_params",
-    "raw_params_from_mapping",
-    "read_key_value_file",
 ]
 
 SPEED_KINDS = ("c_infinity", "c_zero")
@@ -197,41 +194,3 @@ def water_params() -> RawParams:
     return RawParams(
         tau1=1e-9, kappa1=5e-10, rho=1e3, speed=1500.0, speed_kind="c_infinity"
     )
-
-
-# -- key/value config files ---------------------------------------------------
-#
-# Format: one "key = value" pair per line, '#' starts a comment.  The medium
-# keys are fixed: tau1_s, kappa1_m2_per_N, rho_kg_per_m3, speed_m_per_s,
-# speed_kind (c_infinity | c_zero).
-
-_RAW_KEYS = {
-    "tau1_s": "tau1",
-    "kappa1_m2_per_N": "kappa1",
-    "rho_kg_per_m3": "rho",
-    "speed_m_per_s": "speed",
-}
-
-
-def read_key_value_file(path) -> dict[str, str]:
-    """Parse a flat key=value text file into a string mapping."""
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = stripped.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
-def raw_params_from_mapping(mapping: Mapping[str, str]) -> RawParams:
-    """Build RawParams from a key/value mapping using the fixed field names."""
-    missing = [k for k in (*_RAW_KEYS, "speed_kind") if k not in mapping]
-    if missing:
-        raise ValueError(f"missing medium keys: {', '.join(missing)}")
-    kwargs = {attr: float(mapping[key]) for key, attr in _RAW_KEYS.items()}
-    return RawParams(speed_kind=mapping["speed_kind"], **kwargs)

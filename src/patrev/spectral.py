@@ -53,6 +53,7 @@ __all__ = [
     "DegenerateRootsError",
     "cardano_roots",
     "roots_grid",
+    "nonfinite_roots",
     "three_root_band",
     "moment_targets",
     "pair_products",
@@ -170,6 +171,23 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
     if any_band:
         theta = np.where(regime, theta, 1j * theta)     # theta^2 < 0 there
     return RootsGrid(k, lam0, mu, theta, d0, d1, big_c, regime, ck2, pair)
+
+
+def nonfinite_roots(medium: Medium, grid: RootsGrid) -> str | None:
+    """None if every root of ``grid`` is a finite double (the triple root's
+    NaN aside, C = 0), else the cause: the k range (finite at k_c, lost from
+    about 1e30 k_c) or the tau scale.  theta alone is tested: it is formed
+    from mu and the pair product, both from lambda0, and is not finite where
+    any root is not."""
+    finite = np.isfinite(grid.theta)
+    if finite.all() or np.all(finite | (grid.big_c == 0)):
+        return None
+    with np.errstate(all="ignore"):
+        at_kc = roots_grid(medium, medium.k_c)
+    if np.isfinite(at_kc.theta):
+        return f"they are finite at k_c = {medium.k_c:.6g} 1/m: lower the largest k"
+    return (f"they are not finite at k_c = {medium.k_c:.6g} 1/m either: the medium's "
+            f"tau scale (tau1 = {medium.tau1:.6g} s) leaves double range")
 
 
 def three_root_band(medium: Medium) -> tuple[float, float] | None:

@@ -337,9 +337,8 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     Last, still before any evaluation, a ComplexRegimeError counts the table
     |k| on the three-real-root band (``spectral.three_root_band``).
     """
-    table = _image_multiplier(medium, phantom.grid, T, include_zeta3)
-    (mult,), index = _radial_multipliers(phantom.grid, [table])
-    return _apply_radial(phantom, mult, index)
+    return apply_multiplier(phantom, _image_multiplier(medium, phantom.grid, T,
+                                                       include_zeta3))
 
 
 def _image_multiplier(medium: Medium, grid: GridSpec, T: float,

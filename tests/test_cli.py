@@ -178,6 +178,15 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     # D0 is a subnormal double, and (k_c/100)^2 overflows
     (["resolution", "--set", "tau1_s=1e-160"],
      "D0 (k_c/100)^2, is not a finite double > 0 at k_c = 1.94365e+157 1/m"),
+    # the dispersion roots on the image's radial table are not finite doubles:
+    # 4 tau0 tau1^3 overflows (the k = 0 root once read as three real roots),
+    # or c0^2 k^2 lambda0 does
+    (["reconstruct", "--set", "tau1_s=1e100", "--set", "phantom_D_m2=0.01",
+      "--set", "grid_n=64"],
+     "the dispersion roots are not finite doubles; they are not finite at k_c"),
+    (["reconstruct", "--set", "tau1_s=1e-300", "--set", "phantom_D_m2=0.01",
+      "--set", "grid_n=64"],
+     "the dispersion roots are not finite doubles; they are not finite at k_c"),
 ], ids=["unphysical_medium", "phantom_support", "complex_regime",
         "overflowing_c2_rho_kappa1", "overflowing_theta_T_reconstruct",
         "overflowing_theta_T_sweep", "overflowing_theta_T_report",
@@ -187,7 +196,8 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
         "report_reconstruction_complex_regime", "underflowing_D0_reconstruct",
         "underflowing_D0_sweep", "overflowing_D0_reconstruct", "overflowing_D0_sweep",
         "underflowing_D0_resolution", "overflowing_D0_resolution",
-        "overflowing_exponent_resolution"])
+        "overflowing_exponent_resolution", "huge_tau1_image_roots",
+        "tiny_tau1_image_roots"])
 def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     code = main(argv + ["--out", str(out)])

@@ -486,6 +486,42 @@ def test_config_rejects_plain_k_max(tmp_path):
         config_from_mapping(mapping, tmp_path)
 
 
+def test_config_file_round_trip(tmp_path):
+    path = tmp_path / "medium.cfg"
+    path.write_text(
+        "# comment line\n"
+        "tau1_s = 1e-9\n"
+        "kappa1_m2_per_N = 5e-10   # trailing comment\n"
+        "rho_kg_per_m3 = 1e3\n"
+        "speed_m_per_s = 1500.0\n"
+        "speed_kind = c_infinity\n"
+    )
+    raw = config_from_mapping(read_config_mapping(path), tmp_path).raw
+    assert raw == water_params()
+
+
+def test_config_missing_key(tmp_path):
+    path = tmp_path / "medium.cfg"
+    path.write_text("tau1_s = 1e-9\n")
+    with pytest.raises(ValueError, match="missing"):
+        config_from_mapping(read_config_mapping(path), tmp_path)
+
+
+def test_config_malformed_line(tmp_path):
+    path = tmp_path / "medium.cfg"
+    path.write_text("tau1_s 1e-9\n")
+    with pytest.raises(ValueError, match="key = value"):
+        read_config_mapping(path)
+
+
+@pytest.mark.parametrize("key", list(_water_mapping()))
+def test_config_missing_one_medium_key(tmp_path, key):
+    mapping = _water_mapping()
+    del mapping[key]
+    with pytest.raises(ConfigError, match=f"^missing medium keys: {key}$"):
+        config_from_mapping(mapping, tmp_path)
+
+
 def test_shipped_configs_parse(tmp_path):
     from pathlib import Path
     for name in ("water.cfg", "nondim.cfg"):

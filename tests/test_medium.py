@@ -8,8 +8,6 @@ from patrev.medium import (
     UnphysicalMediumError,
     derive_medium,
     nondimensional_medium,
-    raw_params_from_mapping,
-    read_key_value_file,
     water_params,
 )
 
@@ -99,31 +97,3 @@ def test_nondimensional_medium():
         nondimensional_medium(0.0)
     with pytest.raises(ValueError):
         nondimensional_medium(1.5)
-
-
-def test_config_file_round_trip(tmp_path):
-    path = tmp_path / "medium.cfg"
-    path.write_text(
-        "# comment line\n"
-        "tau1_s = 1e-9\n"
-        "kappa1_m2_per_N = 5e-10   # trailing comment\n"
-        "rho_kg_per_m3 = 1e3\n"
-        "speed_m_per_s = 1500.0\n"
-        "speed_kind = c_infinity\n"
-    )
-    raw = raw_params_from_mapping(read_key_value_file(path))
-    assert raw == water_params()
-
-
-def test_config_missing_key(tmp_path):
-    path = tmp_path / "medium.cfg"
-    path.write_text("tau1_s = 1e-9\n")
-    with pytest.raises(ValueError, match="missing"):
-        raw_params_from_mapping(read_key_value_file(path))
-
-
-def test_config_malformed_line(tmp_path):
-    path = tmp_path / "medium.cfg"
-    path.write_text("tau1_s 1e-9\n")
-    with pytest.raises(ValueError, match="key = value"):
-        read_key_value_file(path)

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patrev.medium import RawParams, derive_medium, nondimensional_medium, water_params
+from patrev.medium import (Medium, RawParams, derive_medium, nondimensional_medium,
+                           water_params)
 from patrev.spectral import (
     DegenerateRootsError,
     amplitudes,
@@ -13,6 +14,7 @@ from patrev.spectral import (
     cardano_roots,
     degenerate_mask,
     moment_targets,
+    nonfinite_roots,
     roots_grid,
     scaled_residuals,
     solve_vandermonde,
@@ -431,3 +433,22 @@ def test_residual_helper_matches_scale_definition():
     expected = abs(sum(terms)) / max(abs(t) for t in terms)
     off = replace(grid, lambda0=np.asarray([lam]))
     assert scaled_residuals(WATER, off)[0] == pytest.approx(expected, rel=1e-6)
+
+
+def test_nonfinite_roots_names_the_cause():
+    water = derive_medium(water_params())
+    # the exact triple root (C = 0, NaN roots) is not a non-finite root
+    triple = Medium(tau1=3.0, tau0=1.0 / 3.0, c0=1.0, c_inf=3.0, kappa1=8.0 / 9.0,
+                    rho=1.0, k_c=2.0 / 3.0)
+    with np.errstate(all="ignore"):
+        ks = [0.0, water.k_c, 1e3 * water.k_c]
+        assert nonfinite_roots(water, roots_grid(water, ks)) is None
+        assert nonfinite_roots(triple, roots_grid(triple, [3.0 ** -0.5])) is None
+        # Cardano's root loses every digit far beyond k_c: the k range is the cause
+        far = roots_grid(water, [water.k_c, 1e150 * water.k_c])
+        assert nonfinite_roots(water, far).endswith("lower the largest k")
+        # tau1 = 1e100: 4 tau0 tau1^3 overflows; 1e-300: c0^2 k_c^2 does
+        for tau1 in (1e100, 1e-300):
+            m = derive_medium(replace(water_params(), tau1=tau1))
+            why = nonfinite_roots(m, roots_grid(m, [0.0, m.k_c]))
+            assert why.endswith(f"tau scale (tau1 = {tau1:.6g} s) leaves double range")

@@ -77,6 +77,9 @@ RUNS = [
                                   "--set", "grid_n=128", "--set", "phantom_D_m2=0.03125"]),
     ("water_sweep_kappa_3d", ["sweep-kappa", "--config", WATER, "--set", "grid_dim=3",
                               "--set", "grid_n=64", "--set", "phantom_D_m2=0.03125"]),
+    # the built-in medium: no --config
+    ("builtin_roots", ["roots", "--set", "k_num=50"]),
+    ("builtin_resolution", ["resolution"]),
 ]
 
 
