@@ -139,7 +139,8 @@ def mode_products(medium: Medium, k) -> ModeProducts:
     Raises ComplexRegimeError where the cubic has three real roots: the real
     pair decomposition, and with it every imaging multiplier, is undefined there.
     Raises ScaleOverflowError first where the roots are not finite doubles
-    (``spectral.nonfinite_roots``).
+    (``spectral.nonfinite_roots``), and last where the products are not:
+    lambda0^2 overflows once lambda0 ~ 1/tau0 passes 1.3e154.
     """
     with np.errstate(all="ignore"):     # roots that are not finite are refused
         grid = spectral.roots_grid(medium, k)
@@ -148,8 +149,14 @@ def mode_products(medium: Medium, k) -> ModeProducts:
     bad = ~grid.real_c_regime | ((grid.delta0 == 0) & (grid.delta1 == 0))
     if np.any(bad):
         raise regime_refusal(grid.k[bad])
-    return ModeProducts(grid.k, grid.lambda0, grid.mu, grid.theta,
-                        *spectral.pair_products(medium, grid))
+    with np.errstate(all="ignore"):     # products that are not finite are refused
+        p0, p1_re, p1_im = spectral.pair_products(medium, grid)
+    bad = ~(np.isfinite(p0) & np.isfinite(p1_re) & np.isfinite(p1_im))
+    if np.any(bad):
+        raise ScaleOverflowError(
+            f"the mode products A_j lambda_j are not finite doubles at {np.count_nonzero(bad)} "
+            f"wavenumber(s), e.g. k = {grid.k[bad].flat[0]:.6g}, at tau0 = {medium.tau0:.6g} s")
+    return ModeProducts(grid.k, grid.lambda0, grid.mu, grid.theta, p0, p1_re, p1_im)
 
 
 def regime_refusal(k: np.ndarray) -> ComplexRegimeError:

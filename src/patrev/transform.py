@@ -19,16 +19,20 @@ The public operators run numpy's real-FFT round trip, ``rfftn`` then
 0 ... d-2 (frequencies i and n - i share |k|).
 
 ``_gaussian_images``, the image route of the reconstruction and the kappa1
-sweep in every dimension, runs no forward pass and no complex one.  The
-Gaussian phantom is the outer product of one factor per axis (the peak on
-the last), and the DFT is separable.  A factor is grid-centred, so it is
-circularly even and its DFT is real and even to round-off; times a radial
-multiplier, the spectrum is even on every axis but the last.  So the
-inverse takes the non-negative frequencies only: a real ``irfft`` per
-leading axis, that axis's factor multiplied in just before its pass, then
-the last factor's complex ``rfft`` and one ``irfft``.  Each pass keeps only
-the lines that reach the phantom's support box.  In 1-D that is ``rfft``,
-the multiplier, ``irfft``.
+sweep in every dimension, runs no forward pass and touches no line that no
+caller reads.  The Gaussian phantom is its peak times one factor per axis,
+so its DFT is the product of one real, even axis spectrum per axis, up to
+the phase (-1)^m of a grid-centred field, which the inverse undoes by
+reading its output from n/2.  Where the phantom's edge value and alias are
+below 2^-64 of its peak, that spectrum is the closed form
+sqrt(4 pi D)/dx exp(-D k^2) on the band D k^2 <= 64 ln 2 (zero beyond), and
+the multipliers are evaluated on the band's distinct |k| only; otherwise it
+is the real DFT of the sampled factor, on every frequency.  The inverse is
+one real pass per axis, that axis's spectrum multiplied in just before it,
+on the lines of the phantom's support box: Bluestein's chirp-z zoom where
+its three FFTs of length L >= m_b + w (band m_b, w box lines) are cheaper
+than an n-point ``irfft`` (L <= n/8), else ``irfft`` and the box's lines.
+The sweep at 2^20 samples so builds no array of the line's length.
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -122,7 +126,7 @@ class GridSpec:
         """
         return self._magnitude(2.0 * math.pi * np.fft.fftfreq(self.n_per_axis, self.spacing))
 
-    def radial_table(self) -> tuple[np.ndarray, np.ndarray | slice]:
+    def radial_table(self, q_max: int | None = None) -> tuple[np.ndarray, np.ndarray | slice]:
         """Distinct |k| of the non-negative frequencies and an index into them.
 
         Returns ``(k_table, index)``: ``k_table`` is the strictly increasing
@@ -133,17 +137,22 @@ class GridSpec:
         otherwise).  On the periodic lattice
         |k|^2 = (2 pi / extent)^2 q with integer q = sum_i m_i^2 <= d (n/2)^2,
         so the distinct values are found by marking the occupied q.
+
+        With ``q_max`` the table holds the |k| with q <= q_max only, the
+        index covers frequencies 0 ... min(n/2, isqrt(q_max)) of every axis,
+        and it holds ``k_table.size`` where q > q_max.
         """
         n, d = self.n_per_axis, self.dim
-        m = np.arange(n // 2 + 1)
+        top = d * (n // 2) ** 2 if q_max is None else min(q_max, d * (n // 2) ** 2)
+        m = np.arange(min(n // 2, math.isqrt(top)) + 1)
         step = 1.0 / (n * self.spacing)     # fftfreq's, so 1-D |k| match k_magnitude()
         if d == 1:
             return 2.0 * math.pi * (m * step), slice(None)
-        q = functools.reduce(np.add.outer, [m * m] * d)
-        occupied = np.zeros(d * (n // 2) ** 2 + 1, dtype=bool)
+        q = np.minimum(functools.reduce(np.add.outer, [m * m] * d), top + 1)
+        occupied = np.zeros(top + 2, dtype=bool)   # the last entry: every q > top
         occupied[q] = True
         rank = np.cumsum(occupied) - 1
-        return 2.0 * math.pi * step * np.sqrt(np.flatnonzero(occupied)), rank[q]
+        return 2.0 * math.pi * step * np.sqrt(np.flatnonzero(occupied[:-1])), rank[q]
 
     def shape(self) -> tuple[int, ...]:
         return (self.n_per_axis,) * self.dim
@@ -195,9 +204,15 @@ def gaussian_phantom(grid: GridSpec, D: float) -> Field:
 
 
 def _gaussian_factors(grid: GridSpec, D: float) -> list[np.ndarray]:
-    """Axis factors of ``gaussian_phantom``, after its refusals: g =
-    exp(-x^2 / (4 D)) (1 at the origin; an overflow of x^2 / (4 D) gives
-    exp(-inf) = 0 exactly) on axes 0 ... d-2, g (4 pi D)^{-d/2} on the last."""
+    """Axis factors of ``gaussian_phantom``, after its refusals: ``_axis_factor``
+    on axes 0 ... d-2, times the peak (4 pi D)^{-d/2} on the last."""
+    D, peak = _gaussian_peak(grid, D)
+    g = _axis_factor(grid, D, slice(None))
+    return [g] * (grid.dim - 1) + [g * peak]
+
+
+def _gaussian_peak(grid: GridSpec, D: float) -> tuple[float, float]:
+    """``(D, (4 pi D)^{-d/2})`` in floats, after the phantom's refusals."""
     D = float(D)
     if not D > 0:
         raise PhantomSupportError(f"the phantom width D = {D:.6g} m^2 is not positive")
@@ -210,29 +225,36 @@ def _gaussian_factors(grid: GridSpec, D: float) -> list[np.ndarray]:
         raise PhantomSupportError(f"x^2 at |x| = {grid.extent / 2:.6g} m "
                                   "is not a finite double")
     try:
-        scale = (4.0 * math.pi * D) ** (-grid.dim / 2.0)
+        peak = (4.0 * math.pi * D) ** (-grid.dim / 2.0)
     except OverflowError:
-        scale = math.inf
-    if not 0.0 < scale < math.inf:
+        peak = math.inf
+    if not 0.0 < peak < math.inf:
         raise PhantomSupportError(f"the peak (4 pi D)^(-{grid.dim}/2) at D = {D:.6g} m^2 "
                                   "is not a finite double > 0")
-    g = np.abs(grid.axis_coords())      # in place: -(x^2) / (4 D) = x^2 / (-4 D) exactly
-    g *= g
+    return D, peak
+
+
+def _axis_factor(grid: GridSpec, D: float, lines: slice) -> np.ndarray:
+    """g = exp(-x^2 / (4 D)) on the samples ``lines`` of an axis (1 at the
+    origin; an overflow of x^2 / (4 D) gives exp(-inf) = 0 exactly), for a
+    D that ``_gaussian_peak`` admits; the same rounded values on any lines."""
+    n = grid.n_per_axis
+    g = np.abs((np.arange(*lines.indices(n)) - n // 2) * grid.spacing)
+    g *= g                              # in place: -(x^2) / (4 D) = x^2 / (-4 D) exactly
     with np.errstate(over="ignore"):
         g /= -4.0 * D
     np.exp(g, out=g)
-    return [g] * (grid.dim - 1) + [g * scale]
+    return g
 
 
 #: |k| per block of multiplier evaluation; see the module docstring
 _BLOCK = 8192
 
 
-def _radial_multipliers(grid: GridSpec, evaluates: list[Callable[[np.ndarray], np.ndarray]]
-                        ) -> tuple[list[np.ndarray], np.ndarray | slice]:
-    """Finite real ``evaluate(k)`` of each of ``evaluates`` on one
-    ``grid.radial_table()`` in _BLOCK slices, and the table's index."""
-    k_table, index = grid.radial_table()
+def _radial_multipliers(k_table: np.ndarray, evaluates: list[Callable[[np.ndarray], np.ndarray]]
+                        ) -> list[np.ndarray]:
+    """Finite real ``evaluate(k)`` of each of ``evaluates`` on the radial
+    table ``k_table``, in _BLOCK slices."""
     mults = []
     for evaluate in evaluates:
         mults.append(mult := np.empty_like(k_table))
@@ -241,12 +263,12 @@ def _radial_multipliers(grid: GridSpec, evaluates: list[Callable[[np.ndarray], n
             block[...] = evaluate(k_table[start:start + _BLOCK])
             if not np.all(np.isfinite(block)):
                 raise ValueError("multiplier produced non-finite values on the grid")
-    return mults, index
+    return mults
 
 
 def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray | slice) -> Field:
-    """F^{-1}{mult[index] F{fld}} by numpy's real-FFT round trip; ``mult``
-    and ``index`` from ``_radial_multipliers``, the index folded onto the
+    """F^{-1}{mult[index] F{fld}} by numpy's real-FFT round trip; ``mult`` on
+    ``GridSpec.radial_table()`` and its ``index``, the index folded onto the
     half spectrum (frequency i of axes 0 ... d-2 takes the |k| of min(i, n - i))."""
     grid = fld.grid
     n, d = grid.n_per_axis, grid.dim
@@ -265,7 +287,8 @@ def apply_multiplier(field: Field, multiplier: Callable[[np.ndarray], np.ndarray
     |k| (``GridSpec.radial_table``), so it must be elementwise in k and return
     finite real values (or a scalar); the output is real by construction.
     """
-    (mult,), index = _radial_multipliers(field.grid, [multiplier])
+    k_table, index = field.grid.radial_table()
+    (mult,) = _radial_multipliers(k_table, [multiplier])
     return _apply_radial(field, mult, index)
 
 
@@ -378,55 +401,140 @@ def _image_multiplier(medium: Medium, grid: GridSpec, T: float,
 #: the phantom support: its samples at this fraction of the peak or above
 SUPPORT_LEVEL = 0.01
 
-
-def _support_box(factors: list[np.ndarray]) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Support box of the phantom reduce(np.multiply.outer, factors), and the
-    phantom and its support mask on it.  It peaks where the last factor does
-    and rounded products are monotone in each factor, so that factor's support
-    spans the box on axes 0 ... d-2; the last axis, inverted on the box's lines
-    anyway, stays whole (the 1-D box is the whole line)."""
-    level = SUPPORT_LEVEL * float(np.max(factors[-1]))
-    line = np.flatnonzero(factors[-1] >= level)
-    core = slice(line[0], line[-1] + 1)
-    phi = functools.reduce(np.multiply.outer, [f[core] for f in factors[:-1]] + factors[-1:])
-    return (core,) * (len(factors) - 1) + (slice(None),), phi, phi >= level
+#: D |k|^2 beyond which exp(-D |k|^2) < 2^-64, under double round-off of the
+#: spectrum's peak: the band of the Gaussian image route
+_BAND_EXPONENT = 64.0 * math.log(2.0)
 
 
-def _leading_inverse(spec: np.ndarray, leading: list[np.ndarray], n: int,
-                     box: tuple[slice, ...]) -> np.ndarray:
-    """Inverse passes of axes 0 ... d-2 of a real spectrum ``spec`` on the
-    non-negative frequencies, even on those axes: ``leading[a]`` is
-    multiplied in on axis a (in place) just before that axis's ``irfft``, and
-    the pass keeps the box's lines.  A pass computes each line as the whole
-    pass does, so the box values are bit-identical to the whole grid's."""
-    for axis, factor in enumerate(leading):
-        spec *= factor.reshape((-1,) + (1,) * (spec.ndim - 1 - axis))
-        spec = np.fft.irfft(spec, n, axis=axis)[(slice(None),) * axis + (box[axis],)]
-    return spec
+def _support_box(grid: GridSpec, D: float, peak: float, whole: bool = False
+                 ) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray]:
+    """Support box of ``gaussian_phantom(grid, D)`` of peak ``peak``, and
+    the phantom and its support mask on it, bit for bit those of the whole
+    phantom.  The box takes, on every axis, the lines where the last axis
+    factor reaches SUPPORT_LEVEL of the peak (every line when ``whole``):
+    the phantom peaks where that factor does and rounded products are
+    monotone in each factor, so its support spans those lines.  The factor
+    is evaluated on the closed-form reach sqrt(4 D ln(1/SUPPORT_LEVEL)) plus
+    2 samples, which holds every rounded support sample."""
+    n = grid.n_per_axis
+    half = n // 2
+    if not whole:
+        reach = math.sqrt(4.0 * D * math.log(1.0 / SUPPORT_LEVEL)) / grid.spacing
+        half = min(half, int(reach) + 2)
+    window = slice(n // 2 - half, min(n, n // 2 + half + 1))
+    g = _axis_factor(grid, D, window)
+    last = g * peak
+    level = SUPPORT_LEVEL * peak        # the last factor's maximum, g = 1 at the origin
+    core = slice(0, g.size)
+    if not whole:
+        line = np.flatnonzero(last >= level)
+        core = slice(line[0], line[-1] + 1)
+    phi = functools.reduce(np.multiply.outer, [g[core]] * (grid.dim - 1) + [last[core]])
+    box = slice(window.start + core.start, window.start + core.stop)
+    return (box,) * grid.dim, phi, phi >= level
+
+
+def _chirps(top: int, n: int) -> np.ndarray:
+    """exp(i pi j^2 / n) for j = 0 ... top, with j^2 reduced mod 2n in int64
+    first: the angle stays below 2 pi, and (j^2 mod 2n) / n is exact for
+    n = 2^m."""
+    j = np.arange(top + 1)
+    angle = (j * j) % (2 * n) / n
+    angle *= np.pi
+    chirps = np.empty(j.size, dtype=complex)
+    np.cos(angle, out=chirps.real)
+    np.sin(angle, out=chirps.imag)
+    return chirps
+
+
+def _zoom(spec: np.ndarray, n: int, lines: np.ndarray, axis: int) -> np.ndarray:
+    """``_inverse_pass``'s sum at the consecutive output samples ``lines``
+    by Bluestein's chirp-z transform: j m = (j^2 + m^2 - (j - m)^2) / 2
+    turns the sum over m of s_m e^{2 pi i j m / n} into a linear
+    convolution with the chirp e^{-i pi l^2 / n}, l = j - m, one product of
+    three FFTs of the next power of two L >= m_b + w for w lines."""
+    size, w = spec.shape[axis], lines.size
+    fft_size = 1 << (size + w - 2).bit_length()
+    shape = (-1,) + (1,) * (spec.ndim - 1 - axis)
+    lags = np.arange(lines[0] - size + 1, lines[-1] + 1)
+    chirps = _chirps(max(size - 1, -lags[0], lags[-1]), n)      # even in j
+    # (2/n) Re sum_m s_m e^{2 pi i j m / n}, the frequencies 0 and n/2 halved
+    weight = chirps[:size] * (2.0 / n)
+    weight[0] *= 0.5
+    if size - 1 == n // 2:
+        weight[-1] *= 0.5
+    conv = np.fft.ifft(np.fft.fft(spec * weight.reshape(shape), fft_size, axis=axis)
+                       * np.fft.fft(chirps[np.abs(lags)].conj(), fft_size).reshape(shape),
+                       axis=axis)
+    conv = conv[(slice(None),) * axis + (slice(size - 1, size - 1 + w),)]
+    return (conv * chirps[np.abs(lines)].reshape(shape)).real
+
+
+def _inverse_pass(spec: np.ndarray, n: int, box: slice, axis: int) -> np.ndarray:
+    """Inverse DFT along ``axis`` of an n-point spectrum that is real and
+    even on that axis, given on its frequencies 0 ... m_b <= n/2 (zero
+    beyond), on the grid lines ``box``.  Grid line j holds output sample
+    j - n/2, which undoes the phase (-1)^m of a grid-centred phantom.  The
+    pass is the cheaper of ``_zoom`` and ``irfft`` with the box's lines:
+    the zoom where its length, the next power of two >= m_b + w, is at most
+    n/8, since its three complex FFTs of length L cost about one real FFT
+    of length 8L (the crossover measured for n = 2^14 ... 2^20)."""
+    lines = np.arange(box.start, box.stop) - n // 2
+    if 8 * (spec.shape[axis] - 1 + lines.size) <= n:
+        return _zoom(spec, n, lines, axis)
+    return np.fft.irfft(spec, n, axis=axis).take(lines % n, axis=axis)
 
 
 def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
-                     *extra: Callable[[np.ndarray], np.ndarray]
+                     *extra: Callable[[np.ndarray], np.ndarray], whole: bool = False
                      ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Phantom ``gaussian_phantom(grid, D)``, its support mask and its images
-    on the support box: ``time_reversal_image(medium, phantom, T)``, then
-    F^{-1}{m(|k|) F{phi}} for each m of ``extra``; one radial table, the
-    factors' spectra, no forward pass of the phantom, and the phantom's
-    refusals first."""
-    n = grid.n_per_axis
-    factors = _gaussian_factors(grid, D)
-    box, phi, mask = _support_box(factors)
-    mults, index = _radial_multipliers(grid, [_image_multiplier(medium, grid, T), *extra])
-    # real and even to round-off: the factors are grid-centred
-    leading = [np.fft.rfft(f).real for f in factors[:-1]]
-    last = np.fft.rfft(factors[-1])
+    on the support box (the whole grid when ``whole``):
+    ``time_reversal_image(medium, phantom, T)``, then F^{-1}{m(|k|) F{phi}}
+    for each m of ``extra``.  The phantom's refusals come first, then those
+    of the image multiplier, before any evaluation.
+
+    No forward pass and no full line is needed.  The phantom is the peak
+    times g(x_1) ... g(x_d), g = exp(-x^2 / (4 D)), so its DFT is the
+    product of one axis spectrum per axis.  Centred on the grid, that is
+    (-1)^m S_m with S real and even; ``_inverse_pass`` undoes the phase.  On
+    the lattice k_m = 2 pi m / extent,
+
+        S_m = sqrt(4 pi D) / dx exp(-D k_m^2),
+
+    the spectrum of the periodised Gaussian, differs from the DFT of the
+    samples by at most the phantom's edge value exp(-(extent/2)^2 / (4 D))
+    (<= e^-18 by the support refusal) plus the alias exp(-D (pi / dx)^2),
+    relative to S_0.  Where both exponents exceed _BAND_EXPONENT, so both
+    terms are below 2^-64, the closed form is taken on the band
+    D |k|^2 <= _BAND_EXPONENT, zero beyond, and the multipliers are
+    evaluated on the band's distinct |k| only (``GridSpec.radial_table``
+    with ``q_max``).  Otherwise the band is every frequency and S is the
+    real DFT of the sampled g: a phantom narrower than a sample keeps its
+    spectrum.  Each image is then one ``_inverse_pass`` per axis, that
+    axis's S multiplied in just before it.
+    """
+    n, d = grid.n_per_axis, grid.dim
+    D, peak = _gaussian_peak(grid, D)
+    box, phi, mask = _support_box(grid, D, peak, whole)
+    evaluates = [_image_multiplier(medium, grid, T), *extra]
+    alpha = (2.0 * math.pi * math.sqrt(D) / grid.extent) ** 2     # D k_m^2 = alpha m^2
+    half = grid.extent / 2.0
+    if min(alpha * (n // 2) ** 2, half * half / (4.0 * D)) > _BAND_EXPONENT:
+        q_band = int(_BAND_EXPONENT / alpha)
+        k_table, index = grid.radial_table(q_band)
+        m = np.arange(math.isqrt(q_band) + 1)
+        spectrum = math.sqrt(4.0 * math.pi * D) / grid.spacing * np.exp(-alpha * (m * m))
+    else:
+        k_table, index = grid.radial_table()
+        spectrum = np.fft.rfft(np.fft.ifftshift(_axis_factor(grid, D, slice(None)))).real
     images = []
-    for mult in mults:
-        spec = _leading_inverse(mult[index], leading, n, box)
-        if leading or mult is not mults[-1]:
-            spec = spec * last
-        else:           # 1-D, the last image: in place, one half spectrum fewer
-            last *= spec
-            spec = last
-        images.append(np.fft.irfft(spec, n))
+    for mult in _radial_multipliers(k_table, evaluates):
+        spec = mult * peak
+        if d > 1:       # lattice points beyond the band index one past the table
+            spec = np.append(spec, 0.0)[index]
+        for axis in range(d):
+            spec *= spectrum.reshape((-1,) + (1,) * (d - 1 - axis))
+            spec = _inverse_pass(spec, n, box[axis], axis)
+        images.append(spec)
     return phi, mask, images

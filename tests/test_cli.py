@@ -208,6 +208,24 @@ def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("subcommand", ["reconstruct", "sweep-kappa"])
+def test_overflowing_mode_products_exit_2(tmp_path, capsys, subcommand):
+    # the roots are finite but lambda0 ~ 1/tau0 > 1.3e154 squares to inf in
+    # the mode products: one error line, no RuntimeWarning (an error here),
+    # and --out as it was
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_bytes(b"kept\n")
+    code = main([subcommand, "--set", "tau1_s=1e-160", "--set", "phantom_D_m2=0.01",
+                 "--set", "grid_n=64", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the mode products A_j lambda_j are not finite doubles")
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["reconstruct", "--set", "phantom_D_m2=5e-324"],
     ["reconstruct", "--set", "grid_dim=3", "--set", "grid_n=16", "--set", "phantom_D_m2=1e-200"],

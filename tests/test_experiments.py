@@ -283,9 +283,9 @@ def test_image_sets_take_the_one_route(monkeypatch, tmp_path, dim, n, runner, im
     tables = []
     radial_table = transform.GridSpec.radial_table
 
-    def counted(grid):
+    def counted(grid, *args):
         tables.append(grid)
-        return radial_table(grid)
+        return radial_table(grid, *args)
 
     def refused(*args, **kwargs):
         raise AssertionError("the Field route was taken")
@@ -301,11 +301,11 @@ def test_image_sets_take_the_one_route(monkeypatch, tmp_path, dim, n, runner, im
 @pytest.mark.parametrize("n", [2, 4, 16, 64])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_support_box_equals_whole_phantom_support(dim, n, D_over_h2):
-    # box, mask and phi from the axis factors alone equal those of the whole
-    # phantom, bit for bit, for boxes from one sample to the whole grid (the
-    # largest D lies beyond the support check, so the whole phantom is the
-    # outer product that gaussian_phantom forms); the last axis, and so the
-    # 1-D box, is whole
+    # box, mask and phi from the axis factor on a window alone equal those of
+    # the whole phantom, bit for bit, for boxes from one sample to the whole
+    # grid (the largest D lies beyond the support check, so the whole phantom
+    # is the outer product that gaussian_phantom forms); the box spans the
+    # support on every axis, and with whole=True it is the whole grid
     grid = transform.GridSpec(dim=dim, n_per_axis=n, extent=16.0)
     D = D_over_h2 * grid.spacing ** 2
     x = grid.axis_coords()
@@ -317,13 +317,16 @@ def test_support_box_equals_whole_phantom_support(dim, n, D_over_h2):
             assert np.array_equal(built, expected)
         assert np.array_equal(transform.gaussian_phantom(grid, D).samples, whole)
     whole_mask = whole >= transform.SUPPORT_LEVEL * np.max(whole)
-    box, phi, mask = transform._support_box(factors)
+    box, phi, mask = transform._support_box(grid, D, scale)
     support = [slice(i.min(), i.max() + 1) for i in np.nonzero(whole_mask)]
-    assert box == (*support[:-1], slice(None))
+    assert box == tuple(support)
     assert np.array_equal(phi, whole[box])
     assert np.array_equal(mask, whole_mask[box])
     width = {1e-3: 1, 1e4: n}.get(D_over_h2)
     assert width is None or support[0].stop - support[0].start == width
+    box, phi, mask = transform._support_box(grid, D, scale, whole=True)
+    assert box == (slice(0, n),) * dim
+    assert np.array_equal(phi, whole) and np.array_equal(mask, whole_mask)
 
 
 @pytest.mark.parametrize("overrides, error", [
@@ -362,9 +365,9 @@ _WATER_128_CUBED = {"grid_dim": "3", "grid_n": "128", "phantom_D_m2": "0.03125"}
 
 
 def test_3d_reconstruction_runs_real_passes_only(monkeypatch, tmp_path):
-    # an rfft of each of the three axis factors, then per image (two) an
-    # irfft per axis on the lines that reach the box: no complex pass and no
-    # whole-grid transform
+    # per image (two) an irfft per axis on the band's frequencies 0 ... 47
+    # and the lines that reach the box: no axis factor spectrum (its closed
+    # form needs no FFT), no complex pass and no whole-grid transform
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         def counted(a, *args, name=name, fft=getattr(np.fft, name), **kwargs):
@@ -372,15 +375,16 @@ def test_3d_reconstruction_runs_real_passes_only(monkeypatch, tmp_path):
             return fft(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     run_reconstruction(water_cfg(tmp_path, **_WATER_128_CUBED))
-    assert [name for name, _ in calls] == ["rfft"] * 3 + ["irfft"] * 6
-    box = calls[4][1][0]
-    assert [shape for _, shape in calls[3:6]] == [(65, 65, 65), (box, 65, 65), (box, box, 65)]
+    assert [name for name, _ in calls] == ["irfft"] * 6
+    box = calls[1][1][0]
+    assert box == 25
+    assert [shape for _, shape in calls[:3]] == [(48, 48, 48), (box, 48, 48), (box, box, 48)]
 
 
 def test_3d_reconstruction_live_peak(tmp_path):
-    # no whole phantom and no half spectrum, only octants and box lines:
-    # 14.7 MiB, where the complex half spectrum and box inverses took 49.8 MiB
-    # and two whole round trips 67 MiB
+    # no whole phantom and no half spectrum, only band octants and box
+    # lines: 6.0 MiB (14.7 MiB on 65^3 octants), where the complex half
+    # spectrum and box inverses took 49.8 MiB and two whole round trips 67 MiB
     cfg = water_cfg(tmp_path, **_WATER_128_CUBED)
     tracemalloc.start()
     try:
@@ -392,7 +396,8 @@ def test_3d_reconstruction_live_peak(tmp_path):
 
 
 def test_sweep_live_peak(tmp_path):
-    # one medium's arrays at a time: 7.25 MiB at 2^18, where keeping the last
+    # one medium's arrays at a time: 3.8 MiB at 2^18 (7.25 MiB with the
+    # whole line's factor, spectrum and image), where keeping the last
     # medium's phantom, mask and image through the next call took 11.5 MiB
     cfg = water_cfg(tmp_path, grid_n=str(2 ** 18))
     tracemalloc.start()
@@ -402,6 +407,20 @@ def test_sweep_live_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2**20
+
+
+def test_2e20_sweep_builds_no_line(tmp_path):
+    # the benchmark's sweep grid: only the band (22.7k-32.5k |k|) and the
+    # zoom's L <= 2^16 arrays, 5.2 MiB; one float64 line of 2^20 samples
+    # alone takes 8 MiB
+    cfg = water_cfg(tmp_path, grid_n=str(2 ** 20))
+    tracemalloc.start()
+    try:
+        run_kappa_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_reconstruction_smoother_phantom_is_better(tmp_path):

@@ -72,9 +72,11 @@ def test_traced_3d_image_is_unchanged_and_restored():
 
 
 def test_traced_3d_gaussian_images_count_their_passes():
-    # the image route calls its FFTs through transform.np too: an rfft per
-    # axis factor, then an irfft per axis for each of the two images, real
-    # ones on the h^3 octant and the lines of the b-wide support box
+    # the image route calls its FFTs through transform.np too.  On this grid
+    # the alias exp(-D (pi/dx)^2) is not below round-off, so the axis
+    # spectrum is one rfft of the sampled, centred axis factor, shared by
+    # the three axes; then an irfft per axis for each of the two images,
+    # real ones on the h^3 octant and the lines of the b-wide support box
     grid = transform.GridSpec(dim=3, n_per_axis=16, extent=16.0)
     medium = nondimensional_medium(0.5)
 
@@ -87,8 +89,29 @@ def test_traced_3d_gaussian_images_count_their_passes():
         assert np.array_equal(a, b)
     assert spans.snapshot_diff(before, spans.snapshot()) == []
     totals = tracer.request_totals(0)
-    assert totals["transform.fft.calls"] == 3 + 2 * 3
-    n, h, b = 16, 9, 5      # bytes read and written, float64 but the last pass's input
-    per_image = (8 * (h * h * h + n * h * h) + 8 * (b * h * h + b * n * h)
-                 + 16 * b * b * h + 8 * b * b * n)
-    assert totals["transform.fft.bytes"] == 3 * (8 * n + 16 * h) + 2 * per_image
+    assert totals["transform.fft.calls"] == 1 + 2 * 3
+    n, h, b = 16, 9, 5      # bytes read and written, float64 but the axis spectrum
+    per_image = 8 * (h * h * h + n * h * h) + 8 * (b * h * h + b * n * h) + 8 * (b * b * h + b * b * n)
+    assert totals["transform.fft.bytes"] == (8 * n + 16 * h) + 2 * per_image
+
+
+def test_traced_band_images_zoom_through_transform_np():
+    # where the alias and the edge are below round-off the axis spectrum is
+    # the closed form, with no FFT; a 1-D box past n/8 of the line is the
+    # chirp-z zoom, three complex FFTs of length L = 512 per image
+    grid = transform.GridSpec(dim=1, n_per_axis=4096, extent=64.0)
+    medium = nondimensional_medium(0.5)
+
+    def images():
+        return transform._gaussian_images(grid, 0.25, medium, 6.0, np.cos)
+
+    untraced = images()
+    traced, tracer, before = _traced(images)
+    for a, b in zip([*untraced[:2], *untraced[2]], [*traced[:2], *traced[2]], strict=True):
+        assert np.array_equal(a, b)
+    assert spans.snapshot_diff(before, spans.snapshot()) == []
+    totals = tracer.request_totals(0)
+    assert totals["transform.fft.calls"] == 2 * 3
+    m, w, L = 136, untraced[0].size, 512     # band |k|, box lines, zoom length
+    per_image = (16 * m + 16 * L) + (16 * (m + w - 1) + 16 * L) + (16 * L + 16 * L)
+    assert totals["transform.fft.bytes"] == 2 * per_image

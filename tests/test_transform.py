@@ -719,37 +719,103 @@ _BOXES = {
 }
 
 
+def _even_extension(octant: np.ndarray, n: int) -> np.ndarray:
+    """The n^d spectrum, frequency i of every axis at octant entry min(i, n - i)
+    (zero past the octant), whose inverse the passes compute."""
+    padded = np.zeros((n // 2 + 1,) * octant.ndim)
+    padded[(slice(0, octant.shape[0]),) * octant.ndim] = octant
+    fold = np.minimum(np.arange(n), n - np.arange(n))
+    return padded[np.ix_(*[fold] * octant.ndim)]
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 @pytest.mark.parametrize("box", sorted(_BOXES))
 @pytest.mark.parametrize("grid", [GridSpec(dim=2, n_per_axis=32, extent=16.0),
                                   GridSpec(dim=3, n_per_axis=16, extent=16.0)],
                          ids=["2d", "3d"])
 def test_box_inverse_equals_full_inverse_on_the_box(grid, box, gaussian):
-    # the leading passes on the box's lines give the whole passes' values on
-    # the box bit for bit, for random data and for a Gaussian's radial octant
-    # and factor spectra; the whole passes, the last factor and irfft are
-    # irfftn of the even extension to round-off
-    n, d, h = grid.n_per_axis, grid.dim, grid.n_per_axis // 2 + 1
-    box = tuple(_BOXES[box](n)[:d - 1])
+    # the passes on the box's lines give the whole passes' values on the box
+    # bit for bit, for random data on every frequency and for a radial
+    # multiplier on a band table (zero beyond its ball) times closed-form axis
+    # spectra; the whole passes are the inverse DFT of the even extension,
+    # read from n/2, to round-off
+    n, d = grid.n_per_axis, grid.dim
+    box = tuple(_BOXES[box](n)[:d])
     if gaussian:
-        k_table, index = grid.radial_table()
-        octant = np.cos(k_table)[index]
-        *leading, last = (np.fft.rfft(f) for f in transform._gaussian_factors(grid, 0.25))
-        leading = [f.real for f in leading]
+        k_table, index = grid.radial_table((n // 4) ** 2)
+        octant = np.append(np.cos(k_table), 0.0)[index]
+        m = np.arange(octant.shape[0])
+        spectrum = np.exp(-0.25 * (2.0 * np.pi * m / grid.extent) ** 2)
     else:
         rng = np.random.default_rng(n)
-        octant = rng.standard_normal((h,) * d)
-        leading = [rng.standard_normal(h) for _ in range(d - 1)]
-        last = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-    full = transform._leading_inverse(octant.copy(), leading, n, (slice(None),) * (d - 1))
-    assert np.array_equal(transform._leading_inverse(octant.copy(), leading, n, box),
-                          full[box])
-    spec = functools.reduce(np.multiply.outer, leading + [last]) * octant
-    fold = np.minimum(np.arange(n), n - np.arange(n))
-    whole = np.fft.irfftn(spec[np.ix_(*[fold] * (d - 1), np.arange(h))], s=grid.shape(),
-                          axes=range(d))
-    image = np.fft.irfft(full * last, n)
-    assert np.max(np.abs(image - whole)) <= 1e-14 * np.max(np.abs(whole))
+        octant = rng.standard_normal((n // 2 + 1,) * d)
+        spectrum = rng.standard_normal(n // 2 + 1)
+
+    def passes(lines):
+        spec = octant
+        for axis in range(d):
+            spec = spec * spectrum.reshape((-1,) + (1,) * (d - 1 - axis))
+            spec = transform._inverse_pass(spec, n, lines[axis], axis)
+        return spec
+
+    full = passes((slice(0, n),) * d)
+    assert np.array_equal(passes(box), full[box])
+    product = octant * functools.reduce(np.multiply.outer, [spectrum] * d)
+    whole = np.fft.fftshift(np.fft.ifftn(_even_extension(product, n)).real)
+    assert np.max(np.abs(full - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+#: (start, stop) of the output lines, as functions of n
+_LINES = {
+    "centred_odd": lambda n: (n // 2 - 3, n // 2 + 4),
+    "centred_even": lambda n: (n // 2 - 4, n // 2 + 4),
+    "off_centre_odd": lambda n: (1, 6),
+    "off_centre_even": lambda n: (n - 6, n),
+    "single_sample": lambda n: (n // 2 + 1, n // 2 + 2),
+    "whole_line": lambda n: (0, n),
+}
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("band", ["0", "1", "n/2"])
+@pytest.mark.parametrize("lines", sorted(_LINES))
+@pytest.mark.parametrize("n", [64, 1024])
+def test_zoom_equals_irfft_on_the_box(n, lines, band, axis):
+    # Bluestein's zoom is the irfft of the band, zero-padded to n, on the
+    # output lines, for random real even band spectra (three of them along
+    # the other axis): within 1e-15 of the line's max, the scale of its
+    # round-off, for any band, box and line
+    m_b = {"0": 0, "1": 1, "n/2": n // 2}[band]
+    shape = [3, 3]
+    shape[axis] = m_b + 1
+    spec = np.random.default_rng(n + m_b).standard_normal(shape)
+    start, stop = _LINES[lines](n)
+    out = np.arange(start, stop) - n // 2
+    line = np.fft.irfft(spec, n, axis=axis)
+    zoom = transform._zoom(spec, n, out, axis)
+    assert zoom.shape == line.take(out % n, axis=axis).shape
+    assert np.max(np.abs(zoom - line.take(out % n, axis=axis))) <= 1e-15 * np.max(np.abs(line))
+
+
+def test_band_route_matches_the_exact_image():
+    # I(x) = (1/pi) int_0^K M(k) e^{-D k^2} cos(k x) dk by Gauss-Legendre,
+    # 24 nodes per panel, each panel a quarter of the cos(2 theta T) period
+    # pi / (c0 T), to K = sqrt(60 / D) where e^{-D K^2} = e^-60: a rule
+    # independent of the FFT image, itself a trapezoid rule on the periodised
+    # integrand.  The extent 64 >= 4 c0 T = 24 keeps the periodic echoes off
+    # the support; the band holds 136 of the 2049 |k|, and the box is zoomed
+    grid = GridSpec(dim=1, n_per_axis=4096, extent=64.0)
+    phi, _, (image,) = transform._gaussian_images(grid, D_DESK, NONDIM, T_DESK)
+    x = (np.arange(phi.size) - phi.size // 2) * grid.spacing
+    K = math.sqrt(60.0 / D_DESK)
+    edges = np.linspace(0.0, K, math.ceil(K / (math.pi / (4.0 * NONDIM.c0 * T_DESK))) + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    half = np.diff(edges)[:, None] / 2.0
+    k = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * nodes).ravel()
+    integrand = (kernels.mode_products(NONDIM, k).multiplier(T_DESK) * np.exp(-D_DESK * k * k)
+                 * (half * weights).ravel())
+    exact = np.cos(np.multiply.outer(x, k)) @ integrand / math.pi
+    assert np.max(np.abs(image - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 def test_refusal_on_3d_grid_starts_no_pass(monkeypatch):

@@ -57,6 +57,9 @@ RUNS = [
     ("water_reconstruct_lossless", ["reconstruct", "--config", WATER,
                                     "--set", "kappa1_m2_per_N=0"]),
     ("water_sweep_kappa", ["sweep-kappa", "--config", WATER]),
+    # the grid of the sweep-kappa-1d benchmark workload
+    ("water_sweep_kappa_2e20", ["sweep-kappa", "--config", WATER,
+                                "--set", "grid_n=1048576"]),
     ("water_resolution", ["resolution", "--config", WATER]),
     ("water_report", ["report", "--config", WATER]),
     ("nondim_report", ["report", "--config", NONDIM]),
