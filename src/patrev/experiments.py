@@ -397,15 +397,14 @@ def run_coeffs(cfg: ExperimentConfig) -> Report:
             "amplitudes are undefined; raise k_max"
         )
     ks = grid.k[keep]
-    lams = [lam[keep] for lam in (grid.lambda0, grid.lambda1, grid.lambda2)]
     a0, a1, a2 = a0[keep], a1[keep], a2[keep]
-    targets = spectral.moment_targets(medium)
-    worst = np.zeros_like(ks)
-    for m in range(3):
-        terms = [a * lam**m for a, lam in zip((a0, a1, a2), lams)]
-        lhs = terms[0] + terms[1] + terms[2]
-        scale = np.maximum.reduce([np.abs(t) for t in terms]) + abs(targets[m])
-        worst = np.maximum(worst, np.abs(lhs - targets[m]) / scale)
+    # the moment system at l = lambda tau1, sum_j (A_j / tau1) l_j^m =
+    # a_m tau1^(m-1): the same ratios, with no term beyond double range
+    t1, q = medium.tau1, medium.tau_ratio
+    ells = [lam[keep] * t1 for lam in (grid.lambda0, grid.lambda1, grid.lambda2)]
+    worst = spectral._worst_ratio(
+        ([a / t1 * ell**m for a, ell in zip((a0, a1, a2), ells)], target)
+        for m, target in enumerate((0.0, -q, (1.0 - q) * q)))
     rep = Report("coeffs")
     rep.csv_paths.append(write_csv(
         cfg.out_dir / "coeffs.csv",
@@ -465,7 +464,7 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
     ks = np.logspace(0.0, 3.0, 200) * medium.k_c
     grid = _k_grid_roots(medium, ks)
     a0, a1, a2, _ = spectral.amplitudes_grid(medium, grid)
-    sup_a0k2 = float(np.max(np.abs(a0) * ks**2))
+    sup_a0k2 = float(np.max(np.abs(a0) * ks * ks))
     sup_a1k = float(np.max(np.abs(a1) * ks))
     with np.errstate(over="ignore", invalid="ignore"):
         z1, z2, _, _ = kernels.zeta_arrays(medium, ks, T, d=3)

@@ -24,16 +24,16 @@ gain (2 pi)^{d/2} eta0_hat(0) = 2 (1 - tau1/tau0)^2 + 1 describes the image on
 the reconstruction region.
 
 The products p_j = A_j lambda_j come from ``spectral.pair_products``: the
-roots of ``spectral.roots_grid`` (the real root lambda0 and the
-Vieta-deflated pair mu +- i theta) and the moment relations
-sum_j p_j lambda_j^{m-1} = a_m, the same home the A_j tables read.  Every
-array is accurate to round-off down to k = 0, where mu = theta = 0,
-p0 = 1 - tau1/tau0 and p1 = -1/2 come out of the same formulas, with no
-substituted limit.  Where Delta1^2 < 4 Delta0^3 the cubic has three real
-roots and no conjugate pair, so the imaging path refuses: ``mode_products``
-at each k it solves, and the image before any evaluation, on the band of
-``spectral.three_root_band`` (none for tau0/tau1 >= 1/9).  ``regime_refusal``
-is the one home of that refusal's message.
+roots of the cubic in r = tau0/tau1 and s = (c0 tau1 k)^2 and the moment
+relations sum_j p_j lambda_j^{m-1} = a_m, the same home the A_j tables read.
+They depend on (r, s) alone, and the scale enters the multiplier only through
+theta T = c0 k T g(r, s), g = theta / (c0 k), so every array is accurate to
+round-off at any tau scale and down to k = 0, where p0 = 1 - tau1/tau0 and
+p1 = -1/2 come out of the same formulas.  Where 4 r s^2 + b s + 4 < 0 the
+cubic has three real roots and no pair, so the imaging path refuses:
+``mode_products`` at each k it solves, and the image before any evaluation,
+on the band of ``spectral.three_root_band`` (none for tau0/tau1 >= 1/9).
+``regime_refusal`` is the one home of that refusal's message.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class ScaleOverflowError(OverflowError):
 
     For the imaging multiplier this signals that the zeta3 term or theta T is
     not representable at the requested physical scale, or that the
-    dispersion roots are not (``mode_products``).
+    dispersion roots are not (``mode_products``: the k range, or 1/tau0).
     """
 
 
@@ -136,26 +136,19 @@ class ModeProducts:
 def mode_products(medium: Medium, k) -> ModeProducts:
     """Real root data and A_j lambda_j products over a k grid (k >= 0).
 
-    Raises ComplexRegimeError where the cubic has three real roots: the real
-    pair decomposition, and with it every imaging multiplier, is undefined there.
-    Raises ScaleOverflowError first where the roots are not finite doubles
-    (``spectral.nonfinite_roots``), and last where the products are not:
-    lambda0^2 overflows once lambda0 ~ 1/tau0 passes 1.3e154.
+    Raises ScaleOverflowError where the roots are not finite doubles
+    (``spectral.nonfinite_roots``), and ComplexRegimeError where the cubic
+    has three real roots or the triple root (C = 0): the real pair
+    decomposition, and with it every imaging multiplier, is undefined there.
     """
     with np.errstate(all="ignore"):     # roots that are not finite are refused
-        grid = spectral.roots_grid(medium, k)
+        grid, scaled = spectral._solve(medium, k)
     if (why := spectral.nonfinite_roots(medium, grid)) is not None:
         raise ScaleOverflowError(f"the dispersion roots are not finite doubles; {why}")
-    bad = ~grid.real_c_regime | ((grid.delta0 == 0) & (grid.delta1 == 0))
+    bad = ~grid.real_c_regime | (grid.big_c == 0)
     if np.any(bad):
         raise regime_refusal(grid.k[bad])
-    with np.errstate(all="ignore"):     # products that are not finite are refused
-        p0, p1_re, p1_im = spectral.pair_products(medium, grid)
-    bad = ~(np.isfinite(p0) & np.isfinite(p1_re) & np.isfinite(p1_im))
-    if np.any(bad):
-        raise ScaleOverflowError(
-            f"the mode products A_j lambda_j are not finite doubles at {np.count_nonzero(bad)} "
-            f"wavenumber(s), e.g. k = {grid.k[bad].flat[0]:.6g}, at tau0 = {medium.tau0:.6g} s")
+    p0, p1_re, p1_im = spectral.pair_products(medium, scaled)
     return ModeProducts(grid.k, grid.lambda0, grid.mu, grid.theta, p0, p1_re, p1_im)
 
 

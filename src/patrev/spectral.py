@@ -1,24 +1,22 @@
 """Roots and amplitude coefficients of the dispersion cubic.
 
 Per wavenumber k the temporal behaviour of the pressure modes is governed by
-the cubic
-
-    -tau0 lambda^3 + lambda^2 - c0^2 tau1 k^2 lambda + c0^2 k^2 = 0.
-
-``roots_grid`` is its one solver, in real arithmetic after Kahan ("To solve a
-real cubic equation", 1986): one accurate real root, then deflation.  With
-Delta0 = 1 - 3 c0^2 tau0 tau1 k^2, Delta1 = 2 + 9 c0^2 tau0 (3 tau0 - tau1) k^2
-and disc = Delta1^2 - 4 Delta0^3, lambda0 = (1 + C + Delta0/C) / (3 tau0) is
-Cardano's real root, C = cbrt((Delta1 + sign(Delta1) sqrt(disc)) / 2), where
-disc >= 0; where disc < 0 (three real roots) it is the u_0 root of the
-principal C = sqrt(Delta0) e^{i phi/3}, phi = atan2(sqrt(-disc), Delta1).  One
-Newton step polishes lambda0, and the pair lambda_{1,2} = mu +- i theta
-follows by Vieta:
-
-    lambda1 lambda2 = mu^2 + theta^2 = c0^2 k^2 / (tau0 lambda0),
-    2 mu = (tau1/tau0 - 1) c0^2 k^2 lambda0 / (lambda0^2 + c0^2 k^2).
-
-Every root is accurate to round-off down to k = 0.  Where disc >= 0
+the cubic -tau0 lambda^3 + lambda^2 - c0^2 tau1 k^2 lambda + c0^2 k^2 = 0.
+With l = lambda tau1, r = tau0/tau1 and s = (c0 tau1 k)^2 = 4 (k/k_c)^2 it is
+-r l^3 + l^2 - s l + s = 0, free of the scale 1/tau1, which enters at the
+edge.  ``_solve`` is its one solver, in real arithmetic after Kahan ("To
+solve a real cubic equation", 1986): with Delta0 = 1 - 3 r s,
+Delta1 = 2 + 9 r (3 r - 1) s and disc = Delta1^2 - 4 Delta0^3 =
+27 r^2 s (4 r s^2 + b s + 4), l0 = (1 + C + Delta0/C) / (3 r) is Cardano's
+real root, C = cbrt((Delta1 + sign(Delta1) sqrt(disc)) / 2), where
+disc >= 0; where disc < 0 (three real roots, ``three_root_band``) it is the
+u_0 root of the principal C = sqrt(Delta0) e^{i phi/3},
+phi = atan2(sqrt(-disc), Delta1).  One Newton step polishes l0, and the pair
+(mu +- i theta) tau1 follows by Vieta: its product is s / (r l0), and
+2 mu tau1 = (1/r - 1) s l0 / (l0^2 + s).  mu tau1 / s and g = theta / (c0 k)
+stay finite as s -> 0 (s underflows at tau1 ~ 1e-200 s and water's k), so
+mu = (mu tau1 / s) (c0 k) (c0 tau1 k) and theta = c0 k g need no division
+by s.  Every root is accurate to round-off down to k = 0.  Where disc >= 0
 (``real_c_regime``: C is real) theta >= 0 and the pair is conjugate; where
 disc < 0 theta is purely imaginary and lambda_{1,2} = mu -+ |theta|.  The
 labels follow from lambda0 and the sign of theta, never from sorting numeric
@@ -26,8 +24,8 @@ roots, so they cannot swap along a k grid.
 
 The mode weights A_j solve the moment system sum_j A_j lambda_j^m = a_m,
 m = 0, 1, 2, with a_0 = 0, a_1 = -tau1/tau0, a_2 = (1 - tau1/tau0)/tau0.
-``pair_products`` is the one home of the products p_j = A_j lambda_j: it
-takes them from the moment relations sum_j p_j lambda_j^{m-1} = a_m on the
+``pair_products`` is the one home of the products p_j = A_j lambda_j,
+functions of (r, s) alone: it takes them from the moment relations on the
 deflated roots, accurate to round-off down to k = 0 and on the
 three-real-root band.  The weights follow as A_j = p_j / lambda_j
 (``amplitudes``), defined wherever the roots are pairwise distinct, that is
@@ -89,9 +87,8 @@ class RootsGrid:
     lambda0 and mu are real, and lambda_{1,2} = mu +- i theta.  Where
     ``real_c_regime`` (disc >= 0) theta >= 0 and the pair is conjugate;
     elsewhere theta (then a complex array) is purely imaginary, all three
-    roots are real, and big_c is the principal complex C.  ck2 = c0^2 k^2 and
-    pair = lambda1 lambda2 = ck2 / (tau0 lambda0) feed ``mode_products``.  A
-    0-d k gives the roots at one wavenumber (``cardano_roots``).
+    roots are real, and big_c is the principal complex C.  A 0-d k gives the
+    roots at one wavenumber (``cardano_roots``).
     """
 
     k: np.ndarray
@@ -102,8 +99,6 @@ class RootsGrid:
     delta1: np.ndarray
     big_c: np.ndarray
     real_c_regime: np.ndarray  # bool
-    ck2: np.ndarray
-    pair: np.ndarray
 
     @property
     def lambda1(self) -> np.ndarray:
@@ -114,37 +109,38 @@ class RootsGrid:
         return self.mu - 1j * self.theta
 
 
-def roots_grid(medium: Medium, k) -> RootsGrid:
-    """Roots of the dispersion cubic over a k grid (k >= 0), in real
-    arithmetic (see the module docstring).
+def _disc_b(r: float) -> float:
+    """b of disc = 27 r^2 s (4 r s^2 + b s + 4), b = 27 r^2 - 18 r - 1."""
+    return (27.0 * r - 18.0) * r - 1.0
 
-    At the exact triple root Delta0 = Delta1 = 0 (tau0/tau1 = 1/9 at one k)
-    C = 0 and the roots are NaN.  Without dissipation (tau0 = tau1) the
-    cubic factors as (1 - tau1 l)(l^2 + c0^2 k^2): d = 0 below gives mu = 0
-    exactly, and lambda0 = 1/tau1, theta = c0 k to round-off.
+
+def _solve(medium: Medium, k) -> tuple[RootsGrid, tuple]:
+    """The roots over a k grid (k >= 0), and (w, l0, mu tau1 / s, g) with
+    w = c0 tau1 k (see the module docstring).  r >= 2^-53 for an admitted
+    medium, so l0 <= 1/r stays far from overflow; from about 1e20 k_c,
+    C + Delta0/C cancels beyond what one Newton step repairs, and the roots
+    may be inexact or, from about 1e30 k_c, not finite.  At the exact triple
+    root (r = 1/9 at one k) C = 0 and the roots are NaN.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ValueError("wavenumbers must be non-negative")
-    t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
-    ck2 = c0 * c0 * k * k
-    d0 = 1.0 - 3.0 * t0 * t1 * ck2
-    d1 = 2.0 + 9.0 * t0 * (3.0 * t0 - t1) * ck2
-    # disc = d1^2 - 4 d0^3 expanded in ck2: both terms tend to 4 as k -> 0,
-    # and their difference 108 t0^2 ck2 would drown in their rounding
-    try:
-        q1 = 3.0 * (3.0 * t0 - t1) ** 2 - 4.0 * t1 * t1
-        q2 = 4.0 * t0 * t1**3
-    except OverflowError:       # tau beyond double range: the roots are not finite
-        q1 = q2 = math.inf
-    disc = 27.0 * t0 * t0 * ck2 * (4.0 + ck2 * (q1 + q2 * ck2))
+    t0, t1 = medium.tau0, medium.tau1
+    r = t0 / t1
+    w = (medium.c0 * t1) * k
+    s = w * w
+    d0 = 1.0 - 3.0 * r * s
+    d1 = 2.0 + 9.0 * r * (3.0 * r - 1.0) * s
+    # disc = d1^2 - 4 d0^3 expanded in s: both terms tend to 4 as k -> 0,
+    # and their difference 108 r^2 s would drown in their rounding
+    disc = 27.0 * r * r * s * (4.0 + s * (_disc_b(r) + 4.0 * r * s))
     regime = disc >= 0
     # Cardano's real root with the real cube root; the sign of d1 keeps the
     # sum free of cancellation, so C = 0 only at the triple root.  Entries
     # with disc < 0 are NaN here and replaced below.
     with np.errstate(invalid="ignore", divide="ignore"):
         big_c = np.cbrt(0.5 * (d1 + np.copysign(np.sqrt(disc), d1)))
-        lam0 = (1.0 + big_c + d0 / big_c) / (3.0 * t0)
+        ell0 = (1.0 + big_c + d0 / big_c) / (3.0 * r)
     any_band = not np.all(regime)
     if any_band:
         # three real roots: the u_0 root of the principal C, for which
@@ -152,70 +148,68 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
         with np.errstate(invalid="ignore"):
             c_band = np.sqrt(d0) * np.exp(1j / 3.0 * np.arctan2(np.sqrt(-disc), d1))
         big_c = np.where(regime, big_c, c_band)
-        lam0 = np.where(regime, lam0, (1.0 + 2.0 * c_band.real) / (3.0 * t0))
+        ell0 = np.where(regime, ell0, (1.0 + 2.0 * c_band.real) / (3.0 * r))
     del disc
-    # one Newton step on -t0 l^3 + l^2 - t1 ck2 l + ck2
-    f = ((1.0 - t0 * lam0) * lam0 - t1 * ck2) * lam0 + ck2
-    df = (2.0 - 3.0 * t0 * lam0) * lam0 - t1 * ck2
-    lam0 = lam0 - f / df
+    # one Newton step on -r l^3 + l^2 - s l + s; at the triple root l0 is
+    # not finite (C = 0) and the step makes it NaN
+    f = ((1.0 - r * ell0) * ell0 - s) * ell0 + s
+    df = (2.0 - 3.0 * r * ell0) * ell0 - s
+    with np.errstate(invalid="ignore"):
+        ell0 = ell0 - f / df
     del f, df
-    # deflation by Vieta: lambda1 lambda2 = ck2 / (t0 lambda0), and the root
-    # sum with the pair sum of products give mu in a form free of
-    # cancellation (1/t0 - lambda0 cancels at small k, the pair-sum form at
-    # large k); d = tau1/tau0 - 1 is formed from t1 - t0, which is exact
-    # for t0 >= t1/2
-    d = (t1 - t0) / t0
-    mu = 0.5 * d * ck2 * lam0 / (lam0 * lam0 + ck2)
-    pair = ck2 / (t0 * lam0)
-    theta = np.sqrt(np.abs(pair - mu * mu))
+    # deflation by Vieta (module docstring), in a form free of cancellation
+    # (1/r - l0 cancels at small k, the pair-sum form at large k); 1/r - 1
+    # is formed from t1 - t0, which is exact for t0 >= t1/2
+    mu_s = 0.5 * ((t1 - t0) / t0) * ell0 / (ell0 * ell0 + s)
+    g = np.sqrt(np.abs(1.0 / (r * ell0) - (mu_s * w) ** 2))
     if any_band:
-        theta = np.where(regime, theta, 1j * theta)     # theta^2 < 0 there
-    return RootsGrid(k, lam0, mu, theta, d0, d1, big_c, regime, ck2, pair)
+        g = np.where(regime, g, 1j * g)     # theta^2 < 0 there
+    ck = medium.c0 * k
+    grid = RootsGrid(k, ell0 / t1, mu_s * ck * w, ck * g, d0, d1, big_c, regime)
+    return grid, (w, ell0, mu_s, g)
+
+
+def roots_grid(medium: Medium, k) -> RootsGrid:
+    """Roots of the dispersion cubic over a k grid (k >= 0), in real
+    arithmetic (see the module docstring)."""
+    return _solve(medium, k)[0]
 
 
 def nonfinite_roots(medium: Medium, grid: RootsGrid) -> str | None:
     """None if every root of ``grid`` is a finite double (the triple root's
-    NaN aside, C = 0), else the cause: the k range (finite at k_c, lost from
-    about 1e30 k_c) or the tau scale.  theta alone is tested: it is formed
-    from mu and the pair product, both from lambda0, and is not finite where
-    any root is not."""
-    finite = np.isfinite(grid.theta)
-    if finite.all() or np.all(finite | (grid.big_c == 0)):
+    NaN aside, C = 0), else the cause: 1/tau0, the root at k = 0 and the
+    largest rate, or else the k range."""
+    finite = np.isfinite(grid.lambda0) & np.isfinite(grid.mu) & np.isfinite(grid.theta)
+    if np.all(finite | (grid.big_c == 0)):
         return None
-    with np.errstate(all="ignore"):
-        at_kc = roots_grid(medium, medium.k_c)
-    if np.isfinite(at_kc.theta):
+    if math.isfinite(1.0 / medium.tau0):
         return f"they are finite at k_c = {medium.k_c:.6g} 1/m: lower the largest k"
-    return (f"they are not finite at k_c = {medium.k_c:.6g} 1/m either: the medium's "
-            f"tau scale (tau1 = {medium.tau1:.6g} s) leaves double range")
+    return (f"1/tau0 is not a finite double at tau0 = {medium.tau0:.6g} s: the "
+            "medium's tau scale leaves double range")
 
 
 def three_root_band(medium: Medium) -> tuple[float, float] | None:
     """The open |k| band (k_lo, k_hi) where the cubic has three real roots
-    (``roots_grid``'s disc < 0), or None where it has none.
-
-    It depends on r = tau0/tau1 alone.  With s = (c0 tau1 k)^2 = 4 (k/k_c)^2,
-    disc < 0 exactly where 4 r s^2 + b s + 4 < 0, b = 27 r^2 - 18 r - 1.  Its
-    discriminant q = b^2 - 64 r = (1 - 9 r)^3 (1 - r) is positive only for
-    r < 1/9, where b < 0: water (r = 0.47) has no band.  The roots
-    s_lo = 8 / (-b + sqrt(q)) and s_hi = (-b + sqrt(q)) / (8 r) are free of
-    cancellation and overflow nowhere (k_hi may be inf).  The edges are
-    within an ulp; the flag's own round-off is larger, by 1/sqrt(q).
+    (the solver's disc < 0: 4 r s^2 + b s + 4 < 0, s = 4 (k/k_c)^2), or None
+    where it has none.  The quadratic's discriminant q = b^2 - 64 r =
+    (1 - 9 r)^3 (1 - r) is positive only for r < 1/9, where b < 0: water
+    (r = 0.47) has no band.  Its roots s_lo = 8 / (-b + sqrt(q)) and
+    s_hi = (-b + sqrt(q)) / (8 r) are free of cancellation and overflow
+    nowhere (k_hi may be inf).  The edges are within an ulp; the flag's own
+    round-off is larger, by 1/sqrt(q).
     """
     r = float(medium.tau0) / float(medium.tau1)
     if not 9.0 * r < 1.0:
         return None
-    root = -(27.0 * r - 18.0) * r + 1.0 + math.sqrt((1.0 - 9.0 * r) ** 3 * (1.0 - r))
+    root = -_disc_b(r) + math.sqrt((1.0 - 9.0 * r) ** 3 * (1.0 - r))
     half_kc = 0.5 * float(medium.k_c)
     return half_kc * math.sqrt(8.0 / root), half_kc * math.sqrt(root / (8.0 * r))
 
 
 def cardano_roots(medium: Medium, k: float) -> RootsGrid:
-    """``roots_grid`` at one wavenumber, as a 0-d RootsGrid.
-
-    Where the cubic has three real roots ``real_c_regime`` is False
-    (downstream imaging refuses such media; the root data itself is valid).
-    """
+    """``roots_grid`` at one wavenumber, as a 0-d RootsGrid; ``real_c_regime``
+    is False on the three-real-root band, where the roots are valid and the
+    imaging path refuses."""
     return roots_grid(medium, float(k))
 
 
@@ -232,36 +226,39 @@ def degenerate_mask(lambda0, lambda1, lambda2) -> np.ndarray:
             | np.isnan(lambda0 + lambda1 + lambda2))
 
 
-def pair_products(medium: Medium, grid: RootsGrid):
-    """Mode products (p0, re_p1, im_p1), p_j = A_j lambda_j, over a roots grid.
+def pair_products(medium: Medium, scaled: tuple):
+    """Mode products (p0, re_p1, im_p1), p_j = A_j lambda_j, over the roots
+    (w, l0, mu tau1 / s, g) of ``_solve``.
 
-    From the moment relations sum_j p_j lambda_j^{m-1} = a_m, m = 0, 1, 2,
-    with p1,2 = re_p1 +- i im_p1; a2 - 2 a1 mu = p0_zero lambda0^3 / g by
-    the cubic.  Each ratio below is exactly 1 at k = 0, so p0 = p0_zero =
-    1 - tau1/tau0 and re_p1 = -1/2 there (p0 = +0 without dissipation), and
-    im_p1 = 0 where theta = 0.  Where theta is imaginary (three real roots)
-    im_p1 is imaginary too, so p1 and p2 are real.
+    From the moment relations sum_j p_j l_j^{m-1} = a_m tau1^{m-1}, m = 0, 1,
+    2, with p1,2 = re_p1 +- i im_p1; (a2 - 2 a1 mu) tau1 = p0_zero l0^3 /
+    (l0^2 + s) by the cubic.  Each ratio below is exactly 1 at k = 0, so
+    p0 = p0_zero = 1 - tau1/tau0 and re_p1 = -1/2 there (p0 = +0 without
+    dissipation), and im_p1, a multiple of w / g, is 0.  Where g is
+    imaginary (three real roots) im_p1 is too, so p1 and p2 are real.
     """
-    lam0, mu, theta, ck2, pair = grid.lambda0, grid.mu, grid.theta, grid.ck2, grid.pair
+    r = medium.tau0 / medium.tau1
     p0_zero = (medium.tau0 - medium.tau1) / medium.tau0
-    lam0_sq = lam0 * lam0
-    g = lam0_sq + ck2
-    p0 = p0_zero * (lam0_sq / g) * (lam0_sq / (lam0 * (lam0 - 2.0 * mu) + pair))
+    w, l0, mu_s, g = scaled
+    s = w * w
+    l0_sq = l0 * l0
+    p0 = p0_zero * (l0_sq / (l0_sq + s)) * (l0_sq / (l0 * (l0 - 2.0 * mu_s * s) + s / (r * l0)))
     re_p1 = -0.5 + 0.5 * (p0_zero - p0)
-    im_p1 = np.divide(-mu * re_p1 - p0 * pair / (2.0 * lam0), theta,
-                      out=np.zeros_like(theta), where=theta != 0)
+    im_p1 = np.divide(w * (-mu_s * re_p1 - p0 / (2.0 * r * l0_sq)), g,
+                      out=np.zeros_like(g), where=g != 0)
     return p0, re_p1, im_p1
 
 
 def amplitudes_grid(medium: Medium, grid: RootsGrid):
-    """Mode weights A_j = p_j / lambda_j over a roots grid.
+    """Mode weights A_j = p_j / lambda_j over a roots grid, the products
+    from the solve of its k.
 
     Returns ``(a0, a1, a2, degenerate)``; where ``degenerate`` (k = 0 or the
     triple root) A1 and A2 are not finite, while A0 is finite at k = 0.
     Where the pair is conjugate (``real_c_regime``) A0 is real and A2 is
     conj(A1); on the three-real-root band all three are real.
     """
-    p0, re_p1, im_p1 = pair_products(medium, grid)
+    p0, re_p1, im_p1 = pair_products(medium, _solve(medium, grid.k)[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         a0 = p0 / grid.lambda0 + 0j
         a1 = (re_p1 + 1j * im_p1) / grid.lambda1
@@ -317,23 +314,28 @@ def asymptotic_limits(medium: Medium) -> tuple[float, float]:
     return 1.0 / medium.tau1, 0.5 * (1.0 / medium.tau0 - 1.0 / medium.tau1)
 
 
+def _worst_ratio(sums) -> np.ndarray:
+    """Worst |sum_j t_j - target| / (max_j |t_j| + |target|) over ``sums``,
+    pairs (terms, target): 0 where every term and the target vanish (the
+    zero root at k = 0), NaN where a term is NaN."""
+    worst = 0.0
+    for terms, target in sums:
+        scale = np.maximum.reduce([np.abs(t) for t in terms]) + abs(target)
+        residual = np.abs(sum(terms) - target)
+        worst = np.maximum(worst, np.divide(residual, scale, out=np.zeros_like(residual),
+                                            where=scale != 0))
+    return worst
+
+
 def scaled_residuals(medium: Medium, grid: RootsGrid) -> np.ndarray:
     """Worst residual/scale ratio over the three roots, per grid point.
 
     The contract is residual <= 1e-9 * scale with
-    scale = max(|tau0 lam^3|, |lam^2|, |c0^2 tau1 k^2 lam|, c0^2 k^2).
+    scale = max(|tau0 lam^3|, |lam^2|, |c0^2 tau1 k^2 lam|, c0^2 k^2).  The
+    ratio is that of the (r, s) cubic at l = lam tau1, whose terms are these
+    times tau1^2, so it is taken there, where no term overflows.
     """
-    t0, t1, c0 = medium.tau0, medium.tau1, medium.c0
-    k2 = grid.k * grid.k
-    worst = np.zeros_like(grid.k)
-    for lam in (grid.lambda0, grid.lambda1, grid.lambda2):
-        terms = (-t0 * lam**3, lam**2, -c0 * c0 * t1 * k2 * lam,
-                 (c0 * c0 * k2).astype(complex))
-        residual = np.abs(terms[0] + terms[1] + terms[2] + terms[3])
-        scale = np.maximum.reduce([np.abs(t) for t in terms])
-        # the zero root at k = 0 makes every term vanish identically; a NaN
-        # root gives a NaN ratio
-        ratio = np.divide(residual, scale, out=np.zeros_like(residual),
-                          where=scale != 0)
-        worst = np.maximum(worst, ratio)
-    return worst
+    r = medium.tau0 / medium.tau1
+    s = ((medium.c0 * medium.tau1) * grid.k) ** 2 + 0j
+    ells = [lam * medium.tau1 for lam in (grid.lambda0, grid.lambda1, grid.lambda2)]
+    return _worst_ratio(((-r * ell**3, ell**2, -s * ell, s), 0.0) for ell in ells)

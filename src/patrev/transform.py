@@ -530,6 +530,9 @@ def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
         spectrum = np.fft.rfft(np.fft.ifftshift(_axis_factor(grid, D, slice(None)))).real
     images = []
     for mult in _radial_multipliers(k_table, evaluates):
+        if not math.isfinite(float(np.max(np.abs(mult))) * peak):
+            raise kernels.ScaleOverflowError(
+                f"max|M| (4 pi D)^(-{d}/2) at D = {D:.6g} m^2 is not a finite double")
         spec = mult * peak
         if d > 1:       # lattice points beyond the band index one past the table
             spec = np.append(spec, 0.0)[index]

@@ -8,6 +8,10 @@ from patrev.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: a medium whose root 1/tau0 at k = 0 is not a double, with k_c = 2e304 1/m
+TINY_TAU0 = ["--set", "tau1_s=1e-315", "--set", "speed_m_per_s=1e11",
+             "--set", "kappa1_m2_per_N=0"]
+
 WATER_CFG = """
 tau1_s          = 1e-9
 kappa1_m2_per_N = 5e-10
@@ -88,33 +92,24 @@ def test_coeffs_all_degenerate_grid_exits_2(tmp_path, water_cfg_file, capsys):
     (["roots", "--set", "k_spacing=log", "--set", "k_min=1e300"],
      "the k grid [1.94365e+07, 1e+300] 1/m reaches"),
     (["coeffs", "--set", "k_max=1e150kc"], "the k grid [0, 1.94365e+156] 1/m reaches"),
-    # c0^2 k^2 overflows (tau1 = 1e-300) or the cubic's tau coefficients do
-    # (tau1 = 1e300): the roots of every runner that tabulates them, the
-    # report's water constants at 1000 k_c first, are refused
-    (["roots", "--set", "tau1_s=1e-300", "--set", "k_num=50"],
-     "the k grid [0, 1.94365e+298] 1/m reaches"),
-    (["coeffs", "--set", "tau1_s=1e-300", "--set", "k_num=50"],
-     "the k grid [0, 1.94365e+298] 1/m reaches"),
-    (["kernels", "--set", "tau1_s=1e-300", "--set", "k_num=50"],
-     "the k grid [0, 1.94365e+298] 1/m reaches"),
-    (["report", "--set", "tau1_s=1e-300", "--set", "k_num=50", "--set", "grid_n=64"],
-     "the k grid [1.94365e+300, 1.94365e+300] 1/m reaches"),
-    (["roots", "--set", "tau1_s=1e300", "--set", "k_num=50"],
-     "the k grid [0, 1.94365e-302] 1/m reaches"),
-    (["coeffs", "--set", "tau1_s=1e300", "--set", "k_num=50"],
-     "the k grid [0, 1.94365e-302] 1/m reaches"),
-    (["kernels", "--set", "tau1_s=1e300", "--set", "k_num=50"],
-     "the k grid [0, 1.94365e-302] 1/m reaches"),
-    (["report", "--set", "tau1_s=1e300", "--set", "k_num=50", "--set", "grid_n=64"],
-     "the k grid [1.94365e-300, 1.94365e-300] 1/m reaches"),
+    # 1/tau0 is not a double (tau1 = tau0 = 1e-315 s, c = 1e11 m/s for a finite
+    # 1000 k_c): the roots of every runner that tabulates them, the report's
+    # water constants at 1000 k_c first, are refused, at k = 0 already
+    (["roots", *TINY_TAU0, "--set", "k_num=50"],
+     "the k grid [0, 2e+305] 1/m reaches"),
+    (["coeffs", *TINY_TAU0, "--set", "k_num=50"],
+     "the k grid [0, 2e+305] 1/m reaches"),
+    (["kernels", *TINY_TAU0, "--set", "k_num=50"],
+     "the k grid [0, 2e+305] 1/m reaches"),
+    (["report", *TINY_TAU0, "--set", "k_num=50", "--set", "grid_n=64"],
+     "the k grid [2e+307, 2e+307] 1/m reaches"),
 ], ids=["log_zero_k_max", "roots_negative_k_max", "negative_k_min",
         "coeffs_negative_k_max", "infinite_k_min", "infinite_k_max",
         "infinite_kappa1", "infinite_rho", "infinite_tau1", "zero_L", "negative_L",
         "infinite_L", "infinite_T", "infinite_extent", "negative_phantom_D",
         "subnormal_tau1", "subnormal_speed", "roots_huge_k_max", "roots_huge_log_k_min",
         "coeffs_huge_k_max", "roots_tiny_tau1", "coeffs_tiny_tau1", "kernels_tiny_tau1",
-        "report_tiny_tau1", "roots_huge_tau1", "coeffs_huge_tau1", "kernels_huge_tau1",
-        "report_huge_tau1"])
+        "report_tiny_tau1"])
 def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     # the suite turns warnings into errors, so a RuntimeWarning fails here too
     out = tmp_path / "out"
@@ -122,8 +117,23 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    if "tau1_s=1e-315" in argv:
+        assert err.endswith("1/tau0 is not a finite double at tau0 = 1e-315 s: "
+                            "the medium's tau scale leaves double range\n")
     assert "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand", ["roots", "coeffs", "kernels"])
+@pytest.mark.parametrize("tau1", ["1e-300", "1e300"], ids=["tiny_tau1", "huge_tau1"])
+def test_tau_scale_tables_run(tmp_path, capsys, subcommand, tau1):
+    # the roots are solved in tau0/tau1 and c0 tau1 k and scaled by 1/tau1
+    # at the edge: the tables at either end of double range pass their
+    # checks, with no RuntimeWarning (an error here)
+    out = tmp_path / "out"
+    assert main([subcommand, "--set", f"tau1_s={tau1}", "--set", "k_num=50",
+                 "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -141,6 +151,11 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
       "--set", "phantom_D_m2=1e-300"], "is not a finite double"),
     (["reconstruct", "--set", "grid_dim=2", "--set", "grid_n=16",
       "--set", "phantom_D_m2=5e-324"], "is not a finite double"),
+    # ... or is, but the image's, up to a factor 3.53, is not
+    (["reconstruct", "--set", "grid_dim=2", "--set", "grid_n=16",
+      "--set", "phantom_D_m2=1e-309"], "max|M| (4 pi D)^(-2/2) at D = 1e-309 m^2"),
+    (["reconstruct", "--set", "grid_dim=2", "--set", "grid_n=16",
+      "--set", "tau1_s=1e-160"], "is not a finite double"),
     # ... or underflows to 0, which made every error 0/0
     (["reconstruct", "--set", "grid_dim=3", "--set", "grid_n=16",
       "--set", "grid_extent_m=1e150", "--set", "phantom_D_m2=1e297"],
@@ -179,25 +194,32 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     (["resolution", "--set", "tau1_s=1e-160"],
      "D0 (k_c/100)^2, is not a finite double > 0 at k_c = 1.94365e+157 1/m"),
     # the dispersion roots on the image's radial table are not finite doubles:
-    # 4 tau0 tau1^3 overflows (the k = 0 root once read as three real roots),
-    # or c0^2 k^2 lambda0 does
+    # it reaches 1.3e104 k_c, where the (r, s) discriminant overflows, or
+    # 1/tau0 overflows
     (["reconstruct", "--set", "tau1_s=1e100", "--set", "phantom_D_m2=0.01",
       "--set", "grid_n=64"],
-     "the dispersion roots are not finite doubles; they are not finite at k_c"),
-    (["reconstruct", "--set", "tau1_s=1e-300", "--set", "phantom_D_m2=0.01",
-      "--set", "grid_n=64"],
-     "the dispersion roots are not finite doubles; they are not finite at k_c"),
+     "the dispersion roots are not finite doubles; they are finite at k_c = "
+     "1.94365e-103 1/m: lower the largest k"),
+    (["reconstruct", *TINY_TAU0, "--set", "phantom_D_m2=0.01", "--set", "grid_n=64"],
+     "the dispersion roots are not finite doubles; 1/tau0 is not a finite double"),
+    # the report's kernel tables run at either end of the tau scale; its
+    # reconstruction refuses the reference width D0 = (500/k_c)^2
+    (["report", "--set", "tau1_s=1e-300", "--set", "k_num=50", "--set", "grid_n=64"],
+     "the phantom width D = 0 m^2 is not positive"),
+    (["report", "--set", "tau1_s=1e300", "--set", "k_num=50", "--set", "grid_n=64"],
+     "6 sigma = inf m exceeds half the extent"),
 ], ids=["unphysical_medium", "phantom_support", "complex_regime",
         "overflowing_c2_rho_kappa1", "overflowing_theta_T_reconstruct",
         "overflowing_theta_T_sweep", "overflowing_theta_T_report",
         "overflowing_phantom_peak_3d", "overflowing_phantom_peak_2d",
+        "overflowing_image_peak_2d", "overflowing_image_peak_2d_tiny_tau1",
         "underflowing_phantom_peak_3d", "overflowing_x2_and_4piD", "overflowing_x2",
         "report_phantom_support", "report_sweep_phantom_support",
         "report_reconstruction_complex_regime", "underflowing_D0_reconstruct",
         "underflowing_D0_sweep", "overflowing_D0_reconstruct", "overflowing_D0_sweep",
         "underflowing_D0_resolution", "overflowing_D0_resolution",
         "overflowing_exponent_resolution", "huge_tau1_image_roots",
-        "tiny_tau1_image_roots"])
+        "tiny_tau1_image_roots", "report_tiny_tau1", "report_huge_tau1"])
 def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     code = main(argv + ["--out", str(out)])
@@ -209,21 +231,36 @@ def test_refused_input_exits_2(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("subcommand", ["reconstruct", "sweep-kappa"])
-def test_overflowing_mode_products_exit_2(tmp_path, capsys, subcommand):
-    # the roots are finite but lambda0 ~ 1/tau0 > 1.3e154 squares to inf in
-    # the mode products: one error line, no RuntimeWarning (an error here),
-    # and --out as it was
+def test_tiny_tau1_image_runs(tmp_path, capsys, subcommand):
+    # lambda0 ~ 1/tau0 > 1.3e154 squared to inf in the dimensional mode
+    # products, which were refused; the products of the (r, s) roots are
+    # bounded, and the run passes its checks with no RuntimeWarning
     out = tmp_path / "out"
-    out.mkdir()
-    (out / "kept.txt").write_bytes(b"kept\n")
     code = main([subcommand, "--set", "tau1_s=1e-160", "--set", "phantom_D_m2=0.01",
                  "--set", "grid_n=64", "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: the mode products A_j lambda_j are not finite doubles")
-    assert err.count("\n") == 1
-    assert [p.name for p in out.iterdir()] == ["kept.txt"]
-    assert (out / "kept.txt").read_bytes() == b"kept\n"
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _err_linf(out: Path) -> float:
+    report = (out / "report_reconstruction.txt").read_text()
+    return float(report.split("err_linf_vs_gain_phi.value = ")[1].split()[0])
+
+
+def test_image_is_tau_scale_free(tmp_path, capsys):
+    # the image depends on tau1 only through c0 k T and the (r, s) products;
+    # at 1e-200 s and below s = (c0 tau1 k)^2 underflows to 0, and theta T
+    # formed as (theta tau1) / tau1 read 0.283 there instead of 3.59e-06
+    errs = []
+    for tau1 in ("1e-60", "1e-160", "1e-200", "1e-300"):
+        out = tmp_path / tau1
+        assert main(["reconstruct", "--config", str(ROOT / "configs" / "water.cfg"),
+                     "--set", "grid_n=64", "--set", "phantom_D_m2=0.01",
+                     "--set", f"tau1_s={tau1}", "--out", str(out)]) == 0
+        errs.append(_err_linf(out))
+    assert errs[0] == pytest.approx(3.59187e-06, rel=1e-5)
+    for err in errs[1:]:
+        assert err == pytest.approx(errs[0], rel=1e-9)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,17 @@ def test_compare_flags_reshaped_csv(tmp_path, capsys):
 def test_usage_errors(argv, capsys):
     assert golden.main(argv) == 64
     assert "--compare" in capsys.readouterr().err
+
+
+def test_compare_exits_quietly_on_a_closed_pipe(tmp_path):
+    # ~1 MB of changed lines, far beyond a pipe's buffer: the reader takes one
+    # line and closes the pipe, as `--compare A B | head -1` does
+    a = _tree(tmp_path / "a", {"r.txt": "".join(f"a{i}\n" for i in range(40000))})
+    b = _tree(tmp_path / "b", {"r.txt": "".join(f"b{i}\n" for i in range(40000))})
+    proc = subprocess.Popen([sys.executable, golden.__file__, "--compare", str(a), str(b)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"byte-identical: 0 of 1 files\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

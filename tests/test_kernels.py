@@ -249,11 +249,15 @@ def test_mode_products_reject_negative_wavenumbers():
 
 
 def test_mode_products_refuse_triple_root():
-    # tau0/tau1 = 1/9 and c0^2 k^2 = 1/(27 tau0^2): d0 = d1 = 0 exactly in
-    # doubles, where all three roots equal 1/(3 tau0) and the A_j do not exist
+    # tau0/tau1 = 1/9 and c0^2 k^2 = 1/(27 tau0^2), where all three roots
+    # equal 1/(3 tau0) and the A_j do not exist: in doubles d1 = 0 and C = 0,
+    # while s = (c0 tau1 k)^2 rounds to 3 + 4.4e-16 and d0 = 1 - 3 r s to
+    # 2.2e-16, so the refusal keys on C = 0
     m = Medium(tau1=3.0, tau0=1.0 / 3.0, c0=1.0, c_inf=3.0, kappa1=8.0 / 9.0,
                rho=1.0, k_c=2.0 / 3.0)
     k = math.sqrt(1.0 / 3.0)
+    triple = spectral.roots_grid(m, np.asarray([k]))
+    assert triple.big_c[0] == 0 and triple.delta1[0] == 0 and triple.delta0[0] > 0
     with pytest.raises(ComplexRegimeError, match="at 1 wavenumber"):
         mode_products(m, np.asarray([k]))
     mp = mode_products(m, k * np.asarray([1.0 - 1e-6, 1.0 + 1e-6]))

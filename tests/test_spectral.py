@@ -20,6 +20,7 @@ from patrev.spectral import (
     solve_vandermonde,
     three_root_band,
 )
+from patrev import kernels, spectral
 from patrev.experiments import config_from_mapping, read_config_mapping
 
 WATER = derive_medium(water_params())
@@ -435,20 +436,55 @@ def test_residual_helper_matches_scale_definition():
     assert scaled_residuals(WATER, off)[0] == pytest.approx(expected, rel=1e-6)
 
 
-def test_nonfinite_roots_names_the_cause():
+def test_nonfinite_roots_names_the_cause(monkeypatch):
     water = derive_medium(water_params())
     # the exact triple root (C = 0, NaN roots) is not a non-finite root
     triple = Medium(tau1=3.0, tau0=1.0 / 3.0, c0=1.0, c_inf=3.0, kappa1=8.0 / 9.0,
                     rho=1.0, k_c=2.0 / 3.0)
+    # 1/tau0 = 1e315 is not a double, while k_c = 2e304 1/m is
+    tiny = derive_medium(RawParams(tau1=1e-315, kappa1=0.0, rho=1e3, speed=1e11))
     with np.errstate(all="ignore"):
         ks = [0.0, water.k_c, 1e3 * water.k_c]
-        assert nonfinite_roots(water, roots_grid(water, ks)) is None
-        assert nonfinite_roots(triple, roots_grid(triple, [3.0 ** -0.5])) is None
-        # Cardano's root loses every digit far beyond k_c: the k range is the cause
-        far = roots_grid(water, [water.k_c, 1e150 * water.k_c])
-        assert nonfinite_roots(water, far).endswith("lower the largest k")
-        # tau1 = 1e100: 4 tau0 tau1^3 overflows; 1e-300: c0^2 k_c^2 does
-        for tau1 in (1e100, 1e-300):
-            m = derive_medium(replace(water_params(), tau1=tau1))
-            why = nonfinite_roots(m, roots_grid(m, [0.0, m.k_c]))
-            assert why.endswith(f"tau scale (tau1 = {tau1:.6g} s) leaves double range")
+        grids = [(water, roots_grid(water, ks)),
+                 (triple, roots_grid(triple, [3.0 ** -0.5])),
+                 (water, roots_grid(water, [water.k_c, 1e52 * water.k_c])),
+                 (tiny, roots_grid(tiny, [0.0, tiny.k_c]))]
+    # the cause is a closed form: no root is solved again
+    monkeypatch.setattr(spectral, "_solve", None)
+    assert nonfinite_roots(*grids[0]) is None
+    assert nonfinite_roots(*grids[1]) is None
+    # the (r, s) discriminant overflows beyond about 1e51 k_c: the k range
+    # is the cause
+    assert nonfinite_roots(*grids[2]).endswith(
+        "they are finite at k_c = 1.94365e+06 1/m: lower the largest k")
+    assert not np.isfinite(grids[3][1].lambda0[0])
+    assert nonfinite_roots(*grids[3]) == (
+        "1/tau0 is not a finite double at tau0 = 1e-315 s: the medium's tau "
+        "scale leaves double range")
+
+
+@pytest.mark.parametrize("m", [-200, -120, 0, 60, 150])
+def test_roots_and_products_are_scale_free(m):
+    # water with tau1 scaled by 10^m has the same tau0/tau1 and c0 tau1 k_c:
+    # its roots times tau1 and its products p_j = A_j lambda_j are water's.
+    # At m = -120 the dimensional products overflowed (lambda0^2), at
+    # m = 150 the dispersion coefficient 4 tau0 tau1^3 did, and at m = -200
+    # s = (c0 tau1 k)^2 is subnormal at k = 1e-3 k_c
+    water = derive_medium(water_params())
+    scaled = derive_medium(replace(water_params(), tau1=water.tau1 * 10.0**m))
+    x = np.concatenate([[0.0], np.logspace(-3, 3, 61)])
+
+    def scale_free(medium):
+        grid = roots_grid(medium, x * medium.k_c)
+        roots = [grid.lambda0 * medium.tau1, grid.lambda1 * medium.tau1]
+        products = kernels.mode_products(medium, x * medium.k_c)
+        return roots + [products.p0, products.p1]
+
+    for got, want in zip(scale_free(scaled), scale_free(water)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    # and agree at k_c with the independent 3x3 solve of water's moment
+    # system, which is dimensional and overflows at m = -200
+    roots = cardano_roots(water, water.k_c)
+    p1 = solve_vandermonde(roots, water).a1_coef * roots.lambda1
+    assert complex(kernels.mode_products(scaled, scaled.k_c).p1) == pytest.approx(
+        p1, rel=1e-10)

@@ -14,7 +14,8 @@ compare with
 ``--compare A B`` prints the number of byte-identical files; for each CSV
 that differs, the max |B - A| of every column as a fraction of the column's
 max |A|; and for every other file that differs, the lines that changed.  It
-exits 0 when the trees are byte-identical and 1 otherwise.
+exits 0 when the trees are byte-identical and 1 otherwise, also when its
+reader closes the pipe early.
 
 Each run's exit status goes to ``OUT_DIR/status.txt`` (exit 1, a failed
 check, is an output like any other: the nondimensional medium fails the
@@ -139,7 +140,14 @@ def compare(a_dir: Path, b_dir: Path) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--compare":
-        return compare(Path(argv[1]), Path(argv[2]))
+        try:
+            return compare(Path(argv[1]), Path(argv[2]))
+        except BrokenPipeError:
+            # the reader stopped early (`--compare A B | head`): exit without a
+            # traceback, and point stdout at devnull for the interpreter's
+            # final flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 64
