@@ -398,13 +398,9 @@ def run_coeffs(cfg: ExperimentConfig) -> Report:
         )
     ks = grid.k[keep]
     a0, a1, a2 = a0[keep], a1[keep], a2[keep]
-    # the moment system at l = lambda tau1, sum_j (A_j / tau1) l_j^m =
-    # a_m tau1^(m-1): the same ratios, with no term beyond double range
-    t1, q = medium.tau1, medium.tau_ratio
-    ells = [lam[keep] * t1 for lam in (grid.lambda0, grid.lambda1, grid.lambda2)]
-    worst = spectral._worst_ratio(
-        ([a / t1 * ell**m for a, ell in zip((a0, a1, a2), ells)], target)
-        for m, target in enumerate((0.0, -q, (1.0 - q) * q)))
+    worst = spectral.moment_residuals(
+        medium, [lam[keep] for lam in (grid.lambda0, grid.lambda1, grid.lambda2)],
+        (a0, a1, a2))
     rep = Report("coeffs")
     rep.csv_paths.append(write_csv(
         cfg.out_dir / "coeffs.csv",

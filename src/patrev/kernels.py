@@ -23,17 +23,14 @@ small-wavenumber kernel eta0_hat = 2 sum_j (A_j l_j)^2 / (2 pi)^{d/2} with DC
 gain (2 pi)^{d/2} eta0_hat(0) = 2 (1 - tau1/tau0)^2 + 1 describes the image on
 the reconstruction region.
 
-The products p_j = A_j lambda_j come from ``spectral.pair_products``: the
-roots of the cubic in r = tau0/tau1 and s = (c0 tau1 k)^2 and the moment
-relations sum_j p_j lambda_j^{m-1} = a_m, the same home the A_j tables read.
-They depend on (r, s) alone, and the scale enters the multiplier only through
-theta T = c0 k T g(r, s), g = theta / (c0 k), so every array is accurate to
-round-off at any tau scale and down to k = 0, where p0 = 1 - tau1/tau0 and
-p1 = -1/2 come out of the same formulas.  Where 4 r s^2 + b s + 4 < 0 the
-cubic has three real roots and no pair, so the imaging path refuses:
-``mode_products`` at each k it solves, and the image before any evaluation,
-on the band of ``spectral.three_root_band`` (none for tau0/tau1 >= 1/9).
-``regime_refusal`` is the one home of that refusal's message.
+The products p_j = A_j lambda_j come from ``spectral.pair_products``, the
+home the A_j tables read too.  They are functions of r = tau0/tau1 and
+s = (c0 tau1 k)^2 alone, and the scale enters the multiplier only through
+theta T = c0 k T g(r, s), so every array is accurate to round-off at any tau
+scale and down to k = 0.  Where the cubic has three real roots there is no
+pair, and the imaging path refuses: ``mode_products`` at each k it solves,
+and the image before any evaluation, on the band of
+``spectral.three_root_band``.  ``regime_refusal`` is that refusal's one home.
 """
 
 from __future__ import annotations
@@ -142,13 +139,13 @@ def mode_products(medium: Medium, k) -> ModeProducts:
     decomposition, and with it every imaging multiplier, is undefined there.
     """
     with np.errstate(all="ignore"):     # roots that are not finite are refused
-        grid, scaled = spectral._solve(medium, k)
+        grid = spectral.roots_grid(medium, k)
     if (why := spectral.nonfinite_roots(medium, grid)) is not None:
         raise ScaleOverflowError(f"the dispersion roots are not finite doubles; {why}")
     bad = ~grid.real_c_regime | (grid.big_c == 0)
     if np.any(bad):
         raise regime_refusal(grid.k[bad])
-    p0, p1_re, p1_im = spectral.pair_products(medium, scaled)
+    p0, p1_re, p1_im = spectral.pair_products(medium, grid)
     return ModeProducts(grid.k, grid.lambda0, grid.mu, grid.theta, p0, p1_re, p1_im)
 
 

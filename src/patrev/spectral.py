@@ -4,7 +4,7 @@ Per wavenumber k the temporal behaviour of the pressure modes is governed by
 the cubic -tau0 lambda^3 + lambda^2 - c0^2 tau1 k^2 lambda + c0^2 k^2 = 0.
 With l = lambda tau1, r = tau0/tau1 and s = (c0 tau1 k)^2 = 4 (k/k_c)^2 it is
 -r l^3 + l^2 - s l + s = 0, free of the scale 1/tau1, which enters at the
-edge.  ``_solve`` is its one solver, in real arithmetic after Kahan ("To
+edge.  ``roots_grid`` is its one solver, in real arithmetic after Kahan ("To
 solve a real cubic equation", 1986): with Delta0 = 1 - 3 r s,
 Delta1 = 2 + 9 r (3 r - 1) s and disc = Delta1^2 - 4 Delta0^3 =
 27 r^2 s (4 r s^2 + b s + 4), l0 = (1 + C + Delta0/C) / (3 r) is Cardano's
@@ -17,23 +17,20 @@ phi = atan2(sqrt(-disc), Delta1).  One Newton step polishes l0, and the pair
 stay finite as s -> 0 (s underflows at tau1 ~ 1e-200 s and water's k), so
 mu = (mu tau1 / s) (c0 k) (c0 tau1 k) and theta = c0 k g need no division
 by s.  Every root is accurate to round-off down to k = 0.  Where disc >= 0
-(``real_c_regime``: C is real) theta >= 0 and the pair is conjugate; where
-disc < 0 theta is purely imaginary and lambda_{1,2} = mu -+ |theta|.  The
-labels follow from lambda0 and the sign of theta, never from sorting numeric
-roots, so they cannot swap along a k grid.
+(``real_c_regime``) theta >= 0 and the pair is conjugate; where disc < 0
+theta is purely imaginary and lambda_{1,2} = mu -+ |theta|.  The labels
+follow from lambda0 and the sign of theta, never from sorting numeric roots,
+so they cannot swap along a k grid.
 
 The mode weights A_j solve the moment system sum_j A_j lambda_j^m = a_m,
 m = 0, 1, 2, with a_0 = 0, a_1 = -tau1/tau0, a_2 = (1 - tau1/tau0)/tau0.
 ``pair_products`` is the one home of the products p_j = A_j lambda_j,
-functions of (r, s) alone: it takes them from the moment relations on the
-deflated roots, accurate to round-off down to k = 0 and on the
-three-real-root band.  The weights follow as A_j = p_j / lambda_j
-(``amplitudes``), defined wherever the roots are pairwise distinct, that is
-at every k > 0 off the triple root; a direct 3x3 linear solve of the moment
-system (``solve_vandermonde``) is the independent cross-check.  For a
-conjugate root pair and real moment data, A0 is real and A2 = conj(A1).
-
-All functions are pure; grid evaluation is vectorized and deterministic.
+functions of (r, s) alone, taken from the moment relations on the deflated
+roots to round-off down to k = 0 and on the three-real-root band.  The
+weights follow as A_j = p_j / lambda_j (``amplitudes``) wherever the roots
+are pairwise distinct (every k > 0 off the triple root); a direct 3x3 solve
+of the moment system (``solve_vandermonde``) is the independent cross-check.
+For a conjugate pair A0 is real and A2 = conj(A1).  All functions are pure.
 """
 
 from __future__ import annotations
@@ -60,6 +57,7 @@ __all__ = [
     "solve_vandermonde",
     "asymptotic_limits",
     "scaled_residuals",
+    "moment_residuals",
     "degenerate_mask",
 ]
 
@@ -87,8 +85,9 @@ class RootsGrid:
     lambda0 and mu are real, and lambda_{1,2} = mu +- i theta.  Where
     ``real_c_regime`` (disc >= 0) theta >= 0 and the pair is conjugate;
     elsewhere theta (then a complex array) is purely imaginary, all three
-    roots are real, and big_c is the principal complex C.  A 0-d k gives the
-    roots at one wavenumber (``cardano_roots``).
+    roots are real, and big_c is the principal complex C.  ``pair_products``
+    reads the scale-free roots w = c0 tau1 k, ell0 = lambda0 tau1,
+    mu_s = mu tau1 / s and g = theta / (c0 k).  A 0-d k is one wavenumber.
     """
 
     k: np.ndarray
@@ -99,6 +98,10 @@ class RootsGrid:
     delta1: np.ndarray
     big_c: np.ndarray
     real_c_regime: np.ndarray  # bool
+    w: np.ndarray
+    ell0: np.ndarray
+    mu_s: np.ndarray
+    g: np.ndarray
 
     @property
     def lambda1(self) -> np.ndarray:
@@ -114,13 +117,14 @@ def _disc_b(r: float) -> float:
     return (27.0 * r - 18.0) * r - 1.0
 
 
-def _solve(medium: Medium, k) -> tuple[RootsGrid, tuple]:
-    """The roots over a k grid (k >= 0), and (w, l0, mu tau1 / s, g) with
-    w = c0 tau1 k (see the module docstring).  r >= 2^-53 for an admitted
-    medium, so l0 <= 1/r stays far from overflow; from about 1e20 k_c,
-    C + Delta0/C cancels beyond what one Newton step repairs, and the roots
-    may be inexact or, from about 1e30 k_c, not finite.  At the exact triple
-    root (r = 1/9 at one k) C = 0 and the roots are NaN.
+def roots_grid(medium: Medium, k) -> RootsGrid:
+    """Roots of the dispersion cubic over a k grid (k >= 0); see the module
+    docstring.  ``Medium`` admits no r below about 2^-53, for either speed
+    kind (its check of tau0 = (1 - c0^2 rho kappa1) tau1 fails where
+    1 - c0^2 rho kappa1 rounds to 0, else at least 2^-53), so l0 <= 1/r < 1e16.
+    From about 1e20 k_c the roots may be inexact (C + Delta0/C cancels beyond
+    one Newton step) and from about 1e30 k_c not finite.  At the exact
+    triple root (r = 1/9 at one k) C = 0 and the roots are NaN.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
@@ -165,14 +169,8 @@ def _solve(medium: Medium, k) -> tuple[RootsGrid, tuple]:
     if any_band:
         g = np.where(regime, g, 1j * g)     # theta^2 < 0 there
     ck = medium.c0 * k
-    grid = RootsGrid(k, ell0 / t1, mu_s * ck * w, ck * g, d0, d1, big_c, regime)
-    return grid, (w, ell0, mu_s, g)
-
-
-def roots_grid(medium: Medium, k) -> RootsGrid:
-    """Roots of the dispersion cubic over a k grid (k >= 0), in real
-    arithmetic (see the module docstring)."""
-    return _solve(medium, k)[0]
+    return RootsGrid(k, ell0 / t1, mu_s * ck * w, ck * g, d0, d1, big_c, regime,
+                     w, ell0, mu_s, g)
 
 
 def nonfinite_roots(medium: Medium, grid: RootsGrid) -> str | None:
@@ -226,9 +224,9 @@ def degenerate_mask(lambda0, lambda1, lambda2) -> np.ndarray:
             | np.isnan(lambda0 + lambda1 + lambda2))
 
 
-def pair_products(medium: Medium, scaled: tuple):
-    """Mode products (p0, re_p1, im_p1), p_j = A_j lambda_j, over the roots
-    (w, l0, mu tau1 / s, g) of ``_solve``.
+def pair_products(medium: Medium, grid: RootsGrid):
+    """Mode products (p0, re_p1, im_p1), p_j = A_j lambda_j, over a roots
+    grid, from its scale-free roots (w, l0, mu tau1 / s, g).
 
     From the moment relations sum_j p_j l_j^{m-1} = a_m tau1^{m-1}, m = 0, 1,
     2, with p1,2 = re_p1 +- i im_p1; (a2 - 2 a1 mu) tau1 = p0_zero l0^3 /
@@ -239,7 +237,7 @@ def pair_products(medium: Medium, scaled: tuple):
     """
     r = medium.tau0 / medium.tau1
     p0_zero = (medium.tau0 - medium.tau1) / medium.tau0
-    w, l0, mu_s, g = scaled
+    w, l0, mu_s, g = grid.w, grid.ell0, grid.mu_s, grid.g
     s = w * w
     l0_sq = l0 * l0
     p0 = p0_zero * (l0_sq / (l0_sq + s)) * (l0_sq / (l0 * (l0 - 2.0 * mu_s * s) + s / (r * l0)))
@@ -250,15 +248,14 @@ def pair_products(medium: Medium, scaled: tuple):
 
 
 def amplitudes_grid(medium: Medium, grid: RootsGrid):
-    """Mode weights A_j = p_j / lambda_j over a roots grid, the products
-    from the solve of its k.
+    """Mode weights A_j = p_j / lambda_j over a roots grid.
 
     Returns ``(a0, a1, a2, degenerate)``; where ``degenerate`` (k = 0 or the
     triple root) A1 and A2 are not finite, while A0 is finite at k = 0.
     Where the pair is conjugate (``real_c_regime``) A0 is real and A2 is
     conj(A1); on the three-real-root band all three are real.
     """
-    p0, re_p1, im_p1 = pair_products(medium, _solve(medium, grid.k)[1])
+    p0, re_p1, im_p1 = pair_products(medium, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         a0 = p0 / grid.lambda0 + 0j
         a1 = (re_p1 + 1j * im_p1) / grid.lambda1
@@ -276,12 +273,9 @@ def _check_not_degenerate(roots: RootsGrid, what: str):
 
 
 def amplitudes(roots: RootsGrid, medium: Medium) -> Amplitudes:
-    """Mode weights A_j = p_j / lambda_j at one wavenumber.
-
-    Requires pairwise-distinct roots (k > 0); at k = 0 the double root
-    lambda1 = lambda2 = 0 leaves A1, A2 undefined and a DegenerateRootsError
-    is raised.
-    """
+    """Mode weights A_j = p_j / lambda_j at one wavenumber k > 0: at k = 0 the
+    double root lambda1 = lambda2 = 0 leaves A1, A2 undefined, and a
+    DegenerateRootsError is raised."""
     _check_not_degenerate(roots, "amplitudes undefined")
     a0, a1, a2, _ = amplitudes_grid(medium, roots)
     return Amplitudes(complex(a0), complex(a1), complex(a2))
@@ -339,3 +333,15 @@ def scaled_residuals(medium: Medium, grid: RootsGrid) -> np.ndarray:
     s = ((medium.c0 * medium.tau1) * grid.k) ** 2 + 0j
     ells = [lam * medium.tau1 for lam in (grid.lambda0, grid.lambda1, grid.lambda2)]
     return _worst_ratio(((-r * ell**3, ell**2, -s * ell, s), 0.0) for ell in ells)
+
+
+def moment_residuals(medium: Medium, lambdas, weights) -> np.ndarray:
+    """Worst residual/scale ratio of the moment system per k, for roots
+    ``lambdas`` and weights ``weights``; taken, like ``scaled_residuals``, at
+    l = lambda tau1: sum_j (A_j / tau1) l_j^m = a_m tau1^(m-1), m = 0, 1, 2,
+    has the same ratios and no term beyond double range."""
+    t1 = medium.tau1
+    a0, a1, a2 = moment_targets(medium)
+    ells = [lam * t1 for lam in lambdas]
+    return _worst_ratio(([a / t1 * ell**m for a, ell in zip(weights, ells)], target)
+                        for m, target in enumerate((a0 / t1, a1, a2 * t1)))

@@ -492,7 +492,8 @@ def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
     on the support box (the whole grid when ``whole``):
     ``time_reversal_image(medium, phantom, T)``, then F^{-1}{m(|k|) F{phi}}
     for each m of ``extra``.  The phantom's refusals come first, then those
-    of the image multiplier, before any evaluation.
+    of the image multiplier, before any evaluation; max|M| times the peak
+    not being a finite double is refused after M is evaluated, per image.
 
     No forward pass and no full line is needed.  The phantom is the peak
     times g(x_1) ... g(x_d), g = exp(-x^2 / (4 D)), so its DFT is the

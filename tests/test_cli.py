@@ -230,6 +230,20 @@ def test_refused_input_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_tau_ratio_beyond_double_resolution_is_a_config_error(tmp_path, capsys):
+    # c_inf^2 rho kappa1 = 1.1e150 would give tau0/tau1 ~ 1e-150 and
+    # (tau1/tau0)^2 beyond double range in the solver; the medium's own
+    # consistency check refuses it first, for either speed kind
+    out = tmp_path / "out"
+    code = main(["reconstruct", "--set", "kappa1_m2_per_N=1e150", "--set",
+                 "phantom_D_m2=0.01", "--set", "grid_n=64", "--set", "T_s=1e-6",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: tau0 inconsistent with c0^2 rho kappa1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["reconstruct", "sweep-kappa"])
 def test_tiny_tau1_image_runs(tmp_path, capsys, subcommand):
     # lambda0 ~ 1/tau0 > 1.3e154 squared to inf in the dimensional mode

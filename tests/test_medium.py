@@ -97,3 +97,32 @@ def test_nondimensional_medium():
         nondimensional_medium(0.0)
     with pytest.raises(ValueError):
         nondimensional_medium(1.5)
+
+
+def test_admitted_tau_ratio_is_at_least_2_to_minus_53():
+    # the check tau0 = (1 - c0^2 rho kappa1) tau1 holds for either speed kind,
+    # and 1 - c0^2 rho kappa1 is 0 or at least 2^-53 in doubles, so no
+    # admitted medium has tau0/tau1 below that: the dispersion solver's
+    # root l0 <= tau1/tau0 stays below 1e16
+    ratios = []
+    for kappa1 in [10.0**e for e in range(-12, 301, 4)]:
+        for tau1 in (1e-9, 1e-310, 1.0):
+            try:
+                m = derive_medium(RawParams(tau1=tau1, kappa1=kappa1, rho=1e3,
+                                            speed=1500.0))
+            except ValueError:
+                continue
+            ratios.append(m.tau0 / m.tau1)
+    for j in range(1, 40):
+        for tau1 in (1.0, 1e-310, 1e-320, 1e300):
+            try:
+                m = derive_medium(RawParams(tau1=tau1, kappa1=1.0 - j * 2.0**-53,
+                                            rho=1.0, speed=1.0, speed_kind="c_zero"))
+            except ValueError:
+                continue
+            ratios.append(m.tau0 / m.tau1)
+    assert min(ratios) == 2.0**-53
+    # c_inf^2 rho kappa1 = 1e150 would give tau0/tau1 ~ 1e-150: refused
+    with pytest.raises(ValueError, match="tau0 inconsistent with c0"):
+        derive_medium(RawParams(tau1=1e-9, kappa1=1e150 / (1500.0**2 * 1e3), rho=1e3,
+                                speed=1500.0))

@@ -13,6 +13,7 @@ from patrev.spectral import (
     asymptotic_limits,
     cardano_roots,
     degenerate_mask,
+    moment_residuals,
     moment_targets,
     nonfinite_roots,
     roots_grid,
@@ -450,7 +451,7 @@ def test_nonfinite_roots_names_the_cause(monkeypatch):
                  (water, roots_grid(water, [water.k_c, 1e52 * water.k_c])),
                  (tiny, roots_grid(tiny, [0.0, tiny.k_c]))]
     # the cause is a closed form: no root is solved again
-    monkeypatch.setattr(spectral, "_solve", None)
+    monkeypatch.setattr(spectral, "roots_grid", None)
     assert nonfinite_roots(*grids[0]) is None
     assert nonfinite_roots(*grids[1]) is None
     # the (r, s) discriminant overflows beyond about 1e51 k_c: the k range
@@ -488,3 +489,37 @@ def test_roots_and_products_are_scale_free(m):
     p1 = solve_vandermonde(roots, water).a1_coef * roots.lambda1
     assert complex(kernels.mode_products(scaled, scaled.k_c).p1) == pytest.approx(
         p1, rel=1e-10)
+
+
+def test_roots_and_products_hold_at_the_smallest_tau_ratio():
+    # tau0/tau1 = 2^-53, the smallest a Medium admits: l0 = tau1/tau0 at
+    # k = 0 is 9e15, and no root, product or residual term overflows
+    m = derive_medium(RawParams(tau1=1.0, kappa1=1.0 - 2.0**-53, rho=1.0, speed=1.0,
+                                speed_kind="c_zero"))
+    assert m.tau0 / m.tau1 == 2.0**-53
+    grid = roots_grid(m, np.concatenate([[0.0], np.logspace(-6, 3, 200)]) * m.k_c)
+    assert grid.ell0[0] == 2.0**53
+    for a in (grid.lambda0, grid.mu, grid.theta, *spectral.pair_products(m, grid)):
+        assert np.all(np.isfinite(a))
+    assert np.max(scaled_residuals(m, grid)) <= 1e-9
+    a0, a1, a2, degen = amplitudes_grid(m, grid)
+    keep = ~degen
+    lams = [lam[keep] for lam in (grid.lambda0, grid.lambda1, grid.lambda2)]
+    assert np.max(moment_residuals(m, lams, (a0[keep], a1[keep], a2[keep]))) <= 1e-9
+
+
+def test_moment_residuals_measure_a_perturbed_weight():
+    grid = roots_grid(WATER, np.asarray([KC]))
+    a0, a1, a2, _ = amplitudes_grid(WATER, grid)
+    lams = (grid.lambda0, grid.lambda1, grid.lambda2)
+    assert moment_residuals(WATER, lams, (a0, a1, a2))[0] <= 1e-12
+    # A0 off by 1e-6 relative: the worst ratio is that of the dimensional
+    # system, evaluated at l = lambda tau1
+    off = (a0 * (1.0 + 1e-6), a1, a2)
+    want = 0.0
+    for m, target in enumerate(moment_targets(WATER)):
+        terms = [a * lam**m for a, lam in zip(off, lams)]
+        want = max(want, float(abs(sum(terms) - target)[0]
+                               / (max(abs(t)[0] for t in terms) + abs(target))))
+    assert moment_residuals(WATER, lams, off)[0] == pytest.approx(want, rel=1e-6)
+
