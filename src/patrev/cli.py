@@ -21,7 +21,7 @@ Exit status: 0 all declared checks pass, 1 a check failed, 2 configuration
 error or refused input (an unphysical medium, a phantom wider than the grid or
 with a width or peak beyond double range, three real roots on the imaging
 path, theta T beyond double range, a k grid or image whose roots are not
-finite doubles, an unwritable --out), 64 usage error.
+finite doubles, an unwritable --out, a failed CSV child), 64 usage error.
 """
 
 from __future__ import annotations

@@ -14,7 +14,11 @@ Outputs are deterministic: fixed grids, no randomness, no timestamps, full
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import shutil
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -136,13 +140,24 @@ class Report:
 
 #: rows formatted per '%' call in write_csv; bounds the Python floats alive at once
 _CSV_BLOCK_ROWS = 1024
+#: write_csv formats the second half of a file with more rows than this in a child
+_CSV_FORK_ROWS = 65536
+
+
+def _write_rows(fh, row: str, columns: list[np.ndarray], lo: int, hi: int):
+    """Rows [lo, hi) of the columns, one '%' call per block of rows."""
+    for start in range(lo, hi, _CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start:min(start + _CSV_BLOCK_ROWS, hi)] for c in columns])
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_csv(path, comments: Iterable[str], names: list[str],
               columns: list[np.ndarray]) -> Path:
     """Plot-ready CSV: '#'-prefixed header comments, then one header row and
     full-precision values: every cell goes through float64 and CPython's
-    '%.17g' (the routine behind f"{v:.17g}"), one block of rows per call."""
+    '%.17g' (the routine behind f"{v:.17g}"), one block of rows per call.
+    Above _CSV_FORK_ROWS rows, where os.fork exists and no other Python thread
+    is alive, a forked child formats the second half (see _write_halves)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c, dtype=float) for c in columns]
@@ -154,10 +169,44 @@ def write_csv(path, comments: Iterable[str], names: list[str],
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write(",".join(names) + "\n")
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        if n > _CSV_FORK_ROWS and hasattr(os, "fork") and threading.active_count() == 1:
+            _write_halves(path, fh, row, columns, n // 2, n)
+        else:
+            _write_rows(fh, row, columns, 0, n)
     return path
+
+
+def _write_halves(path: Path, fh, row: str, columns: list[np.ndarray], mid: int, n: int):
+    """Rows [0, mid) into ``fh`` while a forked child writes [mid, n) to
+    ``path.part``, appended in 64 KiB blocks.  A failed child raises naming
+    ``path``; a failure here kills it.  Every path reaps it and removes the part."""
+    part = path.with_name(path.name + ".part")
+    fh.flush()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            with open(part, "w", encoding="utf-8", newline="\n") as tail:
+                _write_rows(tail, row, columns, mid, n)
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+    status = None
+    try:
+        _write_rows(fh, row, columns, 0, mid)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise ChildProcessError(f"{path}: the process writing rows {mid}:{n} "
+                                    f"exited with status {status}")
+        fh.flush()
+        with open(part, "rb") as tail:
+            shutil.copyfileobj(tail, fh.buffer, 1 << 16)
+    finally:
+        if status is None:  # no status read: stop the child, unless already reaped
+            import signal  # numpy does not load it; only a failure needs it
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        part.unlink(missing_ok=True)
 
 
 def _reference_D(medium: Medium) -> float:

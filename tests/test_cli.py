@@ -335,6 +335,26 @@ def test_crashed_run_leaves_out_empty(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_failed_csv_child_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    # the reconstruction profile (2^17 rows) is split between two processes;
+    # a child that fails makes the run exit 2 before --out is touched
+    write_rows = experiments._write_rows
+
+    def rows(fh, row, columns, lo, hi):
+        if lo > 0:
+            raise RuntimeError("rows failed")
+        write_rows(fh, row, columns, lo, hi)
+
+    monkeypatch.setattr(experiments, "_write_rows", rows)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    assert main(["report", "--out", str(out)]) == 2
+    assert "reconstruction_profile.csv" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept\n"
+
+
 def test_main_reuses_one_parser_without_sharing_overrides(tmp_path, monkeypatch, capsys):
     # --set appends to a copy of the shared parser's default, so each call
     # sees only its own overrides

@@ -1,14 +1,19 @@
 import functools
+import os
+import signal
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from patrev import kernels, transform
+from patrev import experiments, kernels, transform
 from patrev.medium import derive_medium, water_params
 from patrev.experiments import (
     _CSV_BLOCK_ROWS,
+    _CSV_FORK_ROWS,
     ConfigError,
     ExperimentConfig,
     Report,
@@ -79,7 +84,28 @@ def _per_cell_csv(comments, names, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_write_csv_matches_per_cell_formatting(tmp_path):
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children write_csv forks during a test."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def assert_no_child_left(path):
+    assert not path.with_name(path.name + ".part").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path, forks):
     rng = np.random.default_rng(20131)
     # random bit patterns: every binade, subnormals, infinities and NaN payloads
     bits = rng.integers(0, 2**64, size=2**18, dtype=np.uint64)
@@ -87,21 +113,104 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     cols = [doubles[: 2**17], doubles[2**17:]]
     path = write_csv(tmp_path / "bits.csv", ["bits"], ["a", "b"], cols)
     assert path.read_text() == _per_cell_csv(["bits"], ["a", "b"], cols)
+    # the bit patterns cover both processes' halves and the seam between them
+    assert len(forks) == 1
+    assert_no_child_left(path)
 
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
                         1.7976931348623157e308, 1e16, 1e17, 1e-4, 1e-5])
     big = np.array([2**60 + 1, -(2**63), 2**53 + 1, 7], dtype=np.int64)
-    for n in (0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1):
+    for n in (0, 1, 2, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+              _CSV_FORK_ROWS, _CSV_FORK_ROWS + 1):
         cols = [doubles[:n], np.resize(special, n), np.resize(big, n),
                 np.arange(n) % 3 == 0]
         names = ["x", "special", "int64", "flag"]
+        forked = len(forks)
         path = write_csv(tmp_path / f"mixed_{n}.csv", ["mixed", "rows"], names, cols)
         text = path.read_text()
         assert text == _per_cell_csv(["mixed", "rows"], names, cols)
         assert len(text.splitlines()) == 3 + n
+        # only a file above the threshold is split between two processes
+        assert len(forks) - forked == (n > _CSV_FORK_ROWS)
+        assert_no_child_left(path)
 
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", [], ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
+def _fork_sized_columns(n):
+    x = np.linspace(-1.0, 1.0, n)
+    return [x, np.exp(-x * x) / 3.0, np.arange(n) % 7 == 0]
+
+
+def test_write_csv_inline_without_fork_or_with_a_second_thread(tmp_path, forks,
+                                                               monkeypatch):
+    n = _CSV_FORK_ROWS + 1
+    cols = _fork_sized_columns(n)
+    expected = _per_cell_csv(["c"], ["x", "y", "flag"], cols)
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait)
+    worker.start()
+    try:
+        path = write_csv(tmp_path / "thread.csv", ["c"], ["x", "y", "flag"], cols)
+    finally:
+        release.set()
+        worker.join()
+    assert path.read_text() == expected
+    monkeypatch.delattr(os, "fork")
+    path = write_csv(tmp_path / "nofork.csv", ["c"], ["x", "y", "flag"], cols)
+    assert path.read_text() == expected
+    assert forks == []
+
+
+def _rows_failing_in(process: str):
+    """_write_rows that raises on one process's rows; with "parent", the
+    child's rows first wait a minute, so only a killed child ends at once."""
+    write_rows = experiments._write_rows
+
+    def rows(fh, row, columns, lo, hi):
+        in_child = lo > 0
+        if in_child == (process == "child"):
+            raise RuntimeError("rows failed")
+        if in_child:
+            time.sleep(60)
+        write_rows(fh, row, columns, lo, hi)
+
+    return rows
+
+
+def test_write_csv_child_failure_raises_in_parent(tmp_path, forks, monkeypatch):
+    monkeypatch.setattr(experiments, "_write_rows", _rows_failing_in("child"))
+    path = tmp_path / "child.csv"
+    with pytest.raises(ChildProcessError, match="child.csv"):
+        write_csv(path, [], ["x", "y", "flag"], _fork_sized_columns(_CSV_FORK_ROWS + 1))
+    assert len(forks) == 1
+    assert_no_child_left(path)
+
+
+def test_write_csv_with_children_reaped_elsewhere(tmp_path, forks):
+    # with SIGCHLD ignored the kernel reaps the child, so its status is lost:
+    # the write fails as an OSError and still leaves no part file
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    path = tmp_path / "ignored.csv"
+    try:
+        with pytest.raises(ChildProcessError):
+            write_csv(path, [], ["x", "y", "flag"], _fork_sized_columns(_CSV_FORK_ROWS + 1))
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 1
+    assert_no_child_left(path)
+
+
+def test_write_csv_parent_failure_kills_child(tmp_path, forks, monkeypatch):
+    monkeypatch.setattr(experiments, "_write_rows", _rows_failing_in("parent"))
+    path = tmp_path / "parent.csv"
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="rows failed"):
+        write_csv(path, [], ["x", "y", "flag"], _fork_sized_columns(_CSV_FORK_ROWS + 1))
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1
+    assert_no_child_left(path)
 
 
 def test_water_constants_pass(tmp_path):
