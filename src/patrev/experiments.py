@@ -544,13 +544,19 @@ def _rel_linf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _norm(x: np.ndarray) -> np.float64:
+    """sqrt(sum x^2) by numpy's own pairwise sum: ``np.linalg.norm`` takes a
+    BLAS dot, whose sum depends on the BLAS thread count."""
+    return np.sqrt(np.sum(x * x))
+
+
 def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b|| / ||b||, in units of max|b| where a squared norm overflows."""
     with np.errstate(over="ignore"):
-        num, den = np.linalg.norm(a - b), np.linalg.norm(b)
+        num, den = _norm(a - b), _norm(b)
     if math.isinf(num) or math.isinf(den):
         unit = float(np.max(np.abs(b)))
-        num, den = np.linalg.norm((a - b) / unit), np.linalg.norm(b / unit)
+        num, den = _norm((a - b) / unit), _norm(b / unit)
     return float(num / den)
 
 

@@ -39,6 +39,10 @@ SPEED_KINDS = ("c_infinity", "c_zero")
 #: relative tolerance of the internal consistency relations between stored fields
 _REL_TOL = 1e-12
 
+#: smallest admitted tau0/tau1: 1 - c0^2 rho kappa1 is 0 or at least 2^-53 in
+#: doubles, and the dispersion solver's root l0 <= tau1/tau0 stays below 1e16
+_MIN_TAU_RATIO = 2.0**-53
+
 
 class UnphysicalMediumError(ValueError):
     """Raised when the parameters admit no finite wavefront speed (tau0 <= 0)."""
@@ -80,7 +84,10 @@ class Medium:
       * 0 < tau0 <= tau1, equality for kappa1 = 0 and for kappa1 so small
         that c0^2 rho kappa1 rounds away against 1
       * c_inf = sqrt(tau1/tau0) c0        (to 1e-12 relative)
-      * tau0 = (1 - c0^2 rho kappa1) tau1 (to 1e-12 relative)
+      * tau0/tau1 >= 2^-53
+      * tau1/tau0 = 1 + c_inf^2 rho kappa1 (to 1e-12 relative), a sum of
+        positive terms that holds to round-off for either speed kind, where
+        the equivalent tau0 = (1 - c0^2 rho kappa1) tau1 cancels
       * k_c = 2/(c0 tau1) exactly as computed from the stored fields
     """
 
@@ -97,6 +104,11 @@ class Medium:
             raise UnphysicalMediumError(
                 f"tau0 must lie in (0, tau1], got tau0={self.tau0}, tau1={self.tau1}"
             )
+        if self.tau0 / self.tau1 < _MIN_TAU_RATIO:
+            raise ValueError(
+                f"tau0 inconsistent with c0^2 rho kappa1: tau0/tau1 = "
+                f"{self.tau0 / self.tau1:.6g} is below 2^-53, the resolution of "
+                "1 - c0^2 rho kappa1")
         if self.kappa1 == 0 and self.tau0 != self.tau1:
             raise ValueError("kappa1 = 0 requires tau0 = tau1 exactly")
         if not math.isclose(
@@ -104,7 +116,7 @@ class Medium:
         ):
             raise ValueError("c_inf and c0 are inconsistent with tau1/tau0")
         if not math.isclose(
-            self.tau0, (1.0 - self.c0**2 * self.rho * self.kappa1) * self.tau1,
+            self.tau1 / self.tau0, 1.0 + self.c_inf * self.c_inf * self.rho * self.kappa1,
             rel_tol=_REL_TOL,
         ):
             raise ValueError("tau0 inconsistent with c0^2 rho kappa1")

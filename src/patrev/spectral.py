@@ -119,9 +119,8 @@ def _disc_b(r: float) -> float:
 
 def roots_grid(medium: Medium, k) -> RootsGrid:
     """Roots of the dispersion cubic over a k grid (k >= 0); see the module
-    docstring.  ``Medium`` admits no r below about 2^-53, for either speed
-    kind (its check of tau0 = (1 - c0^2 rho kappa1) tau1 fails where
-    1 - c0^2 rho kappa1 rounds to 0, else at least 2^-53), so l0 <= 1/r < 1e16.
+    docstring.  ``Medium`` admits no r below 2^-53, for either speed kind,
+    so l0 <= 1/r < 1e16.
     From about 1e20 k_c the roots may be inexact (C + Delta0/C cancels beyond
     one Newton step) and from about 1e30 k_c not finite.  At the exact
     triple root (r = 1/9 at one k) C = 0 and the roots are NaN.

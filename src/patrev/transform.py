@@ -29,10 +29,18 @@ sqrt(4 pi D)/dx exp(-D k^2) on the band D k^2 <= 64 ln 2 (zero beyond), and
 the multipliers are evaluated on the band's distinct |k| only; otherwise it
 is the real DFT of the sampled factor, on every frequency.  The inverse is
 one real pass per axis, that axis's spectrum multiplied in just before it,
-on the lines of the phantom's support box: Bluestein's chirp-z zoom where
-its three FFTs of length L >= m_b + w (band m_b, w box lines) are cheaper
-than an n-point ``irfft`` (L <= n/8), else ``irfft`` and the box's lines.
-The sweep at 2^20 samples so builds no array of the line's length.
+on the lines of the phantom's support box, by one of three routes (band
+m_b, w box lines, ``lines`` lines along the other axes):
+
+* a direct w x (m_b + 1) cosine matrix, built once per pass and applied to
+  every line, where 8 w (m_b + 1) <= lines n: every axis of the 3-D images
+  from 64^3 to 512^3 (128^3: 48 frequencies to 25 lines on 2304, 1200 and
+  625 lines), no 1-D pass;
+* else Bluestein's chirp-z zoom where its three FFTs of length
+  L >= m_b + w cost less than an n-point ``irfft`` (L <= n/8, measured
+  from 2^14 to 2^20): the sweep at 2^20 samples, which so builds no array
+  of the line's length;
+* else ``irfft`` and the box's lines: the 1-D reconstruction's whole line.
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -356,7 +364,9 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     Both are real and are evaluated on the grid's radial table.  Both need
     theta T finite: theta^2 <= c0^2 k^2 / (tau0 lambda0) <= c_inf^2 k^2 as
     lambda0 >= 1/tau1, and |k| <= sqrt(d) k_nyquist, so a ScaleOverflowError
-    refuses first when c_inf T sqrt(d) k_nyquist is not a finite double.
+    refuses first when c_inf T sqrt(d) k_nyquist is not a finite double, and
+    after the zeta3 refusal when it exceeds 2^53 rad, where one ulp of
+    theta T is a whole radian and cos(2 theta T) has no significant digit.
     Last, still before any evaluation, a ComplexRegimeError counts the table
     |k| on the three-real-root band (``spectral.three_root_band``).
     """
@@ -373,7 +383,8 @@ def _image_multiplier(medium: Medium, grid: GridSpec, T: float,
     c_inf, T, tau0 = float(medium.c_inf), float(T), float(medium.tau0)
     if T <= 0:
         raise ValueError("T must be positive")
-    if not math.isfinite(c_inf * T * math.sqrt(grid.dim) * grid.nyquist):
+    theta_T = c_inf * T * math.sqrt(grid.dim) * grid.nyquist
+    if not math.isfinite(theta_T):
         raise kernels.ScaleOverflowError(
             f"theta T is not a finite double at c_inf = {c_inf:.6g} m/s, T = {T:.6g} s")
     if include_zeta3 and T / tau0 > kernels.EXP_REAL_LIMIT:
@@ -382,6 +393,10 @@ def _image_multiplier(medium: Medium, grid: GridSpec, T: float,
             "representable; the exact reversed pipeline is only computable "
             "at nondimensional scale (use include_zeta3=False)"
         )
+    if theta_T > 2.0**53:
+        raise kernels.ScaleOverflowError(
+            f"theta T up to {theta_T:.6g} rad exceeds 2^53 at c_inf = {c_inf:.6g} m/s, "
+            f"T = {T:.6g} s: cos(2 theta T) has no significant digit")
     if (band := spectral.three_root_band(medium)) is not None:
         k_table = grid.radial_table()[0]
         refused = k_table[np.searchsorted(k_table, band[0], "right"):
@@ -470,17 +485,67 @@ def _zoom(spec: np.ndarray, n: int, lines: np.ndarray, axis: int) -> np.ndarray:
     return (conv * chirps[np.abs(lines)].reshape(shape)).real
 
 
+def _direct(spec: np.ndarray, n: int, lines: np.ndarray, axis: int) -> np.ndarray:
+    """``_inverse_pass``'s sum at the output samples ``lines`` by one real
+    w x (m_b + 1) matrix C[j, m] = c_m cos(2 pi ((l_j m) mod n) / n),
+    l_j m reduced in int64 first as in ``_chirps``, with the zoom's weights
+    c_m, shared by every line along the other axes.
+
+    ``np.einsum`` applies it without BLAS, whose sums depend on the BLAS
+    thread count once a product is large enough to be split (``np.matmul``,
+    one gemm per slice, moved a 2-D 4096^2 image between 1 and 2 OpenBLAS
+    threads).  The pass axis is taken last and contiguous (a copy only where
+    it is not), the other axes in memory order, so each sum over m runs in
+    numpy's SIMD dot loop: a strided sum of 513 terms missed ``irfft`` by
+    1.24e-15 of the line's max, the contiguous one by 9.8e-16.  The output
+    axis comes first in memory, so in passes over axes 0, 1, ... of an
+    array whose axis 0 is contiguous every pass reads contiguous sums."""
+    size = spec.shape[axis]
+    angle = np.multiply.outer(lines, np.arange(size)) % n * (2.0 / n)
+    angle *= np.pi
+    matrix = np.cos(angle)
+    matrix *= 2.0 / n
+    matrix[:, 0] *= 0.5
+    if size - 1 == n // 2:
+        matrix[:, -1] *= 0.5
+    others = sorted((a for a in range(spec.ndim) if a != axis), key=lambda a: -spec.strides[a])
+    moved = np.ascontiguousarray(spec.transpose(others + [axis]))
+    out = np.einsum("...m,jm->j...", moved, matrix, order="C")
+    return out.transpose(np.argsort([axis] + others))
+
+
+def _route(shape: tuple[int, ...], n: int, w: int, axis: int) -> str:
+    """The route of ``_inverse_pass`` for a spectrum of ``shape`` and w
+    output lines: "direct" where 8 w (m_b + 1) <= lines n, lines being the
+    number of lines along the other axes, "zoom" where its length, the next
+    power of two >= m_b + w, is at most n/8, else "irfft"."""
+    size = shape[axis]
+    if 8 * w * size <= math.prod(shape) // size * n:
+        return "direct"
+    if 8 * (size - 1 + w) <= n:
+        return "zoom"
+    return "irfft"
+
+
 def _inverse_pass(spec: np.ndarray, n: int, box: slice, axis: int) -> np.ndarray:
     """Inverse DFT along ``axis`` of an n-point spectrum that is real and
     even on that axis, given on its frequencies 0 ... m_b <= n/2 (zero
     beyond), on the grid lines ``box``.  Grid line j holds output sample
     j - n/2, which undoes the phase (-1)^m of a grid-centred phantom.  The
-    pass is the cheaper of ``_zoom`` and ``irfft`` with the box's lines:
-    the zoom where its length, the next power of two >= m_b + w, is at most
-    n/8, since its three complex FFTs of length L cost about one real FFT
-    of length 8L (the crossover measured for n = 2^14 ... 2^20)."""
+    route (``_route``) is the direct matrix (``_direct``), w (m_b + 1)
+    products a line against about n log n for ``irfft``, where
+    8 w (m_b + 1) <= lines n, since its matrix is built once for all lines:
+    on 2-D passes from n = 256 to 4096 it took 0.7-1.3 times the time of
+    ``irfft`` at that edge (w or m_b + 1 = n/8) and 0.4-0.9 times at n/16
+    (one thread of a Xeon); else the zoom where its three complex FFTs of
+    length L, about one real FFT of length 8L (the crossover measured for
+    n = 2^14 ... 2^20), are at most n/8; else ``irfft`` and the box's
+    lines."""
     lines = np.arange(box.start, box.stop) - n // 2
-    if 8 * (spec.shape[axis] - 1 + lines.size) <= n:
+    route = _route(spec.shape, n, lines.size, axis)
+    if route == "direct":
+        return _direct(spec, n, lines, axis)
+    if route == "zoom":
         return _zoom(spec, n, lines, axis)
     return np.fft.irfft(spec, n, axis=axis).take(lines % n, axis=axis)
 
@@ -536,7 +601,10 @@ def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
                 f"max|M| (4 pi D)^(-{d}/2) at D = {D:.6g} m^2 is not a finite double")
         spec = mult * peak
         if d > 1:       # lattice points beyond the band index one past the table
-            spec = np.append(spec, 0.0)[index]
+            # the octant is symmetric in its axes, so its transpose, with
+            # axis 0 contiguous, is the same array in the layout the direct
+            # passes read without a copy
+            spec = np.append(spec, 0.0)[index].T
         for axis in range(d):
             spec *= spectrum.reshape((-1,) + (1,) * (d - 1 - axis))
             spec = _inverse_pass(spec, n, box[axis], axis)

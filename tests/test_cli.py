@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,16 +234,17 @@ def test_refused_input_exits_2(tmp_path, capsys, argv, message):
 
 
 def test_tau_ratio_beyond_double_resolution_is_a_config_error(tmp_path, capsys):
-    # c_inf^2 rho kappa1 = 1.1e150 would give tau0/tau1 ~ 1e-150 and
-    # (tau1/tau0)^2 beyond double range in the solver; the medium's own
-    # consistency check refuses it first, for either speed kind
+    # c_inf^2 rho kappa1 = 2.25e159 would give tau0/tau1 ~ 4e-160 and
+    # (tau1/tau0)^2 beyond double range in the solver; the medium refuses
+    # tau0/tau1 below 2^-53 first, for either speed kind
     out = tmp_path / "out"
     code = main(["reconstruct", "--set", "kappa1_m2_per_N=1e150", "--set",
                  "phantom_D_m2=0.01", "--set", "grid_n=64", "--set", "T_s=1e-6",
                  "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == (
-        "config error: tau0 inconsistent with c0^2 rho kappa1\n")
+        "config error: tau0 inconsistent with c0^2 rho kappa1: tau0/tau1 = 4.44444e-160 "
+        "is below 2^-53, the resolution of 1 - c0^2 rho kappa1\n")
     assert not out.exists()
 
 
@@ -319,6 +323,21 @@ def test_refused_report_keeps_existing_out(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["report.txt", "roots_10kc.csv"]
     assert (out / "roots_10kc.csv").read_bytes() == b"k\n1\n"
     assert (out / "report.txt").read_bytes() == b"title = combined\n"
+
+
+@pytest.mark.parametrize("override", ["T_s=1e300", "L_m=1e300"])
+def test_theta_T_without_significant_digits_is_refused(tmp_path, capsys, override):
+    # theta T up to ~1e305 rad: sin(theta T) would follow the last bit of
+    # theta T, so the run is refused before any evaluation
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report_reconstruction.txt").write_bytes(b"title = earlier\n")
+    assert main(["reconstruct", "--set", override, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: theta T up to ") and err.count("\n") == 1
+    assert "exceeds 2^53" in err
+    assert [p.name for p in out.iterdir()] == ["report_reconstruction.txt"]
+    assert (out / "report_reconstruction.txt").read_bytes() == b"title = earlier\n"
 
 
 def test_crashed_run_leaves_out_empty(tmp_path, monkeypatch):
@@ -566,3 +585,29 @@ def test_tool_argv_assembles(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(ROOT)
     args = cli._PARSER.parse_args(argv + ["--out", str(tmp_path)])
     assert cli._assemble_config(args).out_dir == tmp_path
+
+
+@pytest.mark.parametrize("grid", [
+    ["grid_dim=3", "grid_n=128", "phantom_D_m2=0.03125"],
+    ["grid_dim=3", "grid_n=512", "phantom_D_m2=0.03125"],
+    # a phantom of a few samples: the axis spectrum is the sampled factor's
+    # on all 1025 frequencies, and the first pass maps them to 7 lines on
+    # 1025 lines
+    ["grid_dim=2", "grid_n=2048", "phantom_D_m2=2e-5"],
+], ids=["3d_128", "3d_512", "2d_2048_tiny_phantom"])
+def test_image_report_is_independent_of_the_blas_thread_count(tmp_path, grid):
+    # the direct passes use no BLAS and the L2 error is numpy's own sum: at
+    # 512^3 a BLAS dot in the norm, and in 2-D a BLAS product in the direct
+    # pass, moved the report's last digits between 1 and 2 threads
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}
+        subprocess.run([sys.executable, "-W", "error", "-m", "patrev.cli", "reconstruct",
+                        "--config", str(ROOT / "configs" / "water.cfg"),
+                        *[arg for setting in grid for arg in ("--set", setting)],
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        reports.append((out / "report_reconstruction.txt").read_bytes())
+    assert reports[0] == reports[1]

@@ -474,26 +474,56 @@ _WATER_128_CUBED = {"grid_dim": "3", "grid_n": "128", "phantom_D_m2": "0.03125"}
 
 
 def test_3d_reconstruction_runs_real_passes_only(monkeypatch, tmp_path):
-    # per image (two) an irfft per axis on the band's frequencies 0 ... 47
-    # and the lines that reach the box: no axis factor spectrum (its closed
-    # form needs no FFT), no complex pass and no whole-grid transform
+    # per image (two) one direct cosine-matrix pass per axis, from the band's
+    # frequencies 0 ... 47 to the 25 lines that reach the box: no FFT at all,
+    # neither for the axis spectrum (its closed form) nor for a pass
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         def counted(a, *args, name=name, fft=getattr(np.fft, name), **kwargs):
             calls.append((name, np.shape(a)))
             return fft(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
+    passes = []
+
+    def inverse_pass(spec, n, box, axis, inverse_pass=transform._inverse_pass):
+        out = inverse_pass(spec, n, box, axis)
+        passes.append((spec.shape, out.shape))
+        return out
+    monkeypatch.setattr(transform, "_inverse_pass", inverse_pass)
     run_reconstruction(water_cfg(tmp_path, **_WATER_128_CUBED))
-    assert [name for name, _ in calls] == ["irfft"] * 6
-    box = calls[1][1][0]
-    assert box == 25
-    assert [shape for _, shape in calls[:3]] == [(48, 48, 48), (box, 48, 48), (box, box, 48)]
+    assert calls == []
+    chain = [(48, 48, 48), (25, 48, 48), (25, 25, 48), (25, 25, 25)]
+    assert passes == 2 * list(zip(chain, chain[1:]))
+
+
+@pytest.mark.parametrize("run, overrides, expected", [
+    # the 1-D reconstruction's whole 2^17 line (its profile CSV writes it),
+    # two images
+    (run_reconstruction, {"grid_n": str(2 ** 17)}, ["irfft"] * 2),
+    # the 2^20 sweep's support box, one image per medium
+    (run_kappa_sweep, {"grid_n": str(2 ** 20)}, ["zoom"] * 6),
+    (run_reconstruction, {**_WATER_128_CUBED}, ["direct"] * 6),
+    (run_reconstruction, {**_WATER_128_CUBED, "grid_n": "64"}, ["direct"] * 6),
+], ids=["1d_2e17_whole_line", "1d_2e20_sweep_box", "3d_128", "3d_64"])
+def test_each_pass_keeps_its_route(monkeypatch, tmp_path, run, overrides, expected):
+    # the direct matrix takes every 3-D axis and no 1-D pass, so the 1-D
+    # workloads keep the irfft and the zoom of before it
+    routes = []
+
+    def inverse_pass(spec, n, box, axis, inverse_pass=transform._inverse_pass):
+        routes.append(transform._route(spec.shape, n, box.stop - box.start, axis))
+        return inverse_pass(spec, n, box, axis)
+    monkeypatch.setattr(transform, "_inverse_pass", inverse_pass)
+    monkeypatch.setattr(experiments, "write_csv", lambda path, *args: path)
+    run(water_cfg(tmp_path, **overrides))
+    assert routes == expected
 
 
 def test_3d_reconstruction_live_peak(tmp_path):
     # no whole phantom and no half spectrum, only band octants and box
-    # lines: 6.0 MiB (14.7 MiB on 65^3 octants), where the complex half
-    # spectrum and box inverses took 49.8 MiB and two whole round trips 67 MiB
+    # lines: 2.5 MiB with direct passes (5.9 MiB with irfft passes, 14.7 MiB
+    # on 65^3 octants), where the complex half spectrum and box inverses took
+    # 49.8 MiB and two whole round trips 67 MiB
     cfg = water_cfg(tmp_path, **_WATER_128_CUBED)
     tracemalloc.start()
     try:
@@ -501,7 +531,7 @@ def test_3d_reconstruction_live_peak(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < 3.5 * 2**20
 
 
 def test_sweep_live_peak(tmp_path):

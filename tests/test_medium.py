@@ -126,3 +126,23 @@ def test_admitted_tau_ratio_is_at_least_2_to_minus_53():
     with pytest.raises(ValueError, match="tau0 inconsistent with c0"):
         derive_medium(RawParams(tau1=1e-9, kappa1=1e150 / (1500.0**2 * 1e3), rho=1e3,
                                 speed=1500.0))
+
+
+def test_c_infinity_media_are_admitted_down_to_2_to_minus_53():
+    # tau1/tau0 = 1 + c_inf^2 rho kappa1 is a sum of positive terms, so it
+    # holds to round-off where tau0 = (1 - c0^2 rho kappa1) tau1 cancels
+    # (that check refused every c_infinity medium from X = c_inf^2 rho kappa1
+    # ~ 2400); on a log scan of kappa1 each medium is admitted up to
+    # X = 2^53, as is its c_zero form while 1 - c0^2 rho kappa1 keeps digits
+    c_inf, rho, tau1 = 1500.0, 1e3, 1e-9
+    for e in range(-120, 160):
+        X = 10.0 ** (e / 10.0)
+        m = derive_medium(RawParams(tau1=tau1, kappa1=X / (c_inf**2 * rho), rho=rho,
+                                    speed=c_inf))
+        assert m.tau0 == pytest.approx(tau1 / (1.0 + X), rel=1e-15)
+        if X <= 1e12:
+            derive_medium(RawParams(tau1=tau1, kappa1=m.kappa1, rho=rho, speed=m.c0,
+                                    speed_kind="c_zero"))
+    with pytest.raises(ValueError, match="is below 2\\^-53"):
+        derive_medium(RawParams(tau1=tau1, kappa1=2.0**54 / (c_inf**2 * rho), rho=rho,
+                                speed=c_inf))

@@ -659,21 +659,26 @@ def test_band_between_table_points_is_served():
 @pytest.mark.parametrize("grid", [DESK, GridSpec(dim=3, n_per_axis=16, extent=8.0)],
                          ids=["1d", "3d"])
 def test_theta_T_refusal_precedes_every_evaluation(monkeypatch, grid):
-    # theta <= c_inf |k| <= c_inf sqrt(d) k_nyquist: past the refusal
-    # cos(2 theta T) is undefined on the table, and just below it the image
-    # is finite
+    # theta <= c_inf |k| <= c_inf sqrt(d) k_nyquist: past the first refusal
+    # cos(2 theta T) is undefined on the table, past the second one ulp of
+    # theta T is a radian or more, and just below 2^53 rad the image is finite
     calls = []
     mode_products = kernels.mode_products
     monkeypatch.setattr(kernels, "mode_products",
                         lambda *args: calls.append(args) or mode_products(*args))
     phi = gaussian_phantom(grid, 0.01)
-    T = sys.float_info.max / (LOSSLESS_1.c_inf * math.sqrt(grid.dim) * grid.nyquist)
+    per_T = LOSSLESS_1.c_inf * math.sqrt(grid.dim) * grid.nyquist
+    T = sys.float_info.max / per_T
     for include_zeta3 in (False, True):
         with pytest.raises(kernels.ScaleOverflowError, match="theta T is not a finite"):
             time_reversal_image(LOSSLESS_1, phi, 1.01 * T, include_zeta3=include_zeta3)
+    for T_refused in (0.99 * T, 1.01 * 2.0**53 / per_T):
+        with pytest.raises(kernels.ScaleOverflowError, match="exceeds 2\\^53"):
+            time_reversal_image(LOSSLESS_1, phi, T_refused)
     assert calls == []
-    time_reversal_image(LOSSLESS_1, phi, 0.99 * T)
+    image = time_reversal_image(LOSSLESS_1, phi, 0.99 * 2.0**53 / per_T)
     assert len(calls) == 1
+    assert np.all(np.isfinite(image.samples))
 
 
 def test_scale_refusals_take_numpy_scalars():
@@ -734,11 +739,12 @@ def _even_extension(octant: np.ndarray, n: int) -> np.ndarray:
                                   GridSpec(dim=3, n_per_axis=16, extent=16.0)],
                          ids=["2d", "3d"])
 def test_box_inverse_equals_full_inverse_on_the_box(grid, box, gaussian):
-    # the passes on the box's lines give the whole passes' values on the box
-    # bit for bit, for random data on every frequency and for a radial
-    # multiplier on a band table (zero beyond its ball) times closed-form axis
-    # spectra; the whole passes are the inverse DFT of the even extension,
-    # read from n/2, to round-off
+    # the passes on the box's lines give the whole passes' values on the box,
+    # for random data on every frequency and for a radial multiplier on a band
+    # table (zero beyond its ball) times closed-form axis spectra: bit for bit
+    # where every pass takes the same route for the box as for the whole
+    # lines, else to round-off; the whole passes are the inverse DFT of the
+    # even extension, read from n/2, to round-off
     n, d = grid.n_per_axis, grid.dim
     box = tuple(_BOXES[box](n)[:d])
     if gaussian:
@@ -752,16 +758,22 @@ def test_box_inverse_equals_full_inverse_on_the_box(grid, box, gaussian):
         spectrum = rng.standard_normal(n // 2 + 1)
 
     def passes(lines):
-        spec = octant
+        spec, routes = octant, []
         for axis in range(d):
             spec = spec * spectrum.reshape((-1,) + (1,) * (d - 1 - axis))
+            routes.append(transform._route(spec.shape, n, lines[axis].stop - lines[axis].start,
+                                           axis))
             spec = transform._inverse_pass(spec, n, lines[axis], axis)
-        return spec
+        return spec, routes
 
-    full = passes((slice(0, n),) * d)
-    assert np.array_equal(passes(box), full[box])
+    full, full_routes = passes((slice(0, n),) * d)
+    on_box, box_routes = passes(box)
     product = octant * functools.reduce(np.multiply.outer, [spectrum] * d)
     whole = np.fft.fftshift(np.fft.ifftn(_even_extension(product, n)).real)
+    if box_routes == full_routes:
+        assert np.array_equal(on_box, full[box])
+    else:
+        assert np.max(np.abs(on_box - full[box])) <= 1e-14 * np.max(np.abs(whole))
     assert np.max(np.abs(full - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
@@ -781,10 +793,10 @@ _LINES = {
 @pytest.mark.parametrize("lines", sorted(_LINES))
 @pytest.mark.parametrize("n", [64, 1024])
 def test_zoom_equals_irfft_on_the_box(n, lines, band, axis):
-    # Bluestein's zoom is the irfft of the band, zero-padded to n, on the
-    # output lines, for random real even band spectra (three of them along
-    # the other axis): within 1e-15 of the line's max, the scale of its
-    # round-off, for any band, box and line
+    # Bluestein's zoom and the direct cosine matrix are each the irfft of the
+    # band, zero-padded to n, on the output lines, for random real even band
+    # spectra (three of them along the other axis): within 1e-15 of the
+    # line's max, the scale of its round-off, for any band, box and line
     m_b = {"0": 0, "1": 1, "n/2": n // 2}[band]
     shape = [3, 3]
     shape[axis] = m_b + 1
@@ -792,9 +804,11 @@ def test_zoom_equals_irfft_on_the_box(n, lines, band, axis):
     start, stop = _LINES[lines](n)
     out = np.arange(start, stop) - n // 2
     line = np.fft.irfft(spec, n, axis=axis)
-    zoom = transform._zoom(spec, n, out, axis)
-    assert zoom.shape == line.take(out % n, axis=axis).shape
-    assert np.max(np.abs(zoom - line.take(out % n, axis=axis))) <= 1e-15 * np.max(np.abs(line))
+    expected = line.take(out % n, axis=axis)
+    for route in (transform._zoom, transform._direct):
+        got = route(spec, n, out, axis)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(line))
 
 
 def test_band_route_matches_the_exact_image():

@@ -79,6 +79,9 @@ RUNS = [
     # the grid of the reconstruct-water-3d benchmark workload
     ("water_reconstruct_3d_128", ["reconstruct", "--config", WATER, "--set", "grid_dim=3",
                                   "--set", "grid_n=128", "--set", "phantom_D_m2=0.03125"]),
+    # past the benchmark grid, where the direct cosine-matrix passes gain most
+    ("water_reconstruct_3d_256", ["reconstruct", "--config", WATER, "--set", "grid_dim=3",
+                                  "--set", "grid_n=256", "--set", "phantom_D_m2=0.03125"]),
     ("water_sweep_kappa_3d", ["sweep-kappa", "--config", WATER, "--set", "grid_dim=3",
                               "--set", "grid_n=64", "--set", "phantom_D_m2=0.03125"]),
     # the built-in medium: no --config
