@@ -409,7 +409,7 @@ def _roots_columns(medium: Medium, grid: spectral.RootsGrid) -> list[np.ndarray]
 def _k_grid_roots(medium: Medium, ks: np.ndarray) -> spectral.RootsGrid:
     """Roots over a k grid.  A grid that reaches wavenumbers where they are
     not finite doubles is refused as a ConfigError naming the cause
-    (``spectral.nonfinite_roots``); the NaN roots of the exact triple root
+    (``spectral.nonfinite_roots``); the NaN roots of the (near-)triple root
     (C = 0) are the runs' to report."""
     with np.errstate(all="ignore"):
         grid = spectral.roots_grid(medium, ks)

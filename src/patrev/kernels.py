@@ -28,9 +28,11 @@ home the A_j tables read too.  They are functions of r = tau0/tau1 and
 s = (c0 tau1 k)^2 alone, and the scale enters the multiplier only through
 theta T = c0 k T g(r, s), so every array is accurate to round-off at any tau
 scale and down to k = 0.  Where the cubic has three real roots there is no
-pair, and the imaging path refuses: ``mode_products`` at each k it solves,
-and the image before any evaluation, on the band of
-``spectral.three_root_band``.  ``regime_refusal`` is that refusal's one home.
+pair: ``spectral.three_root_band`` decides where, and the image refuses its
+band before any evaluation.  ``mode_products`` refuses each k that
+``roots_grid`` flags, for the tables that report per k; no k off the band is
+flagged, so it never refuses an admitted image.  ``regime_refusal`` is that
+refusal's one home.
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ EXP_REAL_LIMIT = 700.0
 
 
 class ComplexRegimeError(ValueError):
-    """The cubic has three real roots (Delta1^2 < 4 Delta0^3, or the triple
-    root Delta0 = Delta1 = 0) at some requested wavenumber: the real-valued
-    zeta/eta decomposition, and with it the imaging path, needs a conjugate pair.
-    """
+    """The cubic has three real roots, or the (near-)triple root C = 0, at
+    some requested wavenumber: the real-valued zeta/eta decomposition, and
+    with it the imaging path, needs a conjugate pair."""
 
 
 class ScaleOverflowError(OverflowError):

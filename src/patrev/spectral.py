@@ -9,18 +9,20 @@ solve a real cubic equation", 1986): with Delta0 = 1 - 3 r s,
 Delta1 = 2 + 9 r (3 r - 1) s and disc = Delta1^2 - 4 Delta0^3 =
 27 r^2 s (4 r s^2 + b s + 4), l0 = (1 + C + Delta0/C) / (3 r) is Cardano's
 real root, C = cbrt((Delta1 + sign(Delta1) sqrt(disc)) / 2), where
-disc >= 0; where disc < 0 (three real roots, ``three_root_band``) it is the
-u_0 root of the principal C = sqrt(Delta0) e^{i phi/3},
-phi = atan2(sqrt(-disc), Delta1).  One Newton step polishes l0, and the pair
-(mu +- i theta) tau1 follows by Vieta: its product is s / (r l0), and
-2 mu tau1 = (1/r - 1) s l0 / (l0^2 + s).  mu tau1 / s and g = theta / (c0 k)
-stay finite as s -> 0 (s underflows at tau1 ~ 1e-200 s and water's k), so
-mu = (mu tau1 / s) (c0 k) (c0 tau1 k) and theta = c0 k g need no division
-by s.  Every root is accurate to round-off down to k = 0.  Where disc >= 0
-(``real_c_regime``) theta >= 0 and the pair is conjugate; where disc < 0
-theta is purely imaginary and lambda_{1,2} = mu -+ |theta|.  The labels
-follow from lambda0 and the sign of theta, never from sorting numeric roots,
-so they cannot swap along a k grid.
+disc >= 0; where disc < 0 (three real roots) it is the u_0 root of the
+principal C = sqrt(Delta0) e^{i phi/3}, phi = atan2(sqrt(-disc), Delta1).
+Where a band exists the closed form ``three_root_band`` decides the regime:
+outside it a rounded disc < 0 is round-off and the pair is taken.  Inside
+it, and for r >= 1/9, the rounded disc decides.  One Newton step polishes
+l0, and the pair (mu +- i theta) tau1 follows by Vieta: its product is
+s / (r l0), and 2 mu tau1 = (1/r - 1) s l0 / (l0^2 + s).  mu tau1 / s and
+g = theta / (c0 k) stay finite as s -> 0 (s underflows at tau1 ~ 1e-200 s
+and water's k), so mu = (mu tau1 / s) (c0 k) (c0 tau1 k) and theta = c0 k g
+need no division by s.  Every root is accurate to round-off down to k = 0.
+In the pair regime (``real_c_regime``) theta >= 0 and the pair is
+conjugate; else theta is purely imaginary and lambda_{1,2} = mu -+ |theta|.
+The labels follow from lambda0 and the sign of theta, never from sorting
+numeric roots, so they cannot swap along a k grid.
 
 The mode weights A_j solve the moment system sum_j A_j lambda_j^m = a_m,
 m = 0, 1, 2, with a_0 = 0, a_1 = -tau1/tau0, a_2 = (1 - tau1/tau0)/tau0.
@@ -83,7 +85,7 @@ class RootsGrid:
     """Roots of the dispersion cubic over a k grid (fft-layout agnostic).
 
     lambda0 and mu are real, and lambda_{1,2} = mu +- i theta.  Where
-    ``real_c_regime`` (disc >= 0) theta >= 0 and the pair is conjugate;
+    ``real_c_regime`` (see ``roots_grid``) theta >= 0, the pair conjugate;
     elsewhere theta (then a complex array) is purely imaginary, all three
     roots are real, and big_c is the principal complex C.  ``pair_products``
     reads the scale-free roots w = c0 tau1 k, ell0 = lambda0 tau1,
@@ -120,10 +122,10 @@ def _disc_b(r: float) -> float:
 def roots_grid(medium: Medium, k) -> RootsGrid:
     """Roots of the dispersion cubic over a k grid (k >= 0); see the module
     docstring.  ``Medium`` admits no r below 2^-53, for either speed kind,
-    so l0 <= 1/r < 1e16.
+    so l0 <= 1/r < 1e16.  No k off ``three_root_band`` is flagged.
     From about 1e20 k_c the roots may be inexact (C + Delta0/C cancels beyond
-    one Newton step) and from about 1e30 k_c not finite.  At the exact
-    triple root (r = 1/9 at one k) C = 0 and the roots are NaN.
+    one Newton step) and from about 1e30 k_c not finite.  At the
+    (near-)triple root (r ~ 1/9 at one k) C = 0 and the roots are NaN.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
@@ -137,6 +139,9 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
     # disc = d1^2 - 4 d0^3 expanded in s: both terms tend to 4 as k -> 0,
     # and their difference 108 r^2 s would drown in their rounding
     disc = 27.0 * r * r * s * (4.0 + s * (_disc_b(r) + 4.0 * r * s))
+    if (band := three_root_band(medium)) is not None:
+        # outside the closed-form band a rounded disc < 0 is round-off
+        disc = np.where((k > band[0]) & (k < band[1]), disc, np.maximum(disc, 0.0))
     regime = disc >= 0
     # Cardano's real root with the real cube root; the sign of d1 keeps the
     # sum free of cancellation, so C = 0 only at the triple root.  Entries
@@ -146,12 +151,12 @@ def roots_grid(medium: Medium, k) -> RootsGrid:
         ell0 = (1.0 + big_c + d0 / big_c) / (3.0 * r)
     any_band = not np.all(regime)
     if any_band:
-        # three real roots: the u_0 root of the principal C, for which
-        # |C|^2 = d0 and C + d0/C = 2 Re C
+        # three real roots need d0 > 0 (else the (near-)triple root, C = 0): the
+        # u_0 root of the principal C, for which |C|^2 = d0 and C + d0/C = 2 Re C
         with np.errstate(invalid="ignore"):
             c_band = np.sqrt(d0) * np.exp(1j / 3.0 * np.arctan2(np.sqrt(-disc), d1))
-        big_c = np.where(regime, big_c, c_band)
-        ell0 = np.where(regime, ell0, (1.0 + 2.0 * c_band.real) / (3.0 * r))
+        big_c = np.select([regime, d0 > 0], [big_c, c_band], 0.0)
+        ell0 = np.select([regime, d0 > 0], [ell0, (1.0 + 2.0 * c_band.real) / (3.0 * r)], np.nan)
     del disc
     # one Newton step on -r l^3 + l^2 - s l + s; at the triple root l0 is
     # not finite (C = 0) and the step makes it NaN
@@ -192,8 +197,8 @@ def three_root_band(medium: Medium) -> tuple[float, float] | None:
     (1 - 9 r)^3 (1 - r) is positive only for r < 1/9, where b < 0: water
     (r = 0.47) has no band.  Its roots s_lo = 8 / (-b + sqrt(q)) and
     s_hi = (-b + sqrt(q)) / (8 r) are free of cancellation and overflow
-    nowhere (k_hi may be inf).  The edges are within an ulp; the flag's own
-    round-off is larger, by 1/sqrt(q).
+    nowhere (k_hi may be inf).  The edges are within an ulp, the rounded
+    disc 1/sqrt(q) times less close, so ``roots_grid`` flags no k off them.
     """
     r = float(medium.tau0) / float(medium.tau1)
     if not 9.0 * r < 1.0:
@@ -204,9 +209,8 @@ def three_root_band(medium: Medium) -> tuple[float, float] | None:
 
 
 def cardano_roots(medium: Medium, k: float) -> RootsGrid:
-    """``roots_grid`` at one wavenumber, as a 0-d RootsGrid; ``real_c_regime``
-    is False on the three-real-root band, where the roots are valid and the
-    imaging path refuses."""
+    """``roots_grid`` at one wavenumber, as a 0-d RootsGrid; where its
+    ``real_c_regime`` is False the roots are valid and the imaging path refuses."""
     return roots_grid(medium, float(k))
 
 

@@ -206,17 +206,9 @@ def gaussian_phantom(grid: GridSpec, D: float) -> Field:
     D is the squared-length scale [m^2]; the standard deviation is
     sqrt(2 D).  The support (6 sigma) must fit inside half the extent so the
     discrete integral equals 1 to 1e-6.  phi is the outer product of its axis
-    factors, the closed form to round-off (exactly in 1-D).
+    factors (``_support_box``), the closed form to round-off (exactly in 1-D).
     """
-    return Field(grid, functools.reduce(np.multiply.outer, _gaussian_factors(grid, D)))
-
-
-def _gaussian_factors(grid: GridSpec, D: float) -> list[np.ndarray]:
-    """Axis factors of ``gaussian_phantom``, after its refusals: ``_axis_factor``
-    on axes 0 ... d-2, times the peak (4 pi D)^{-d/2} on the last."""
-    D, peak = _gaussian_peak(grid, D)
-    g = _axis_factor(grid, D, slice(None))
-    return [g] * (grid.dim - 1) + [g * peak]
+    return Field(grid, _support_box(grid, *_gaussian_peak(grid, D), whole=True)[1])
 
 
 def _gaussian_peak(grid: GridSpec, D: float) -> tuple[float, float]:
@@ -368,7 +360,8 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     after the zeta3 refusal when it exceeds 2^53 rad, where one ulp of
     theta T is a whole radian and cos(2 theta T) has no significant digit.
     Last, still before any evaluation, a ComplexRegimeError counts the table
-    |k| on the three-real-root band (``spectral.three_root_band``).
+    |k| on the three-real-root band (``spectral.three_root_band``), the one
+    definition of that regime: an admitted image meets no later refusal of it.
     """
     return apply_multiplier(phantom, _image_multiplier(medium, phantom.grid, T,
                                                        include_zeta3))
@@ -424,7 +417,8 @@ _BAND_EXPONENT = 64.0 * math.log(2.0)
 def _support_box(grid: GridSpec, D: float, peak: float, whole: bool = False
                  ) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray]:
     """Support box of ``gaussian_phantom(grid, D)`` of peak ``peak``, and
-    the phantom and its support mask on it, bit for bit those of the whole
+    the phantom (``_axis_factor`` on axes 0 ... d-2, times the peak on the
+    last) and its support mask on it, bit for bit those of the whole
     phantom.  The box takes, on every axis, the lines where the last axis
     factor reaches SUPPORT_LEVEL of the peak (every line when ``whole``):
     the phantom peaks where that factor does and rounded products are

@@ -422,7 +422,9 @@ def test_support_box_equals_whole_phantom_support(dim, n, D_over_h2):
     factors = [g] * (dim - 1) + [g * scale]
     whole = functools.reduce(np.multiply.outer, factors)
     if 6.0 * (2.0 * D) ** 0.5 <= grid.extent / 2.0:
-        for built, expected in zip(transform._gaussian_factors(grid, D), factors, strict=True):
+        admitted, peak = transform._gaussian_peak(grid, D)
+        g = transform._axis_factor(grid, admitted, slice(None))
+        for built, expected in zip([g] * (dim - 1) + [g * peak], factors, strict=True):
             assert np.array_equal(built, expected)
         assert np.array_equal(transform.gaussian_phantom(grid, D).samples, whole)
     whole_mask = whole >= transform.SUPPORT_LEVEL * np.max(whole)

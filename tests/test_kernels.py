@@ -7,7 +7,7 @@ import pytest
 
 from patrev.medium import (Medium, RawParams, derive_medium, nondimensional_medium,
                            water_params)
-from patrev import kernels, spectral
+from patrev import kernels, spectral, transform
 from patrev.kernels import (
     ComplexRegimeError,
     ScaleOverflowError,
@@ -17,6 +17,7 @@ from patrev.kernels import (
     multiplier_grid,
     zeta_arrays,
 )
+from patrev.transform import GridSpec, gaussian_phantom, time_reversal_image
 
 WATER = derive_medium(water_params())
 KC = WATER.k_c
@@ -315,10 +316,27 @@ def test_mode_products_refusals_equal_discriminant_set():
     assert cubic <= 1e-13 and moment <= 1e-13
 
 
+def _mpmath_multiplier(medium, k, T):
+    """The zeta3-excluded multiplier at one k from the roots and the moment
+    solve in 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    t0, t1 = mpmath.mpf(medium.tau0), mpmath.mpf(medium.tau1)
+    ck2 = (mpmath.mpf(medium.c0) * mpmath.mpf(k)) ** 2
+    roots = mpmath.polyroots([-t0, 1, -t1 * ck2, ck2], maxsteps=200, extraprec=300)
+    lam1 = max(roots, key=mpmath.im)
+    lams = [min(roots, key=lambda z: abs(mpmath.im(z))).real, lam1, mpmath.conj(lam1)]
+    amps = mpmath.lu_solve(
+        mpmath.matrix([[1, 1, 1], lams, [lam**2 for lam in lams]]),
+        mpmath.matrix([0, -t1 / t0, (1 - t1 / t0) / t0]))
+    p = [a * lam for a, lam in zip(amps, lams)]
+    return (2 * mpmath.re(sum(x * x for x in p))
+            + 4 * abs(p[1]) ** 2 * mpmath.cos(2 * mpmath.im(lam1) * T))
+
+
 def test_multiplier_next_to_band_edges_matches_mpmath():
     # Im p1 grows like 1/theta towards the three-real-root band, so the
     # cos(2 theta T) form of the multiplier cancels (Im p1)^2 there
-    mpmath = pytest.importorskip("mpmath")
     medium = nondimensional_medium(0.1)
     T = 6.0
 
@@ -335,23 +353,46 @@ def test_multiplier_next_to_band_edges_matches_mpmath():
     ks = np.asarray([lo * (1 - 1e-12), hi * (1 + 1e-12),
                      lo * (1 - 1e-10), hi * (1 + 1e-10)])
     got = mode_products(medium, ks).multiplier(T)
-
-    mpmath.mp.dps = 60
-    t0, t1 = mpmath.mpf(medium.tau0), mpmath.mpf(medium.tau1)
     for k, m in zip(ks, got):
-        ck2 = (mpmath.mpf(medium.c0) * mpmath.mpf(k)) ** 2
-        roots = mpmath.polyroots([-t0, 1, -t1 * ck2, ck2], maxsteps=200,
-                                 extraprec=300)
-        lam1 = max(roots, key=mpmath.im)
-        lams = [min(roots, key=lambda z: abs(mpmath.im(z))).real, lam1,
-                mpmath.conj(lam1)]
-        amps = mpmath.lu_solve(
-            mpmath.matrix([[1, 1, 1], lams, [lam**2 for lam in lams]]),
-            mpmath.matrix([0, -t1 / t0, (1 - t1 / t0) / t0]))
-        p = [a * lam for a, lam in zip(amps, lams)]
-        ref = (2 * mpmath.re(sum(x * x for x in p))
-               + 4 * abs(p[1]) ** 2 * mpmath.cos(2 * mpmath.im(lam1) * T))
+        ref = _mpmath_multiplier(medium, k, T)
         assert abs((m - ref) / ref) <= 1e-12
+
+
+def test_image_next_to_the_band_edge_is_admitted():
+    # a table |k| 3e-11 below the band's lower edge at tau0/tau1 = 0.1111:
+    # the closed form admits it, and roots_grid takes the pair there too,
+    # although its rounded disc < 0 (refused part-way through evaluation
+    # before the closed form decided the flag outside the band)
+    medium = nondimensional_medium(0.1111)
+    lo, _ = spectral.three_root_band(medium)
+    grid = GridSpec(1, 256, 2 * math.pi * 40 / (lo * (1 - 3e-11)))
+    k = grid.radial_table()[0][40]
+    assert k < lo
+    image = time_reversal_image(medium, gaussian_phantom(grid, 36.0), 2.0)
+    assert np.all(np.isfinite(image.samples))
+    _, _, (box_image,) = transform._gaussian_images(grid, 36.0, medium, 2.0)
+    assert np.all(np.isfinite(box_image))
+    m = mode_products(medium, np.asarray([k])).multiplier(2.0)[0]
+    ref = _mpmath_multiplier(medium, k, 2.0)
+    assert abs((m - ref) / ref) <= 1e-8
+
+
+@pytest.mark.parametrize("excess", [1e-8, 1e-12])
+def test_near_triple_root_is_refused_as_the_triple_root(excess):
+    # tau0/tau1 just above 1/9 has no band, but at k = sqrt(3)/2 k_c the
+    # rounded disc < 0 and d0 = 1 - 3 r s <= 0: three real roots need
+    # d0 > 0, so the point is the triple root, C = 0, and not an overflow
+    medium = nondimensional_medium((1.0 + excess) / 9.0)
+    assert spectral.three_root_band(medium) is None
+    k = np.asarray([0.5 * math.sqrt(3.0) * medium.k_c])
+    grid = spectral.roots_grid(medium, k)
+    assert grid.delta0[0] <= 0 and not grid.real_c_regime[0] and grid.big_c[0] == 0
+    assert np.isnan(grid.lambda0[0]) and np.isnan(spectral.scaled_residuals(medium, grid)[0])
+    assert spectral.nonfinite_roots(medium, grid) is None
+    with pytest.raises(ComplexRegimeError, match="at 1 wavenumber"):
+        mode_products(medium, k)
+    with pytest.raises(ComplexRegimeError):
+        eta0_hat(medium, float(k[0]))
 
 
 # water plus 40 seeded ratios tau0/tau1 in [0.02, 1] and the two ends

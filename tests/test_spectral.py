@@ -334,17 +334,21 @@ def test_band_weights_real_and_match_vandermonde(medium):
 
 
 # tau0/tau1 over (0, 1]: uniform, down to 1e-12, and around 1/9 (where the
-# band closes), the last ones on either side of it
+# band closes), the last ones on either side of it, and three ratios whose
+# edges are ill-conditioned (8 ulps at 0.085 to 3.4e7 at 0.11111)
 BAND_RATIOS = np.concatenate([np.linspace(0.0, 1.0, 201)[1:], np.logspace(-12, -1, 23),
-                              (1.0 + np.linspace(-1e-3, 1e-3, 21)) / 9.0])
+                              (1.0 + np.linspace(-1e-3, 1e-3, 21)) / 9.0,
+                              [0.085, 0.1111, 0.11111]])
 
 
 def test_three_root_band_matches_the_flag():
-    # the closed form and roots_grid's disc < 0 agree at every k, except
-    # within a few ulps of an edge, where round-off decides the flag.  The
-    # edges' condition number 1/sqrt(q), q = (1 - 9 r)^3 (1 - r), grows as
-    # the band closes at r = 1/9 (8 ulps at r = 0.085, 46 at 0.105); the k
-    # at and next to each edge are probed too
+    # the closed form decides the flag outside its band: every k there reads
+    # "pair", also where roots_grid's rounded disc < 0.  Inside, the flag is
+    # the rounded disc >= 0, which reads "pair" only within a few ulps of an
+    # edge.  The edges' condition number 1/sqrt(q), q = (1 - 9 r)^3 (1 - r),
+    # grows as the band closes at r = 1/9 (8 ulps at r = 0.085, 46 at
+    # 0.105); the k at and next to each edge are probed, and 241 k within
+    # 1e8 ulps of it
     eps = np.finfo(float).eps
     for ratio in BAND_RATIOS:
         medium = nondimensional_medium(float(ratio))
@@ -354,14 +358,15 @@ def test_three_root_band_matches_the_flag():
             assert 0.0 < band[0] < band[1]
             r = medium.tau0 / medium.tau1
             cond = 1.0 + ((1.0 - 9.0 * r) ** 3 * (1.0 - r)) ** -0.5
-            near_edge = 1.0 + eps * np.arange(-8, 9) * cond
+            near_edge = np.concatenate([1.0 + eps * np.arange(-8, 9) * cond,
+                                        1.0 + eps * np.linspace(-1e8, 1e8, 241)])
             k = np.concatenate([k, band[0] * near_edge, band[1] * near_edge])
         flagged = ~roots_grid(medium, k).real_c_regime
         inside = (np.zeros_like(flagged) if band is None
                   else (k > band[0]) & (k < band[1]))
-        off = k[flagged != inside]
+        assert not np.any(flagged & ~inside), ratio
+        off = k[inside & ~flagged]
         if off.size:
-            assert band is not None, ratio
             dist = np.minimum(np.abs(off / band[0] - 1.0), np.abs(off / band[1] - 1.0))
             assert np.all(dist <= 4.0 * eps * cond), ratio
 
