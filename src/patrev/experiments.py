@@ -261,8 +261,21 @@ class ExperimentConfig:
         kmax = self.k_max_over_kc * medium.k_c
         if self.k_spacing == "log":
             lo = self.k_min if self.k_min > 0 else kmax * 1e-6
-            return np.logspace(math.log10(lo), math.log10(kmax), self.k_num)
-        return np.linspace(self.k_min, kmax, self.k_num)
+            return _k_range(lo, kmax, self.k_num, log=True)
+        return _k_range(self.k_min, kmax, self.k_num)
+
+
+def _k_range(lo: float, hi: float, num: int, log: bool = False, unit: float = 1.0
+             ) -> np.ndarray:
+    """The one builder of the tables' k grids: ``num`` wavenumbers [1/m] from
+    ``lo`` to ``hi`` times ``unit``, evenly spaced in k or in log(k / unit).
+    An end beyond double range (inf, or 0 on a log scale) is a ConfigError."""
+    ends = lo * unit, hi * unit
+    if not math.isfinite(ends[1]) or (log and not min(ends) > 0):
+        raise ConfigError(f"the k grid [{ends[0]:.6g}, {ends[1]:.6g}] 1/m leaves double range")
+    if log:
+        return np.logspace(math.log10(lo), math.log10(hi), num) * unit
+    return np.linspace(*ends, num)
 
 
 _DEFAULTS = {
@@ -420,6 +433,17 @@ def _k_grid_roots(medium: Medium, ks: np.ndarray) -> spectral.RootsGrid:
     return grid
 
 
+def _k_grid_amplitudes(medium: Medium, grid: spectral.RootsGrid):
+    """``spectral.amplitudes_grid``; a grid where a weight off the degenerate k
+    is not a finite double (its |lambda_j| subnormal) is refused as a ConfigError."""
+    a0, a1, a2, degen = weights = spectral.amplitudes_grid(medium, grid)
+    if not np.all(degen | np.isfinite([a0, a1, a2]).all(axis=0)):
+        raise ConfigError(
+            f"the k grid [{grid.k.min():.6g}, {grid.k.max():.6g}] 1/m reaches wavenumbers "
+            "where the mode weights are not finite doubles: raise the smallest nonzero k")
+    return weights
+
+
 def run_roots(cfg: ExperimentConfig) -> Report:
     """Roots table over the configured k grid and its cubic-residual check."""
     medium = cfg.medium
@@ -438,7 +462,7 @@ def run_coeffs(cfg: ExperimentConfig) -> Report:
     rows where the weights are undefined (k = 0, the triple root) are left out."""
     medium = cfg.medium
     grid = _k_grid_roots(medium, cfg.k_grid(medium))
-    a0, a1, a2, degen = spectral.amplitudes_grid(medium, grid)
+    a0, a1, a2, degen = _k_grid_amplitudes(medium, grid)
     keep = ~degen
     if not np.any(keep):
         raise ConfigError(
@@ -470,9 +494,9 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
     rep = Report("kernel_tables")
 
     for mult, tag in ((10.0, "10kc"), (100.0, "100kc")):
-        ks = np.linspace(0.0, mult * medium.k_c, cfg.k_num)
+        ks = _k_range(0.0, mult, cfg.k_num, unit=medium.k_c)
         grid = _k_grid_roots(medium, ks)
-        a0, a1, a2, _ = spectral.amplitudes_grid(medium, grid)
+        a0, a1, a2, _ = _k_grid_amplitudes(medium, grid)
         # A_j k; at k = 0, where lambda1 = lambda2 = 0, A1 k and A2 k are
         # defined by their limits +-i/(2 c0), while A0 k = 0 comes out exact
         at_zero = ks == 0
@@ -506,9 +530,9 @@ def run_kernel_tables(cfg: ExperimentConfig) -> Report:
         ))
 
     # growth orders on [kc, 1e3 kc]; sup values are recorded and must be finite
-    ks = np.logspace(0.0, 3.0, 200) * medium.k_c
+    ks = _k_range(1.0, 1000.0, 200, log=True, unit=medium.k_c)
     grid = _k_grid_roots(medium, ks)
-    a0, a1, a2, _ = spectral.amplitudes_grid(medium, grid)
+    a0, a1, a2, _ = _k_grid_amplitudes(medium, grid)
     sup_a0k2 = float(np.max(np.abs(a0) * ks * ks))
     sup_a1k = float(np.max(np.abs(a1) * ks))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -567,12 +591,9 @@ def run_reconstruction(cfg: ExperimentConfig) -> Report:
     D = cfg.phantom_D(medium)
     rep = Report("reconstruction")
 
-    def eta0(kk):
-        return kernels.mode_products(medium, kk).eta0_multiplier()
-
     # the 1-D profile CSV writes the whole line
-    phi_box, mask, images = transform._gaussian_images(cfg.grid, D, medium, T, eta0,
-                                                       whole=cfg.grid.dim == 1)
+    phi_box, mask, images = transform._gaussian_images(
+        cfg.grid, D, medium, T, kernels.ModeProducts.eta0_multiplier, whole=cfg.grid.dim == 1)
     phi = phi_box[mask]
     image, image_eta0 = (im[mask] for im in images)
     gain = kernels.dc_constant(medium)

@@ -24,10 +24,12 @@ gain (2 pi)^{d/2} eta0_hat(0) = 2 (1 - tau1/tau0)^2 + 1 describes the image on
 the reconstruction region.
 
 The products p_j = A_j lambda_j come from ``spectral.pair_products``, the
-home the A_j tables read too.  They are functions of r = tau0/tau1 and
-s = (c0 tau1 k)^2 alone, and the scale enters the multiplier only through
-theta T = c0 k T g(r, s), so every array is accurate to round-off at any tau
-scale and down to k = 0.  Where the cubic has three real roots there is no
+home the A_j tables read too; their algebra (M, eta0, the zeta pieces, the
+forward mode sum) lives in ``ModeProducts`` alone, here and for
+``transform``.  They are functions of r = tau0/tau1 and s = (c0 tau1 k)^2
+alone, and the scale enters the multiplier only through theta T =
+c0 k T g(r, s), so every array is accurate to round-off at any tau scale and
+down to k = 0.  Where the cubic has three real roots there is no
 pair: ``spectral.three_root_band`` decides where, and the image refuses its
 band before any evaluation.  ``mode_products`` refuses each k that
 ``roots_grid`` flags, for the tables that report per k; no k off the band is
@@ -85,7 +87,8 @@ class ModeProducts:
     lambda0 is the real root and lambda_{1,2} = mu +- i theta the conjugate
     pair; p0 = A0 lambda0 is real and p2 = A2 lambda2 = conj(p1), so p1 alone
     carries the pair.  Every array is usable down to k = 0.  The methods below
-    are the one home of the p_j algebra of the imaging multipliers.
+    are the one home of the p_j algebra, for the kernel tables and for every
+    image multiplier of ``transform``.
     """
 
     k: np.ndarray
@@ -104,10 +107,6 @@ class ModeProducts:
     def eta0_multiplier(self) -> np.ndarray:
         """(2 pi)^{d/2} eta0_hat = 2 sum_j p_j^2 = 2 (p0^2 + 2 Re p1^2)."""
         return 2.0 * (self.p0**2 + 2.0 * (self.p1_re**2 - self.p1_im**2))
-
-    def abs_p1_sq(self) -> np.ndarray:
-        """|p1|^2 = |p2|^2."""
-        return self.p1_re**2 + self.p1_im**2
 
     def multiplier(self, T: float) -> np.ndarray:
         """zeta3-excluded image multiplier 2 sum_j p_j^2 + 4 |p1|^2 cos(2 theta T).
@@ -129,6 +128,32 @@ class ModeProducts:
         m *= 2.0
         m -= s
         return m
+
+    def mode_sum(self, t: float) -> np.ndarray:
+        """sum_j A_j lambda_j e^{-lambda_j t}, real since p2 e^{-lambda2 t} is the
+        conjugate of p1 e^{-lambda1 t}; minus it is the forward multiplier
+        p_hat / phi_hat, and 2 mode_sum(T) mode_sum(-T) the image with zeta3."""
+        phase = self.theta * t
+        return self.p0 * np.exp(-self.lambda0 * t) + 2.0 * np.exp(-self.mu * t) * (
+            self.p1_re * np.cos(phase) + self.p1_im * np.sin(phase)
+        )
+
+    def zeta_pieces(self, T: float, d: int):
+        """(zeta1_hat, zeta2_hat, zeta3_mantissa, zeta3_log_scale) at time T in
+        d dimensions; see ``zeta_arrays``."""
+        norm = _norm(d)
+        abs_p1_sq = self.p1_re**2 + self.p1_im**2     # |p1|^2 = |p2|^2
+        z1 = (self.eta0_multiplier() + 4.0 * abs_p1_sq) / norm
+        z2 = 8.0 * abs_p1_sq * np.sin(self.theta * T) ** 2 / norm
+        x = (self.lambda0 - self.mu) * T        # Re(lambda0 - lambda1) T
+        y = -self.theta * T                     # Im(lambda0 - lambda1) T
+        ax = np.abs(x)
+        decay = np.exp(-2.0 * ax)
+        cosh_m = 0.5 * (1.0 + decay)                 # cosh(x) = e^{|x|} cosh_m
+        sinh_m = 0.5 * (1.0 - decay) * np.sign(x)    # sinh(x) = e^{|x|} sinh_m
+        z3_m = 8.0 * self.p0 * (self.p1_re * np.cos(y) * cosh_m
+                                - self.p1_im * np.sin(y) * sinh_m) / norm
+        return z1, z2, z3_m, ax
 
 
 def mode_products(medium: Medium, k) -> ModeProducts:
@@ -173,28 +198,6 @@ def _real_products(medium: Medium, k, T: float) -> ModeProducts:
     return mode_products(medium, k)
 
 
-def _zeta_pieces(mp: ModeProducts, T: float, d: int):
-    """(zeta1_hat, zeta2_hat, zeta3_mantissa, zeta3_log_scale) of real-regime
-    mode products; see ``zeta_arrays``."""
-    norm = _norm(d)
-    abs_p1_sq = mp.abs_p1_sq()
-    z1 = (mp.eta0_multiplier() + 4.0 * abs_p1_sq) / norm
-    z2 = 8.0 * abs_p1_sq * np.sin(mp.theta * T) ** 2 / norm
-    x = (mp.lambda0 - mp.mu) * T        # Re(lambda0 - lambda1) T
-    y = -mp.theta * T                   # Im(lambda0 - lambda1) T
-    ax = np.abs(x)
-    decay = np.exp(-2.0 * ax)
-    cosh_m = 0.5 * (1.0 + decay)                 # cosh(x) = e^{|x|} cosh_m
-    sinh_m = 0.5 * (1.0 - decay) * np.sign(x)    # sinh(x) = e^{|x|} sinh_m
-    z3_m = (
-        8.0
-        * mp.p0
-        * (mp.p1_re * np.cos(y) * cosh_m - mp.p1_im * np.sin(y) * sinh_m)
-        / norm
-    )
-    return z1, z2, z3_m, ax
-
-
 def zeta_arrays(medium: Medium, k, T: float, d: int = 3):
     """(zeta1_hat, zeta2_hat, zeta3_mantissa, zeta3_log_scale) over a k grid.
 
@@ -203,7 +206,7 @@ def zeta_arrays(medium: Medium, k, T: float, d: int = 3):
     where the relaxation root dominates).  Requires the real-C regime and
     T > 0.
     """
-    return _zeta_pieces(_real_products(medium, k, T), T, d)
+    return _real_products(medium, k, T).zeta_pieces(T, d)
 
 
 def eta0_hat(medium: Medium, k: float, d: int = 3) -> float:
@@ -233,7 +236,7 @@ def multiplier_grid(medium: Medium, k, T: float, include_zeta3: bool = False) ->
     mp = _real_products(medium, k, T)
     m = mp.multiplier(T)
     if include_zeta3:
-        _, _, z3_m, z3_ls = _zeta_pieces(mp, T, d=3)
+        _, _, z3_m, z3_ls = mp.zeta_pieces(T, d=3)
         nonzero = z3_m != 0
         logmag = np.where(
             nonzero, z3_ls + np.log(np.abs(np.where(nonzero, z3_m, 1.0))), -np.inf
@@ -254,7 +257,7 @@ def multiplier_grid(medium: Medium, k, T: float, include_zeta3: bool = False) ->
 def kernel_table(medium: Medium, k, T: float, d: int = 3):
     """Column dict for CSV export of the kernel curves over a k grid."""
     mp = _real_products(medium, k, T)
-    z1, z2, z3_m, z3_ls = _zeta_pieces(mp, T, d)
+    z1, z2, z3_m, z3_ls = mp.zeta_pieces(T, d)
     return {
         "k": mp.k,
         "zeta1": z1,

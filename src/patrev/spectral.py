@@ -254,12 +254,14 @@ def amplitudes_grid(medium: Medium, grid: RootsGrid):
     """Mode weights A_j = p_j / lambda_j over a roots grid.
 
     Returns ``(a0, a1, a2, degenerate)``; where ``degenerate`` (k = 0 or the
-    triple root) A1 and A2 are not finite, while A0 is finite at k = 0.
-    Where the pair is conjugate (``real_c_regime``) A0 is real and A2 is
-    conj(A1); on the three-real-root band all three are real.
+    triple root) A1 and A2 are not finite, while A0 is finite at k = 0, and
+    a weight is inf where its |lambda_j| is subnormal.  Where the pair is
+    conjugate (``real_c_regime``) A0 is real and A2 is conj(A1), copied: the
+    division alone gives the real part -0 where that of A1 cancels to +0
+    (water from ~2.5e7 k_c); on the three-real-root band all three are real.
     """
     p0, re_p1, im_p1 = pair_products(medium, grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         a0 = p0 / grid.lambda0 + 0j
         a1 = (re_p1 + 1j * im_p1) / grid.lambda1
         a2 = (re_p1 - 1j * im_p1) / grid.lambda2

@@ -8,11 +8,12 @@ field up to round-off (the tests check Parseval and the imaginary residue).
 
 Multipliers are evaluated once per distinct |k|: ``GridSpec.radial_table``
 lists the distinct |k| of the non-negative frequencies with an index of
-shape ``(n//2+1,) * d`` (``slice(None)`` in 1-D, where that is the real-FFT
-half spectrum).  A multiplier callable receives consecutive slices of that
-1-D table, so it must be elementwise in k: blocks of 8192 |k| keep the ~20
-temporaries of a root solve in a 2 MB L2 cache (35 ms against 72 ms in one
-call for the 2^20-point water table on a Xeon; README has the sweep).
+shape ``(n//2+1,) * d``.  A multiplier callable receives consecutive slices
+of that 1-D table, so it must be elementwise in k: blocks of 8192 |k| keep
+the ~20 temporaries of a root solve in a 2 MB L2 cache.  The image
+multipliers are functions of a ``kernels.ModeProducts``, the one home of the
+mode-product algebra: one ``kernels.mode_products`` per block serves every
+image of a set, and this module reads no root and no p_j.
 
 The public operators run numpy's real-FFT round trip, ``rfftn`` then
 ``irfftn``, with the index folded onto the negative frequencies of axes
@@ -20,27 +21,10 @@ The public operators run numpy's real-FFT round trip, ``rfftn`` then
 
 ``_gaussian_images``, the image route of the reconstruction and the kappa1
 sweep in every dimension, runs no forward pass and touches no line that no
-caller reads.  The Gaussian phantom is its peak times one factor per axis,
-so its DFT is the product of one real, even axis spectrum per axis, up to
-the phase (-1)^m of a grid-centred field, which the inverse undoes by
-reading its output from n/2.  Where the phantom's edge value and alias are
-below 2^-64 of its peak, that spectrum is the closed form
-sqrt(4 pi D)/dx exp(-D k^2) on the band D k^2 <= 64 ln 2 (zero beyond), and
-the multipliers are evaluated on the band's distinct |k| only; otherwise it
-is the real DFT of the sampled factor, on every frequency.  The inverse is
-one real pass per axis, that axis's spectrum multiplied in just before it,
-on the lines of the phantom's support box, by one of three routes (band
-m_b, w box lines, ``lines`` lines along the other axes):
-
-* a direct w x (m_b + 1) cosine matrix, built once per pass and applied to
-  every line, where 8 w (m_b + 1) <= lines n: every axis of the 3-D images
-  from 64^3 to 512^3 (128^3: 48 frequencies to 25 lines on 2304, 1200 and
-  625 lines), no 1-D pass;
-* else Bluestein's chirp-z zoom where its three FFTs of length
-  L >= m_b + w cost less than an n-point ``irfft`` (L <= n/8, measured
-  from 2^14 to 2^20): the sweep at 2^20 samples, which so builds no array
-  of the line's length;
-* else ``irfft`` and the box's lines: the 1-D reconstruction's whole line.
+caller reads: the Gaussian phantom's DFT is a product of real, even axis
+spectra, so each image is one real inverse pass per axis on the lines of
+the phantom's support box.  README describes the three routes of a pass
+and their timings.
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -134,13 +118,13 @@ class GridSpec:
         """
         return self._magnitude(2.0 * math.pi * np.fft.fftfreq(self.n_per_axis, self.spacing))
 
-    def radial_table(self, q_max: int | None = None) -> tuple[np.ndarray, np.ndarray | slice]:
+    def radial_table(self, q_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Distinct |k| of the non-negative frequencies and an index into them.
 
         Returns ``(k_table, index)``: ``k_table`` is the strictly increasing
         1-D array of distinct |k| [1/m], and ``k_table[index]`` equals
         ``k_magnitude()`` on the octant of frequencies 0 ... n/2 of every
-        axis (exactly in 1-D, where ``index`` is ``slice(None)`` and the
+        axis (exactly in 1-D, where ``index`` is ``arange(n//2 + 1)`` and the
         octant is the half spectrum of ``np.fft.rfft``; to round-off
         otherwise).  On the periodic lattice
         |k|^2 = (2 pi / extent)^2 q with integer q = sum_i m_i^2 <= d (n/2)^2,
@@ -155,7 +139,7 @@ class GridSpec:
         m = np.arange(min(n // 2, math.isqrt(top)) + 1)
         step = 1.0 / (n * self.spacing)     # fftfreq's, so 1-D |k| match k_magnitude()
         if d == 1:
-            return 2.0 * math.pi * (m * step), slice(None)
+            return 2.0 * math.pi * (m * step), m
         q = np.minimum(functools.reduce(np.add.outer, [m * m] * d), top + 1)
         occupied = np.zeros(top + 2, dtype=bool)   # the last entry: every q > top
         occupied[q] = True
@@ -251,32 +235,31 @@ def _axis_factor(grid: GridSpec, D: float, lines: slice) -> np.ndarray:
 _BLOCK = 8192
 
 
-def _radial_multipliers(k_table: np.ndarray, evaluates: list[Callable[[np.ndarray], np.ndarray]]
-                        ) -> list[np.ndarray]:
-    """Finite real ``evaluate(k)`` of each of ``evaluates`` on the radial
-    table ``k_table``, in _BLOCK slices."""
+def _radial_multipliers(k_table: np.ndarray,
+                        evaluate: Callable[[np.ndarray], list[np.ndarray]]) -> list[np.ndarray]:
+    """Every multiplier of the set ``evaluate(k)`` on the radial table
+    ``k_table``, one call per _BLOCK slice; each must be finite and real."""
     mults = []
-    for evaluate in evaluates:
-        mults.append(mult := np.empty_like(k_table))
-        for start in range(0, k_table.size, _BLOCK):
+    for start in range(0, k_table.size, _BLOCK):
+        values = evaluate(k_table[start:start + _BLOCK])
+        mults = mults or [np.empty_like(k_table) for _ in values]
+        for mult, value in zip(mults, values):
             block = mult[start:start + _BLOCK]
-            block[...] = evaluate(k_table[start:start + _BLOCK])
+            block[...] = value
             if not np.all(np.isfinite(block)):
                 raise ValueError("multiplier produced non-finite values on the grid")
     return mults
 
 
-def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray | slice) -> Field:
+def _apply_radial(fld: Field, mult: np.ndarray, index: np.ndarray) -> Field:
     """F^{-1}{mult[index] F{fld}} by numpy's real-FFT round trip; ``mult`` on
     ``GridSpec.radial_table()`` and its ``index``, the index folded onto the
     half spectrum (frequency i of axes 0 ... d-2 takes the |k| of min(i, n - i))."""
     grid = fld.grid
     n, d = grid.n_per_axis, grid.dim
     spec = np.fft.rfftn(fld.samples)
-    if d > 1:
-        fold = np.minimum(np.arange(n), n - np.arange(n))
-        index = index[np.ix_(*[fold] * (d - 1), np.arange(n // 2 + 1))]
-    spec *= mult[index]
+    fold = np.minimum(np.arange(n), n - np.arange(n))
+    spec *= mult[index[np.ix_(*[fold] * (d - 1), np.arange(n // 2 + 1))]]
     return Field(grid, np.fft.irfftn(spec, s=grid.shape(), axes=range(d)))
 
 
@@ -288,7 +271,7 @@ def apply_multiplier(field: Field, multiplier: Callable[[np.ndarray], np.ndarray
     finite real values (or a scalar); the output is real by construction.
     """
     k_table, index = field.grid.radial_table()
-    (mult,) = _radial_multipliers(k_table, [multiplier])
+    (mult,) = _radial_multipliers(k_table, lambda k: [multiplier(k)])
     return _apply_radial(field, mult, index)
 
 
@@ -325,15 +308,6 @@ def propdelta_check(field: Field, medium: Medium, T: float,
     return float(np.max(np.abs(half.samples[mask] - target[mask])) / denom)
 
 
-def _mode_sum(mp: kernels.ModeProducts, t: float) -> np.ndarray:
-    """sum_j A_j lambda_j e^{-lambda_j t}, real since p2 e^{-lambda2 t} is the
-    conjugate of p1 e^{-lambda1 t}; minus it is the forward multiplier p_hat / phi_hat."""
-    phase = mp.theta * t
-    return mp.p0 * np.exp(-mp.lambda0 * t) + 2.0 * np.exp(-mp.mu * t) * (
-        mp.p1_re * np.cos(phase) + mp.p1_im * np.sin(phase)
-    )
-
-
 def time_reversal_image(medium: Medium, phantom: Field, T: float,
                         include_zeta3: bool = False) -> Field:
     """Time-reversal image I = 2 q|_{t=T} of a phantom evolved to time T.
@@ -363,13 +337,15 @@ def time_reversal_image(medium: Medium, phantom: Field, T: float,
     |k| on the three-real-root band (``spectral.three_root_band``), the one
     definition of that regime: an admitted image meets no later refusal of it.
     """
-    return apply_multiplier(phantom, _image_multiplier(medium, phantom.grid, T,
-                                                       include_zeta3))
+    image = _image_multiplier(medium, phantom.grid, T, include_zeta3)
+    return apply_multiplier(phantom, lambda k: image(kernels.mode_products(medium, k)))
 
 
 def _image_multiplier(medium: Medium, grid: GridSpec, T: float,
-                      include_zeta3: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """The multiplier of ``time_reversal_image`` as a function of |k|, after
+                      include_zeta3: bool = False
+                      ) -> Callable[[kernels.ModeProducts], np.ndarray]:
+    """The multiplier of ``time_reversal_image`` as a function of the mode
+    products (``kernels.ModeProducts.mode_sum`` and ``multiplier``), after
     its refusals of T, of the scale and of the three-real-root band on the
     grid's radial table.  The bounds are taken in Python floats, which
     overflow to inf without a warning."""
@@ -396,14 +372,9 @@ def _image_multiplier(medium: Medium, grid: GridSpec, T: float,
                           np.searchsorted(k_table, band[1], "left")]
         if refused.size:
             raise kernels.regime_refusal(refused)
-
-    def table(kk):
-        mp = kernels.mode_products(medium, kk)
-        if include_zeta3:
-            return 2.0 * _mode_sum(mp, T) * _mode_sum(mp, -T)
-        return mp.multiplier(T)
-
-    return table
+    if include_zeta3:
+        return lambda mp: 2.0 * mp.mode_sum(T) * mp.mode_sum(-T)
+    return lambda mp: mp.multiplier(T)
 
 
 #: the phantom support: its samples at this fraction of the peak or above
@@ -456,6 +427,17 @@ def _chirps(top: int, n: int) -> np.ndarray:
     return chirps
 
 
+def _weights(size: int, n: int) -> np.ndarray:
+    """c_m of the inverse DFT of an n-point spectrum, real and even, given on
+    its frequencies 0 ... size - 1: 1/n at m = 0 and at a Nyquist m = n/2,
+    2/n elsewhere, so the sum over m is 2 Re of the half sum."""
+    c = np.full(size, 2.0 / n)
+    c[0] = 1.0 / n
+    if size - 1 == n // 2:
+        c[-1] = 1.0 / n
+    return c
+
+
 def _zoom(spec: np.ndarray, n: int, lines: np.ndarray, axis: int) -> np.ndarray:
     """``_inverse_pass``'s sum at the consecutive output samples ``lines``
     by Bluestein's chirp-z transform: j m = (j^2 + m^2 - (j - m)^2) / 2
@@ -467,11 +449,7 @@ def _zoom(spec: np.ndarray, n: int, lines: np.ndarray, axis: int) -> np.ndarray:
     shape = (-1,) + (1,) * (spec.ndim - 1 - axis)
     lags = np.arange(lines[0] - size + 1, lines[-1] + 1)
     chirps = _chirps(max(size - 1, -lags[0], lags[-1]), n)      # even in j
-    # (2/n) Re sum_m s_m e^{2 pi i j m / n}, the frequencies 0 and n/2 halved
-    weight = chirps[:size] * (2.0 / n)
-    weight[0] *= 0.5
-    if size - 1 == n // 2:
-        weight[-1] *= 0.5
+    weight = chirps[:size] * _weights(size, n)
     conv = np.fft.ifft(np.fft.fft(spec * weight.reshape(shape), fft_size, axis=axis)
                        * np.fft.fft(chirps[np.abs(lags)].conj(), fft_size).reshape(shape),
                        axis=axis)
@@ -482,8 +460,8 @@ def _zoom(spec: np.ndarray, n: int, lines: np.ndarray, axis: int) -> np.ndarray:
 def _direct(spec: np.ndarray, n: int, lines: np.ndarray, axis: int) -> np.ndarray:
     """``_inverse_pass``'s sum at the output samples ``lines`` by one real
     w x (m_b + 1) matrix C[j, m] = c_m cos(2 pi ((l_j m) mod n) / n),
-    l_j m reduced in int64 first as in ``_chirps``, with the zoom's weights
-    c_m, shared by every line along the other axes.
+    l_j m reduced in int64 first as in ``_chirps``, with the weights c_m of
+    ``_weights``, shared by every line along the other axes.
 
     ``np.einsum`` applies it without BLAS, whose sums depend on the BLAS
     thread count once a product is large enough to be split (``np.matmul``,
@@ -498,10 +476,7 @@ def _direct(spec: np.ndarray, n: int, lines: np.ndarray, axis: int) -> np.ndarra
     angle = np.multiply.outer(lines, np.arange(size)) % n * (2.0 / n)
     angle *= np.pi
     matrix = np.cos(angle)
-    matrix *= 2.0 / n
-    matrix[:, 0] *= 0.5
-    if size - 1 == n // 2:
-        matrix[:, -1] *= 0.5
+    matrix *= _weights(size, n)
     others = sorted((a for a in range(spec.ndim) if a != axis), key=lambda a: -spec.strides[a])
     moved = np.ascontiguousarray(spec.transpose(others + [axis]))
     out = np.einsum("...m,jm->j...", moved, matrix, order="C")
@@ -510,9 +485,7 @@ def _direct(spec: np.ndarray, n: int, lines: np.ndarray, axis: int) -> np.ndarra
 
 def _route(shape: tuple[int, ...], n: int, w: int, axis: int) -> str:
     """The route of ``_inverse_pass`` for a spectrum of ``shape`` and w
-    output lines: "direct" where 8 w (m_b + 1) <= lines n, lines being the
-    number of lines along the other axes, "zoom" where its length, the next
-    power of two >= m_b + w, is at most n/8, else "irfft"."""
+    output lines; README gives the rule and its timings."""
     size = shape[axis]
     if 8 * w * size <= math.prod(shape) // size * n:
         return "direct"
@@ -526,15 +499,8 @@ def _inverse_pass(spec: np.ndarray, n: int, box: slice, axis: int) -> np.ndarray
     even on that axis, given on its frequencies 0 ... m_b <= n/2 (zero
     beyond), on the grid lines ``box``.  Grid line j holds output sample
     j - n/2, which undoes the phase (-1)^m of a grid-centred phantom.  The
-    route (``_route``) is the direct matrix (``_direct``), w (m_b + 1)
-    products a line against about n log n for ``irfft``, where
-    8 w (m_b + 1) <= lines n, since its matrix is built once for all lines:
-    on 2-D passes from n = 256 to 4096 it took 0.7-1.3 times the time of
-    ``irfft`` at that edge (w or m_b + 1 = n/8) and 0.4-0.9 times at n/16
-    (one thread of a Xeon); else the zoom where its three complex FFTs of
-    length L, about one real FFT of length 8L (the crossover measured for
-    n = 2^14 ... 2^20), are at most n/8; else ``irfft`` and the box's
-    lines."""
+    sum is taken by the route of ``_route``: ``_direct``, ``_zoom``, or
+    ``irfft`` and the box's lines."""
     lines = np.arange(box.start, box.stop) - n // 2
     route = _route(spec.shape, n, lines.size, axis)
     if route == "direct":
@@ -545,12 +511,15 @@ def _inverse_pass(spec: np.ndarray, n: int, box: slice, axis: int) -> np.ndarray
 
 
 def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
-                     *extra: Callable[[np.ndarray], np.ndarray], whole: bool = False
+                     *extra: Callable[[kernels.ModeProducts], np.ndarray],
+                     whole: bool = False
                      ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Phantom ``gaussian_phantom(grid, D)``, its support mask and its images
     on the support box (the whole grid when ``whole``):
-    ``time_reversal_image(medium, phantom, T)``, then F^{-1}{m(|k|) F{phi}}
-    for each m of ``extra``.  The phantom's refusals come first, then those
+    ``time_reversal_image(medium, phantom, T)``, then F^{-1}{m(mp) F{phi}}
+    for each m of ``extra``, a function of the ``kernels.ModeProducts`` mp
+    of |k|; each |k| block is solved once for all of them.  The phantom's
+    refusals come first, then those
     of the image multiplier, before any evaluation; max|M| times the peak
     not being a finite double is refused after M is evaluated, per image.
 
@@ -577,7 +546,7 @@ def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
     n, d = grid.n_per_axis, grid.dim
     D, peak = _gaussian_peak(grid, D)
     box, phi, mask = _support_box(grid, D, peak, whole)
-    evaluates = [_image_multiplier(medium, grid, T), *extra]
+    multipliers = [_image_multiplier(medium, grid, T), *extra]
     alpha = (2.0 * math.pi * math.sqrt(D) / grid.extent) ** 2     # D k_m^2 = alpha m^2
     half = grid.extent / 2.0
     if min(alpha * (n // 2) ** 2, half * half / (4.0 * D)) > _BAND_EXPONENT:
@@ -588,17 +557,21 @@ def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
     else:
         k_table, index = grid.radial_table()
         spectrum = np.fft.rfft(np.fft.ifftshift(_axis_factor(grid, D, slice(None)))).real
+
+    def evaluate(k):
+        mp = kernels.mode_products(medium, k)
+        return [multiplier(mp) for multiplier in multipliers]
+
     images = []
-    for mult in _radial_multipliers(k_table, evaluates):
+    for mult in _radial_multipliers(k_table, evaluate):
         if not math.isfinite(float(np.max(np.abs(mult))) * peak):
             raise kernels.ScaleOverflowError(
                 f"max|M| (4 pi D)^(-{d}/2) at D = {D:.6g} m^2 is not a finite double")
-        spec = mult * peak
-        if d > 1:       # lattice points beyond the band index one past the table
-            # the octant is symmetric in its axes, so its transpose, with
-            # axis 0 contiguous, is the same array in the layout the direct
-            # passes read without a copy
-            spec = np.append(spec, 0.0)[index].T
+        # lattice points beyond the band index one past the table; the
+        # octant is symmetric in its axes, so its transpose, with axis 0
+        # contiguous, is the same array in the layout the direct passes read
+        # without a copy
+        spec = np.append(mult * peak, 0.0)[index].T
         for axis in range(d):
             spec *= spectrum.reshape((-1,) + (1,) * (d - 1 - axis))
             spec = _inverse_pass(spec, n, box[axis], axis)

@@ -15,6 +15,13 @@ ROOT = Path(__file__).resolve().parents[1]
 TINY_TAU0 = ["--set", "tau1_s=1e-315", "--set", "speed_m_per_s=1e11",
              "--set", "kappa1_m2_per_N=0"]
 
+#: the same tau scale with k_c = 2e307 1/m, so that 10 k_c is not a double
+TINY_TAU0_HUGE_KC = ["--set", "tau1_s=1e-315", "--set", "speed_m_per_s=1e8",
+                     "--set", "kappa1_m2_per_N=0"]
+
+#: the small tables of the refusal sweep
+SMALL_K = ["--set", "grid_n=4096", "--set", "k_num=50"]
+
 WATER_CFG = """
 tau1_s          = 1e-9
 kappa1_m2_per_N = 5e-10
@@ -106,13 +113,30 @@ def test_coeffs_all_degenerate_grid_exits_2(tmp_path, water_cfg_file, capsys):
      "the k grid [0, 2e+305] 1/m reaches"),
     (["report", *TINY_TAU0, "--set", "k_num=50", "--set", "grid_n=64"],
      "the k grid [2e+307, 2e+307] 1/m reaches"),
+    # an end of the k grid is not a double: k_c = 2e307 1/m (1/tau0 is not
+    # one either) and 10 k_c, or 1e30 k_c at k_c = 1.9e297 1/m; refused
+    # before numpy forms the grid
+    *[([sub, *SMALL_K, *TINY_TAU0_HUGE_KC], "the k grid [0, inf] 1/m leaves double range")
+      for sub in ("roots", "coeffs", "kernels")],
+    *[([sub, *SMALL_K, "--set", "tau1_s=1e-300", "--set", "k_max=1e30kc"],
+       "the k grid [0, inf] 1/m leaves double range") for sub in ("roots", "coeffs")],
+    # the ends of a log grid, 1e-20 k_c and 1e-6 of it at k_c = 1.9e-303 1/m,
+    # underflow to 0
+    (["roots", *SMALL_K, "--set", "k_spacing=log", "--set", "tau1_s=1e300",
+      "--set", "k_max=1e-20kc"], "the k grid [0, 1.97626e-323] 1/m leaves double range"),
+    # |lambda1| ~ c0 k ~ 2e-310 is subnormal and A1 ~ 2.5e309 overflows
+    (["coeffs", *SMALL_K, "--set", "tau1_s=1e300", "--set", "k_max=1e-10kc"],
+     "the k grid [0, 1.94365e-313] 1/m reaches wavenumbers where the mode weights "
+     "are not finite doubles"),
 ], ids=["log_zero_k_max", "roots_negative_k_max", "negative_k_min",
         "coeffs_negative_k_max", "infinite_k_min", "infinite_k_max",
         "infinite_kappa1", "infinite_rho", "infinite_tau1", "zero_L", "negative_L",
         "infinite_L", "infinite_T", "infinite_extent", "negative_phantom_D",
         "subnormal_tau1", "subnormal_speed", "roots_huge_k_max", "roots_huge_log_k_min",
         "coeffs_huge_k_max", "roots_tiny_tau1", "coeffs_tiny_tau1", "kernels_tiny_tau1",
-        "report_tiny_tau1"])
+        "report_tiny_tau1", "roots_inf_10kc", "coeffs_inf_10kc", "kernels_inf_10kc",
+        "roots_inf_k_max", "coeffs_inf_k_max", "roots_log_zero_end",
+        "coeffs_subnormal_lambda1"])
 def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     # the suite turns warnings into errors, so a RuntimeWarning fails here too
     out = tmp_path / "out"
@@ -120,7 +144,8 @@ def test_bad_k_grid_exits_2(tmp_path, capsys, argv, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
-    if "tau1_s=1e-315" in argv:
+    assert err.count("\n") == 1
+    if "speed_m_per_s=1e11" in argv:
         assert err.endswith("1/tau0 is not a finite double at tau0 = 1e-315 s: "
                             "the medium's tau scale leaves double range\n")
     assert "Traceback" not in err

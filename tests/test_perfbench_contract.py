@@ -82,7 +82,7 @@ def test_traced_3d_gaussian_images_count_their_passes():
     medium = nondimensional_medium(0.5)
 
     def images():
-        return transform._gaussian_images(grid, 0.25, medium, 2.0, np.cos)
+        return transform._gaussian_images(grid, 0.25, medium, 2.0, lambda mp: np.cos(mp.k))
 
     untraced = images()
     traced, tracer, before = _traced(images)
@@ -103,7 +103,7 @@ def test_traced_band_images_zoom_through_transform_np():
     medium = nondimensional_medium(0.5)
 
     def images():
-        return transform._gaussian_images(grid, 0.25, medium, 6.0, np.cos)
+        return transform._gaussian_images(grid, 0.25, medium, 6.0, lambda mp: np.cos(mp.k))
 
     untraced = images()
     traced, tracer, before = _traced(images)

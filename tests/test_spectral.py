@@ -231,6 +231,22 @@ def test_moment_residuals_on_log_grid():
         assert np.all(np.abs(lhs - targets[m]) <= 1e-9 * scale)
 
 
+@pytest.mark.parametrize("medium", [WATER, *(nondimensional_medium(r) for r in (
+    1e-8, 1e-4, 0.01, 0.05, 0.1, 0.2, 0.5, 0.999))], ids=lambda m: f"r={1 / m.tau_ratio:.3g}")
+def test_pair_weights_are_conjugate_bit_for_bit(medium):
+    # A2 is conj(A1) bit for bit wherever the pair is conjugate, from k = 0 to
+    # 1e12 k_c and off the three-real-root band; the division p2 / lambda2
+    # alone equals it in value but not in the sign of a zero real part, which
+    # a CSV writes as "-0" (water's coeffs table at 1e8 k_c)
+    k = medium.k_c * np.concatenate([np.linspace(0.0, 100.0, 20001),
+                                     np.logspace(-12.0, 12.0, 20001)])
+    grid = roots_grid(medium, k)
+    _, a1, a2, _ = amplitudes_grid(medium, grid)
+    pair = grid.real_c_regime & np.isfinite(a1)
+    assert np.count_nonzero(pair) > 17000
+    assert np.array_equal(a2[pair].view(np.int64), np.conj(a1[pair]).view(np.int64))
+
+
 def test_conjugate_pair_structure():
     # for real moment data and lambda2 = conj(lambda1): A0 real, A2 = conj(A1)
     grid = roots_grid(WATER, LOG_GRID)

@@ -197,7 +197,7 @@ def test_radial_table_matches_grid(grid, size):
     assert k_table[0] == 0.0 and np.all(np.diff(k_table) > 0)
     octant = grid.k_magnitude()[(slice(n // 2 + 1),) * grid.dim]
     if grid.dim == 1:
-        assert index == slice(None)
+        assert np.array_equal(index, np.arange(n // 2 + 1))
         assert np.array_equal(k_table[index], octant)
     else:
         assert index.shape == (n // 2 + 1,) * grid.dim
@@ -216,7 +216,7 @@ def _full_grid_route(phi, mult):
 def _forward(medium, t):
     """Forward pressure multiplier -sum_j A_j l_j e^{-l_j t}, the factor the
     zeta3 pipeline uses, for ``apply_multiplier``."""
-    return lambda k: -transform._mode_sum(kernels.mode_products(medium, k), t)
+    return lambda k: -kernels.mode_products(medium, k).mode_sum(t)
 
 
 def _full_grid_forward(medium, t):
@@ -536,7 +536,7 @@ def _assert_operators_equal_single_call(phi, t, zeta3_options=(False, True)):
 
     def pipeline(k):
         mp = kernels.mode_products(NONDIM, k)
-        return 2.0 * transform._mode_sum(mp, t) * transform._mode_sum(mp, -t)
+        return 2.0 * mp.mode_sum(t) * mp.mode_sum(-t)
 
     def sine(k):
         return np.sin(NONDIM.c0 * k * t) ** 2
@@ -562,6 +562,22 @@ def test_blocked_scalar_multiplier_broadcasts():
     phi = gaussian_phantom(RAGGED, 4.0)
     out = apply_multiplier(phi, lambda k: 0.5)
     assert np.array_equal(out.samples, _single_call(phi, lambda k: 0.5))
+
+
+def test_image_set_solves_each_block_once(monkeypatch):
+    # the image and the reconstruction's eta0 image share one mode_products
+    # call per block: a phantom about a sample wide takes the whole 1-D
+    # table, 16385 |k| in three blocks
+    calls = []
+    mode_products = kernels.mode_products
+    monkeypatch.setattr(kernels, "mode_products",
+                        lambda medium, k: calls.append(k) or mode_products(medium, k))
+    _, _, images = transform._gaussian_images(RAGGED, 1.0, NONDIM, 2.0,
+                                              kernels.ModeProducts.eta0_multiplier)
+    k_table, _ = RAGGED.radial_table()
+    assert len(images) == 2
+    assert len(calls) == 3 == -(-k_table.size // transform._BLOCK)
+    assert np.array_equal(np.concatenate(calls), k_table)
 
 
 def test_non_finite_value_in_last_block_is_refused():
@@ -643,7 +659,7 @@ def test_band_refusal_precedes_every_evaluation(monkeypatch, grid):
         with pytest.raises(kernels.ComplexRegimeError, match="three real roots"):
             time_reversal_image(BAND_MEDIUM, phi, 2.0, include_zeta3=include_zeta3)
     with pytest.raises(kernels.ComplexRegimeError, match="three real roots"):
-        transform._gaussian_images(grid, 4.0, BAND_MEDIUM, 2.0, lambda k: 1.0)
+        transform._gaussian_images(grid, 4.0, BAND_MEDIUM, 2.0, lambda mp: 1.0)
     assert calls == []
 
 

@@ -70,7 +70,8 @@ IMAGE_KEYS = {
 
 #: media and grids that combine extremes: the 1/tau0-overflow medium, k_c
 #: times k_max beyond double range, the three-real-root band on the image
-#: grid, extreme k ranges, and tau1 with k_max
+#: grid, extreme k ranges (a log grid whose ends underflow to 0 among them),
+#: and tau1 with k_max
 COMBOS = [
     ["--set", "tau1_s=1e-315", "--set", "speed_m_per_s=1e11", "--set", "kappa1_m2_per_N=0"],
     ["--set", "tau1_s=1e-315", "--set", "speed_m_per_s=1e8", "--set", "kappa1_m2_per_N=0"],
@@ -79,6 +80,7 @@ COMBOS = [
     ["--set", "kappa1_m2_per_N=4.4e-9", "--set", "grid_extent_m=0.001"],
     ["--set", "k_spacing=log", "--set", "k_min=1e-300"],
     ["--set", "k_min=1e300", "--set", "k_max=1e300kc"],
+    ["--set", "k_spacing=log", "--set", "tau1_s=1e300", "--set", "k_max=1e-20kc"],
     *[["--set", f"tau1_s={tau1}", "--set", f"k_max={k_max}"]
       for tau1 in ("1e-300", "1e300") for k_max in ("1e-10kc", "1e10kc", "1e30kc")],
 ]
