@@ -22,9 +22,9 @@ The public operators run numpy's real-FFT round trip, ``rfftn`` then
 ``_gaussian_images``, the image route of the reconstruction and the kappa1
 sweep in every dimension, runs no forward pass and touches no line that no
 caller reads: the Gaussian phantom's DFT is a product of real, even axis
-spectra, so each image is one real inverse pass per axis on the lines of
-the phantom's support box.  README describes the three routes of a pass
-and their timings.
+spectra, so each image is one real inverse pass per axis on the
+non-negative lines of the phantom's support box, mirrored once.  README
+describes the three routes of a pass and their timings.
 
 Periodic wrap-around is the one discretization hazard: identities of the
 form F^{-1}{sin^2(c0 k T) phi_hat} = phi/2 hold on the interior region only
@@ -165,9 +165,6 @@ class Field:
             )
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("field samples must be finite")
-
-    def integral(self) -> float:
-        return float(np.sum(self.samples) * self.grid.spacing**self.grid.dim)
 
 
 @dataclass(frozen=True)
@@ -518,10 +515,9 @@ def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
     on the support box (the whole grid when ``whole``):
     ``time_reversal_image(medium, phantom, T)``, then F^{-1}{m(mp) F{phi}}
     for each m of ``extra``, a function of the ``kernels.ModeProducts`` mp
-    of |k|; each |k| block is solved once for all of them.  The phantom's
-    refusals come first, then those
-    of the image multiplier, before any evaluation; max|M| times the peak
-    not being a finite double is refused after M is evaluated, per image.
+    of |k|; each |k| block is solved once for all of them.  The refusals
+    of the phantom, then of the image multiplier, precede any evaluation; a
+    max|M| times the peak that is no finite double is refused per image.
 
     No forward pass and no full line is needed.  The phantom is the peak
     times g(x_1) ... g(x_d), g = exp(-x^2 / (4 D)), so its DFT is the
@@ -541,7 +537,9 @@ def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
     with ``q_max``).  Otherwise the band is every frequency and S is the
     real DFT of the sampled g: a phantom narrower than a sample keeps its
     spectrum.  Each image is then one ``_inverse_pass`` per axis, that
-    axis's S multiplied in just before it.
+    axis's S multiplied in just before it, on the box's non-negative lines
+    0 ... h only (h its largest |line - n/2|).  M and phi are radial, so the
+    image is even: it is that half box mirrored once, even bit for bit.
     """
     n, d = grid.n_per_axis, grid.dim
     D, peak = _gaussian_peak(grid, D)
@@ -562,18 +560,20 @@ def _gaussian_images(grid: GridSpec, D: float, medium: Medium, T: float,
         mp = kernels.mode_products(medium, k)
         return [multiplier(mp) for multiplier in multipliers]
 
+    start, stop = box[0].start - n // 2, box[0].stop - n // 2      # lines start ... stop - 1
+    nonneg = slice(n // 2, n // 2 + max(-start, stop - 1) + 1)
     images = []
     for mult in _radial_multipliers(k_table, evaluate):
         if not math.isfinite(float(np.max(np.abs(mult))) * peak):
             raise kernels.ScaleOverflowError(
                 f"max|M| (4 pi D)^(-{d}/2) at D = {D:.6g} m^2 is not a finite double")
-        # lattice points beyond the band index one past the table; the
-        # octant is symmetric in its axes, so its transpose, with axis 0
-        # contiguous, is the same array in the layout the direct passes read
-        # without a copy
+        # lattice points beyond the band index one past the table; the octant
+        # is symmetric in its axes, so its transpose (axis 0 contiguous) is
+        # the same array in the layout the direct passes read without a copy
         spec = np.append(mult * peak, 0.0)[index].T
         for axis in range(d):
             spec *= spectrum.reshape((-1,) + (1,) * (d - 1 - axis))
-            spec = _inverse_pass(spec, n, box[axis], axis)
-        images.append(spec)
+            spec = _inverse_pass(spec, n, nonneg, axis)
+        # the mirror's index is built per image: no n-long index lives through a pass
+        images.append(spec[np.ix_(*[np.abs(np.arange(start, stop))] * d)])
     return phi, mask, images

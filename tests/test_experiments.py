@@ -477,8 +477,9 @@ _WATER_128_CUBED = {"grid_dim": "3", "grid_n": "128", "phantom_D_m2": "0.03125"}
 
 def test_3d_reconstruction_runs_real_passes_only(monkeypatch, tmp_path):
     # per image (two) one direct cosine-matrix pass per axis, from the band's
-    # frequencies 0 ... 47 to the 25 lines that reach the box: no FFT at all,
-    # neither for the axis spectrum (its closed form) nor for a pass
+    # frequencies 0 ... 47 to the 13 non-negative lines of the 25-line box,
+    # mirrored once at the end: no FFT at all, neither for the axis spectrum
+    # (its closed form) nor for a pass
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         def counted(a, *args, name=name, fft=getattr(np.fft, name), **kwargs):
@@ -494,7 +495,7 @@ def test_3d_reconstruction_runs_real_passes_only(monkeypatch, tmp_path):
     monkeypatch.setattr(transform, "_inverse_pass", inverse_pass)
     run_reconstruction(water_cfg(tmp_path, **_WATER_128_CUBED))
     assert calls == []
-    chain = [(48, 48, 48), (25, 48, 48), (25, 25, 48), (25, 25, 25)]
+    chain = [(48, 48, 48), (13, 48, 48), (13, 13, 48), (13, 13, 13)]
     assert passes == 2 * list(zip(chain, chain[1:]))
 
 

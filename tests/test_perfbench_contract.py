@@ -75,9 +75,11 @@ def test_traced_3d_gaussian_images_count_their_passes():
     # the image route calls its FFTs through transform.np too.  On this grid
     # the alias exp(-D (pi/dx)^2) is not below round-off, so the axis
     # spectrum is one rfft of the sampled, centred axis factor, shared by
-    # the three axes; every pass of the two images, from the h^3 octant to
-    # the lines of the b-wide support box, is a direct cosine matrix
-    # (8 b h <= lines n on each axis), which calls no FFT
+    # the three axes.  The passes of each image run from the h^3 octant to
+    # the w = 3 non-negative lines of the 5-line support box: the first two
+    # are direct cosine matrices (8 w h <= lines n), which call no FFT, and
+    # the last, on a (w, w, h) spectrum, is one irfft (8 w h > w w n, and a
+    # zoom would need 8 (h - 1 + w) <= n)
     grid = transform.GridSpec(dim=3, n_per_axis=16, extent=16.0)
     medium = nondimensional_medium(0.5)
 
@@ -90,15 +92,18 @@ def test_traced_3d_gaussian_images_count_their_passes():
         assert np.array_equal(a, b)
     assert spans.snapshot_diff(before, spans.snapshot()) == []
     totals = tracer.request_totals(0)
-    assert totals["transform.fft.calls"] == 1
-    n, h = 16, 9        # bytes read and written: the float64 factor, its complex spectrum
-    assert totals["transform.fft.bytes"] == 8 * n + 16 * h
+    assert totals["transform.fft.calls"] == 1 + 2
+    n, h, w = 16, 9, 3
+    # bytes read and written: the float64 factor and its complex spectrum,
+    # then per image the float64 (w, w, h) spectrum and its (w, w, n) lines
+    assert totals["transform.fft.bytes"] == 8 * n + 16 * h + 2 * (8 * w * w * h + 8 * w * w * n)
 
 
 def test_traced_band_images_zoom_through_transform_np():
     # where the alias and the edge are below round-off the axis spectrum is
     # the closed form, with no FFT; a 1-D box past n/8 of the line is the
-    # chirp-z zoom, three complex FFTs of length L = 512 per image
+    # chirp-z zoom on its w non-negative lines, three complex FFTs of length
+    # L = 512 per image
     grid = transform.GridSpec(dim=1, n_per_axis=4096, extent=64.0)
     medium = nondimensional_medium(0.5)
 
@@ -112,6 +117,6 @@ def test_traced_band_images_zoom_through_transform_np():
     assert spans.snapshot_diff(before, spans.snapshot()) == []
     totals = tracer.request_totals(0)
     assert totals["transform.fft.calls"] == 2 * 3
-    m, w, L = 136, untraced[0].size, 512     # band |k|, box lines, zoom length
+    m, w, L = 136, untraced[0].size // 2 + 1, 512   # band |k|, half-box lines, zoom length
     per_image = (16 * m + 16 * L) + (16 * (m + w - 1) + 16 * L) + (16 * L + 16 * L)
     assert totals["transform.fft.bytes"] == 2 * per_image

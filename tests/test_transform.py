@@ -46,7 +46,7 @@ def test_gridspec_validation():
 def test_gaussian_phantom_normalization_and_peak():
     g = GridSpec(dim=1, n_per_axis=4096, extent=40.0)
     phi = gaussian_phantom(g, 1.0)
-    assert phi.integral() == pytest.approx(1.0, abs=1e-6)
+    assert np.sum(phi.samples) * g.spacing ** g.dim == pytest.approx(1.0, abs=1e-6)
     # peak value (4 pi D)^{-1/2} at the origin
     assert phi.samples.max() == pytest.approx((4 * math.pi) ** -0.5, rel=1e-12)
 
@@ -54,7 +54,7 @@ def test_gaussian_phantom_normalization_and_peak():
 def test_gaussian_phantom_2d_normalization():
     g = GridSpec(dim=2, n_per_axis=256, extent=40.0)
     phi = gaussian_phantom(g, 1.0)
-    assert phi.integral() == pytest.approx(1.0, abs=1e-6)
+    assert np.sum(phi.samples) * g.spacing ** g.dim == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(dim=1, n_per_axis=4096, extent=40.0),
@@ -827,6 +827,73 @@ def test_zoom_equals_irfft_on_the_box(n, lines, band, axis):
         got = route(spec, n, out, axis)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(line))
+
+
+#: (grid, D, whole, spectrum branch, routes of the half-box passes)
+_IMAGE_CASES = {
+    "whole_line_1d": (GridSpec(dim=1, n_per_axis=4096, extent=64.0), 0.25, True, "band",
+                      ["irfft"]),
+    "zoomed_box_1d": (GridSpec(dim=1, n_per_axis=4096, extent=64.0), 0.25, False, "band",
+                      ["zoom"]),
+    "direct_2d": (GridSpec(dim=2, n_per_axis=1024, extent=64.0), 0.390625, False, "band",
+                  ["direct"] * 2),
+    "direct_3d": (GridSpec(dim=3, n_per_axis=64, extent=16.0), 0.31640625, False, "band",
+                  ["direct"] * 3),
+    "sampled_2d": (GridSpec(dim=2, n_per_axis=64, extent=16.0), 0.25, False, "sampled",
+                   ["irfft"] * 2),
+    "sampled_3d": (GridSpec(dim=3, n_per_axis=16, extent=16.0), 0.25, False, "sampled",
+                   ["direct", "direct", "irfft"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IMAGE_CASES))
+def test_gaussian_images_are_even_and_their_half_is_the_full_box_pass(monkeypatch, case):
+    # the passes run on the lines 0 ... h of the box and the image is their
+    # mirror, so it equals its own reversal on every axis bit for bit (past
+    # line -n/2 of the whole line, the mirror of +n/2).  Its non-negative
+    # half is that of the same routes' passes over the whole box, bit for
+    # bit unless a pass zooms (the chirp-z lags of the half box start at 0)
+    grid, D, whole, branch, pass_routes = _IMAGE_CASES[case]
+    n, d = grid.n_per_axis, grid.dim
+    alpha = (2.0 * math.pi * math.sqrt(D) / grid.extent) ** 2
+    band = min(alpha * (n // 2) ** 2, grid.extent ** 2 / (16.0 * D)) > transform._BAND_EXPONENT
+    assert branch == ("band" if band else "sampled")
+    box = transform._support_box(grid, *transform._gaussian_peak(grid, D), whole)[0][0]
+    routes, last = [], []
+
+    def route(*args, route=transform._route):
+        routes.append(route(*args))
+        return routes[-1]
+
+    def images():
+        return transform._gaussian_images(grid, D, NONDIM, T_DESK,
+                                          kernels.ModeProducts.eta0_multiplier, whole=whole)
+
+    def full_box_pass(spec, n, lines, axis, inverse_pass=transform._inverse_pass):
+        out = inverse_pass(spec, n, box, axis)
+        if axis == d - 1:
+            last.append(out)
+        return out
+
+    monkeypatch.setattr(transform, "_route", route)
+    _, _, half = images()
+    assert routes == 2 * pass_routes
+    replay = iter(list(routes))
+    monkeypatch.setattr(transform, "_route", lambda *args: next(replay))
+    monkeypatch.setattr(transform, "_inverse_pass", full_box_pass)
+    images()
+    lines = np.arange(box.start, box.stop) - n // 2
+    nonneg = np.ix_(*[np.flatnonzero((lines >= 0) | (lines == -n // 2))] * d)
+    assert len(half) == len(last) == 2
+    for image, full in zip(half, last, strict=True):
+        assert image.shape == full.shape == (lines.size,) * d
+        inner = image[(slice(1, None),) * d] if whole else image
+        for axis in range(d):
+            assert np.array_equal(inner, np.flip(inner, axis))
+        if "zoom" in pass_routes:
+            assert np.max(np.abs(image[nonneg] - full[nonneg])) <= 1e-15 * np.max(np.abs(full))
+        else:
+            assert np.array_equal(image[nonneg], full[nonneg])
 
 
 def test_band_route_matches_the_exact_image():
