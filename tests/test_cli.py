@@ -379,26 +379,6 @@ def test_crashed_run_leaves_out_empty(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
-def test_failed_csv_child_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
-    # the reconstruction profile (2^17 rows) is split between two processes;
-    # a child that fails makes the run exit 2 before --out is touched
-    write_rows = experiments._write_rows
-
-    def rows(fh, row, columns, lo, hi):
-        if lo > 0:
-            raise RuntimeError("rows failed")
-        write_rows(fh, row, columns, lo, hi)
-
-    monkeypatch.setattr(experiments, "_write_rows", rows)
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "keep.txt").write_text("kept\n")
-    assert main(["report", "--out", str(out)]) == 2
-    assert "reconstruction_profile.csv" in capsys.readouterr().err
-    assert [p.name for p in out.iterdir()] == ["keep.txt"]
-    assert (out / "keep.txt").read_text() == "kept\n"
-
-
 def test_main_reuses_one_parser_without_sharing_overrides(tmp_path, monkeypatch, capsys):
     # --set appends to a copy of the shared parser's default, so each call
     # sees only its own overrides
@@ -610,6 +590,45 @@ def test_tool_argv_assembles(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(ROOT)
     args = cli._PARSER.parse_args(argv + ["--out", str(tmp_path)])
     assert cli._assemble_config(args).out_dir == tmp_path
+
+
+#: a fixed sample of tools/refusal_sweep.py's cases and the exit code of each:
+#: every subcommand over the built-in water medium, then one extreme value of
+#: each ONE_KEY key, spread over the subcommands (refusals of the medium, the
+#: three-real-root band, theta T, the phantom, the grid and the k range)
+REFUSAL_SAMPLE = [
+    (["roots", *SMALL_K], 0),
+    (["coeffs", *SMALL_K], 0),
+    (["kernels", *SMALL_K], 0),
+    (["reconstruct"], 0),
+    (["sweep-kappa"], 0),
+    (["resolution", *SMALL_K], 0),
+    (["report"], 0),
+    (["roots", *SMALL_K, "--set", "tau1_s=1e-320"], 2),
+    (["kernels", *SMALL_K, "--set", "kappa1_m2_per_N=9e-9"], 2),
+    (["coeffs", *SMALL_K, "--set", "speed_m_per_s=1e300"], 2),
+    (["sweep-kappa", "--set", "rho_kg_per_m3=1e-320"], 1),
+    (["report", "--set", "T_s=1e300"], 2),
+    (["sweep-kappa", "--set", "L_m=1e308"], 2),
+    (["reconstruct", "--set", "phantom_D_m2=1e300"], 2),
+    (["reconstruct", "--set", "grid_extent_m=1e300"], 2),
+    (["roots", *SMALL_K, "--set", "k_max=1e300kc"], 2),
+]
+
+
+def test_refusal_sample_runs_clean(tmp_path):
+    # the sweep's own rule on each sampled case: no traceback, an exit code
+    # in {0, 1, 2}, and one stderr line with exit 2; the code itself is pinned.
+    # The suite turns warnings into errors, as the sweep does
+    sweep = _load("refusal_sweep", ROOT / "tools" / "refusal_sweep.py")
+    cases = sweep.cases()
+    assert {argv[0] for argv, _ in REFUSAL_SAMPLE} == set(cli._SUBCOMMANDS)
+    assert {argv[-1].split("=")[0] for argv, _ in REFUSAL_SAMPLE[7:]} == set(sweep.ONE_KEY)
+    for i, (argv, expected) in enumerate(REFUSAL_SAMPLE):
+        assert argv in cases
+        code, err = sweep.run(argv, tmp_path / str(i))
+        assert code == expected, (argv, err)
+        assert code != 2 or len(err.splitlines()) == 1, (argv, err)
 
 
 @pytest.mark.parametrize("grid", [

@@ -1,8 +1,4 @@
 import functools
-import os
-import signal
-import threading
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -13,7 +9,6 @@ from patrev import experiments, kernels, transform
 from patrev.medium import derive_medium, water_params
 from patrev.experiments import (
     _CSV_BLOCK_ROWS,
-    _CSV_FORK_ROWS,
     ConfigError,
     ExperimentConfig,
     Report,
@@ -85,27 +80,36 @@ def _per_cell_csv(comments, names, columns) -> str:
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children write_csv forks during a test."""
-    pids, fork = [], os.fork
+def mirrored(monkeypatch):
+    """The sizes and verdicts of write_csv's mirror checks during a test."""
+    seen, mirrors = [], experiments._mirrors
 
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    def spy(columns):
+        seen.append((len(columns[0]), mirrors(columns)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
+    monkeypatch.setattr(experiments, "_mirrors", spy)
+    return seen
 
 
-def assert_no_child_left(path):
-    assert not path.with_name(path.name + ".part").exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _even(column, n):
+    """The first n values with row n/2 - j set to row n/2 + j, 0 < j < n/2."""
+    c = np.array(column[:n])
+    c[n // 2 - 1:0:-1] = c[n // 2 + 1:]
+    return c
 
 
-def test_write_csv_matches_per_cell_formatting(tmp_path, forks):
+def _odd_positive(column, n):
+    """The first n values made positive (NaN and 0 read 1) beyond row n/2 and
+    negated into the rows below it; rows 0 and n/2 keep their bits."""
+    c = np.array(column[:n])
+    upper = np.abs(c[n // 2 + 1:])
+    upper[~(upper > 0)] = 1.0
+    c[n // 2 + 1:], c[n // 2 - 1:0:-1] = upper, -upper
+    return c
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path, mirrored):
     rng = np.random.default_rng(20131)
     # random bit patterns: every binade, subnormals, infinities and NaN payloads
     bits = rng.integers(0, 2**64, size=2**18, dtype=np.uint64)
@@ -113,104 +117,76 @@ def test_write_csv_matches_per_cell_formatting(tmp_path, forks):
     cols = [doubles[: 2**17], doubles[2**17:]]
     path = write_csv(tmp_path / "bits.csv", ["bits"], ["a", "b"], cols)
     assert path.read_text() == _per_cell_csv(["bits"], ["a", "b"], cols)
-    # the bit patterns cover both processes' halves and the seam between them
-    assert len(forks) == 1
-    assert_no_child_left(path)
 
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
                         1.7976931348623157e308, 1e16, 1e17, 1e-4, 1e-5])
     big = np.array([2**60 + 1, -(2**63), 2**53 + 1, 7], dtype=np.int64)
-    for n in (0, 1, 2, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
-              _CSV_FORK_ROWS, _CSV_FORK_ROWS + 1):
+    names = ["x", "special", "int64", "flag"]
+    for n in (0, 1, 2, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2**16, 2**16 + 1):
         cols = [doubles[:n], np.resize(special, n), np.resize(big, n),
                 np.arange(n) % 3 == 0]
-        names = ["x", "special", "int64", "flag"]
-        forked = len(forks)
         path = write_csv(tmp_path / f"mixed_{n}.csv", ["mixed", "rows"], names, cols)
         text = path.read_text()
         assert text == _per_cell_csv(["mixed", "rows"], names, cols)
         assert len(text.splitlines()) == 3 + n
-        # only a file above the threshold is split between two processes
-        assert len(forks) - forked == (n > _CSV_FORK_ROWS)
-        assert_no_child_left(path)
+
+    def case(label, n, cols, mirrors):
+        del mirrored[:]
+        path = write_csv(tmp_path / f"{label}_{n}.csv", [label], names, cols)
+        assert path.read_text() == _per_cell_csv([label], names, cols), (label, n)
+        assert mirrored == [(n, mirrors)], (label, n)
+
+    # mirrored files, formatted from their centre: the bit patterns, made even
+    # in every column but the first, across block seams and the centre row
+    for n in (2, 4, 2 * _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 2, 8 * _CSV_BLOCK_ROWS + 6):
+        cols = [_odd_positive(doubles, n), _even(doubles[2**17:], n),
+                _even(np.resize(special, n), n), _even(np.arange(n) % 3 == 0, n)]
+        case("mirrored", n, cols, True)
+
+    # near misses write every row through the block path
+    n = 2 * _CSV_BLOCK_ROWS + 2
+    base = [_odd_positive(doubles, n), _even(doubles[2**17:], n),
+            _even(np.resize(special, n), n), _even(np.arange(n) % 3 == 0, n)]
+    for row in (1, n // 2 - 1, n // 2 + 1, n - 1):
+        flipped = base[1].copy()
+        flipped.view(np.uint64)[row] ^= np.uint64(1) << np.uint64(row % 64)
+        case(f"bit{row}", n, [base[0], flipped, *base[2:]], False)
+        signed = base[1].copy()
+        signed[row], signed[n - row] = 0.0, -0.0
+        case(f"zero{row}", n, [base[0], signed, *base[2:]], False)
+        for value in (0.0, -1.0, np.nan):
+            x = base[0].copy()
+            x[max(row, n - row)] = value
+            x[min(row, n - row)] = -value
+            case(f"x{value}_{row}", n, [x, *base[1:]], False)
+    for m in (1, 3, n - 1):
+        case("odd", m, [c[:m] for c in base], False)
+    case("odd_centred", n - 1, [c[1:] for c in base], False)
+    # at n = 4 a zero or negative x above the centre falls back; n = 2 has no
+    # row beyond its centre, so it mirrors whatever column 0 holds
+    small = [_even(c, 4) for c in base[1:]]
+    for label, x in (("negative_x", [-2.0, 1.0, 0.0, -1.0]), ("zero_x", [-2.0, -0.0, 0.0, 0.0])):
+        case(label, 4, [np.array(x), *small], False)
+        case(label, 2, [np.array(x[:2]), *(c[:2] for c in small)], True)
 
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", [], ["a", "b"], [np.zeros(3), np.zeros(4)])
 
 
-def _fork_sized_columns(n):
-    x = np.linspace(-1.0, 1.0, n)
-    return [x, np.exp(-x * x) / 3.0, np.arange(n) % 7 == 0]
+def test_water_profile_formats_its_centre_half(tmp_path, monkeypatch):
+    # the grid-centred image is even bit for bit, so the 2^17-row profile
+    # formats row 0 and rows n/2 ... n-1 only
+    formatted, row_blocks = [], experiments._row_blocks
 
+    def spy(row, columns, lo, hi):
+        formatted.append(hi - lo)
+        return row_blocks(row, columns, lo, hi)
 
-def test_write_csv_inline_without_fork_or_with_a_second_thread(tmp_path, forks,
-                                                               monkeypatch):
-    n = _CSV_FORK_ROWS + 1
-    cols = _fork_sized_columns(n)
-    expected = _per_cell_csv(["c"], ["x", "y", "flag"], cols)
-    release = threading.Event()
-    worker = threading.Thread(target=release.wait)
-    worker.start()
-    try:
-        path = write_csv(tmp_path / "thread.csv", ["c"], ["x", "y", "flag"], cols)
-    finally:
-        release.set()
-        worker.join()
-    assert path.read_text() == expected
-    monkeypatch.delattr(os, "fork")
-    path = write_csv(tmp_path / "nofork.csv", ["c"], ["x", "y", "flag"], cols)
-    assert path.read_text() == expected
-    assert forks == []
-
-
-def _rows_failing_in(process: str):
-    """_write_rows that raises on one process's rows; with "parent", the
-    child's rows first wait a minute, so only a killed child ends at once."""
-    write_rows = experiments._write_rows
-
-    def rows(fh, row, columns, lo, hi):
-        in_child = lo > 0
-        if in_child == (process == "child"):
-            raise RuntimeError("rows failed")
-        if in_child:
-            time.sleep(60)
-        write_rows(fh, row, columns, lo, hi)
-
-    return rows
-
-
-def test_write_csv_child_failure_raises_in_parent(tmp_path, forks, monkeypatch):
-    monkeypatch.setattr(experiments, "_write_rows", _rows_failing_in("child"))
-    path = tmp_path / "child.csv"
-    with pytest.raises(ChildProcessError, match="child.csv"):
-        write_csv(path, [], ["x", "y", "flag"], _fork_sized_columns(_CSV_FORK_ROWS + 1))
-    assert len(forks) == 1
-    assert_no_child_left(path)
-
-
-def test_write_csv_with_children_reaped_elsewhere(tmp_path, forks):
-    # with SIGCHLD ignored the kernel reaps the child, so its status is lost:
-    # the write fails as an OSError and still leaves no part file
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    path = tmp_path / "ignored.csv"
-    try:
-        with pytest.raises(ChildProcessError):
-            write_csv(path, [], ["x", "y", "flag"], _fork_sized_columns(_CSV_FORK_ROWS + 1))
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-    assert len(forks) == 1
-    assert_no_child_left(path)
-
-
-def test_write_csv_parent_failure_kills_child(tmp_path, forks, monkeypatch):
-    monkeypatch.setattr(experiments, "_write_rows", _rows_failing_in("parent"))
-    path = tmp_path / "parent.csv"
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="rows failed"):
-        write_csv(path, [], ["x", "y", "flag"], _fork_sized_columns(_CSV_FORK_ROWS + 1))
-    assert time.perf_counter() - start < 30
-    assert len(forks) == 1
-    assert_no_child_left(path)
+    monkeypatch.setattr(experiments, "_row_blocks", spy)
+    run_reconstruction(water_cfg(tmp_path))
+    n = 2**17
+    assert sum(formatted) == n // 2 + 1
+    assert len((tmp_path / "reconstruction_profile.csv").read_text().splitlines()) == 2 + n
 
 
 def test_water_constants_pass(tmp_path):

@@ -83,27 +83,13 @@ def test_compare_exits_quietly_on_a_closed_pipe(tmp_path):
     proc.stderr.close()
 
 
-#: the child of the single-process run: a second live Python thread turns
-#: write_csv's fork off, and a fork would fail the run
-_THREADED = """
-import os, runpy, sys, threading
-def refuse_fork():
-    raise AssertionError("write_csv forked with a second Python thread alive")
-os.fork = refuse_fork
-threading.Thread(target=threading.Event().wait, daemon=True).start()
-sys.argv = [sys.argv[1], sys.argv[2]]
-runpy.run_path(sys.argv[0], run_name="__main__")
-"""
-
-
 def test_golden_runs_are_deterministic(tmp_path):
-    # whole golden runs, concurrently: under 1 and 2 OpenBLAS threads, and
-    # with write_csv on its single-process path, every file is byte-identical
+    # whole golden runs, concurrently: under 1 and 2 OpenBLAS threads every
+    # file is byte-identical
     python = [sys.executable, "-W", "error"]
     runs = {
         "blas1": (python + [golden.__file__], "1"),
         "blas2": (python + [golden.__file__], "2"),
-        "threaded": (python + ["-c", _THREADED, golden.__file__], "1"),
     }
     procs = {}
     for name, (argv, threads) in runs.items():
@@ -116,9 +102,8 @@ def test_golden_runs_are_deterministic(tmp_path):
     status = (tmp_path / "blas1" / "status.txt").read_text(encoding="utf-8")
     assert len(status.splitlines()) == len(golden.RUNS)
     files = sum(path.is_file() for path in (tmp_path / "blas1").rglob("*"))
-    for name in ("blas2", "threaded"):
-        compared = subprocess.run(
-            [sys.executable, golden.__file__, "--compare", str(tmp_path / "blas1"),
-             str(tmp_path / name)], capture_output=True, text=True, timeout=300)
-        assert compared.stdout == f"byte-identical: {files} of {files} files\n", name
-        assert compared.returncode == 0
+    compared = subprocess.run(
+        [sys.executable, golden.__file__, "--compare", str(tmp_path / "blas1"),
+         str(tmp_path / "blas2")], capture_output=True, text=True, timeout=300)
+    assert compared.stdout == f"byte-identical: {files} of {files} files\n"
+    assert compared.returncode == 0
